@@ -8,6 +8,10 @@ through both one-step updates via mixed second-derivative products. Plain
 one-step gradient updates are used for the inner variables on purpose: the
 architecture chain differentiates exactly those steps.
 
+Each mixed second-derivative product in that chain is a central difference
+of two gradients (``autodiff.default_eps`` sets the step); the exact
+double-backward product and ``hypergrad_fd_oracle`` serve only as judges.
+
 Also provides the two reference modes: ``baseline`` (segmenter on real data
 only) and ``separate`` (fit the generator first, freeze it, then fit the
 segmenter on its outputs plus real data).
@@ -35,7 +39,6 @@ from .models import DiscriminatorNet, GeneratorNet, SegNet, predict_mask
 from .synthdata import Dataset
 
 MODES = ("genseg", "separate", "baseline")
-BACKENDS = ("fd", "exact")
 
 # architecture optimizer settings (adaptive moments, decoupled decay)
 ARCH_BETA1 = 0.5
@@ -65,14 +68,6 @@ class TrainConfig:
     eta_a: float = 1e-4
     gamma: float = 1.0
     lambda_l1: float = 100.0
-    # fd backend: each finite difference uses eps = eps_scale / ||v||, so the
-    # perturbation eps * v has norm eps_scale. The L1 term is piecewise linear,
-    # and a step that crosses one of its kinks ruins the difference: against
-    # the pipeline oracle, 0.01 (the DARTS value) fails 9 of 10 seeds and 1e-5
-    # fails 1 of 150; 1e-6 fails none. A smaller step makes a crossing rarer
-    # but cannot rule one out. The exact backend takes no step and has no limit.
-    eps_scale: float = 1e-6
-    hypergrad_backend: str = "fd"
     direct_path: bool = False
     augment_rotate: bool = True
     augment_flip: bool = True
@@ -83,9 +78,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
-        if self.hypergrad_backend not in BACKENDS:
-            raise ValueError(f"hypergrad_backend must be one of {BACKENDS}")
-        for name in ("eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1", "eps_scale"):
+        for name in ("eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.iters < 0 or self.batch < 0:
@@ -100,8 +93,7 @@ class TrainConfig:
 # config file keys in canonical order; dots map to underscores on the dataclass
 CONFIG_KEYS = [
     "mode", "seed", "iters", "batch", "img_size", "enc_cells", "base_channels",
-    "eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1", "eps_scale",
-    "hypergrad_backend", "direct_path",
+    "eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1", "direct_path",
     "augment.rotate", "augment.flip", "augment.translate",
     "data_dir", "out_dir",
 ]
@@ -290,25 +282,14 @@ class Trainer:
         m, i = constant(masks), constant(images)
         fake = self.gen.forward(gb, ab, m)
         d_real = self.disc.forward(hb, m, i)
-        d_fake_detached = self.disc.forward(hb, m, ad.stop_gradient(fake))
         d_fake = self.disc.forward(hb, m, fake)
-        l_disc = ad.add(bce_with_logits(d_real, 1.0), bce_with_logits(d_fake_detached, 0.0))
+        # one discriminator pass on the fakes serves both losses: the H-gradient
+        # of l_disc is taken by itself, so it never flows into G
+        l_disc = ad.add(bce_with_logits(d_real, 1.0), bce_with_logits(d_fake, 0.0))
         l_gen = bce_with_logits(d_fake, 1.0)
         if self.config.lambda_l1 > 0:
             l_gen = ad.add(l_gen, ad.scale(l1_mean(fake, i), self.config.lambda_l1))
         return l_disc, l_gen, gb, hb, ab
-
-    def gan_losses(self, G: ParamGroup, A: ParamGroup, H: ParamGroup,
-                   masks: np.ndarray, images: np.ndarray) -> tuple[float, float]:
-        """Discriminator and generator loss values on one real batch.
-
-        The discriminator term sees generated images through a stop-gradient,
-        so its updates never flow into the generator.
-        """
-        if len(masks) == 0:
-            raise ValueError("gan_losses needs a non-empty batch")
-        l_disc, l_gen, *_ = self._gan_graph(G, H, A, masks, images)
-        return float(l_disc.value), float(l_gen.value)
 
     def stage1_update(self, state: TrainState, masks: np.ndarray, images: np.ndarray):
         """One plain descent step on G (generator loss) and H (discriminator loss)."""
@@ -371,6 +352,7 @@ class Trainer:
         loss = seg_cross_entropy(self.seg.forward(sb, constant(real_images)), real_masks)
         _check_finite(float(loss.value), "segmentation loss", state.iteration)
         g_S = ad.group_backward(loss, sb, state.S)
+        _check_finite_grads(g_S, "segmentation loss", state.iteration)
         state.S = _gd_step(state.S, g_S, self.config.eta_s)
         state.last_loss_seg = float(loss.value)
 
@@ -399,22 +381,11 @@ class Trainer:
         if not np.any(v):
             return np.zeros(state.A.size)
 
-        fd = cfg.hypergrad_backend == "fd"
-        eps_rule = lambda vec: cfg.eps_scale / float(np.linalg.norm(vec))  # noqa: E731
-        a_const = _const_binding(state.A)
-
         # only the synthetic term depends on the generator; the gamma real-data
         # term has no generator dependence and contributes zero here
-        def synth_seg_loss(g_binding, s_binding):
-            images = self.gen.forward(g_binding, a_const, constant(m_hats))
-            return seg_cross_entropy(self.seg.forward(s_binding, images), m_hats)
-
-        if fd:
-            gb = bind(state.G)
-            images = self.gen.forward(gb, a_const, constant(m_hats))
-            u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats, eps_rule)
-        else:
-            u = ad.mixed_hvp_exact(synth_seg_loss, state.G, S_pre, v)
+        gb = bind(state.G)
+        images = self.gen.forward(gb, _const_binding(state.A), constant(m_hats))
+        u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
 
         def gen_loss(a_binding, g_binding):
             m, i = constant(gan_masks), constant(gan_images)
@@ -424,38 +395,26 @@ class Trainer:
                 loss = ad.add(loss, ad.scale(l1_mean(fake, i), cfg.lambda_l1))
             return loss
 
-        if fd:
-            w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u, eps_rule=eps_rule)
-        else:
-            w = ad.mixed_hvp_exact(gen_loss, state.A, G_pre, u)
+        w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u)
         hyper = cfg.eta_g * cfg.eta_s * w
 
         if cfg.direct_path:
             # architecture also enters generation inside stage II directly
-            def synth_seg_loss_arch(a_binding, s_binding):
-                g_const = _const_binding(state.G)
-                images = self.gen.forward(g_const, a_binding, constant(m_hats))
-                return seg_cross_entropy(self.seg.forward(s_binding, images), m_hats)
-
-            if fd:
-                ab = bind(state.A)
-                images = self.gen.forward(_const_binding(state.G), ab, constant(m_hats))
-                direct = self._seg_hvp_fd(images, ab, state.A, S_pre, v, m_hats, eps_rule)
-            else:
-                direct = ad.mixed_hvp_exact(synth_seg_loss_arch, state.A, S_pre, v)
+            ab = bind(state.A)
+            images = self.gen.forward(_const_binding(state.G), ab, constant(m_hats))
+            direct = self._seg_hvp_fd(images, ab, state.A, S_pre, v, m_hats)
             hyper = hyper - cfg.eta_s * direct
         return hyper
 
     def _seg_hvp_fd(self, images: Node, p_binding, p_group: ParamGroup,
-                    S_base: ParamGroup, v: np.ndarray, m_hats: np.ndarray,
-                    eps_rule) -> np.ndarray:
+                    S_base: ParamGroup, v: np.ndarray, m_hats: np.ndarray) -> np.ndarray:
         """Central-difference mixed HVP of the synthetic segmentation loss,
         differentiated with respect to the binding that produced ``images``.
 
         The generator forward pass does not depend on the segmenter, so its
         graph is shared by the two perturbed-segmenter evaluations.
         """
-        eps = eps_rule(v)
+        eps = ad.default_eps(v)
         s0 = S_base.flatten()
 
         def grad_p(svec):
@@ -481,10 +440,6 @@ class Trainer:
         state.A = state.A.unflatten(flat)
 
     # -- evaluation and the loop ---------------------------------------------
-
-    def evaluate(self, S: ParamGroup, dataset: Dataset) -> tuple[float, float]:
-        """Mean dice and jaccard of the segmenter over a dataset."""
-        return evaluate_segmenter(self.seg, S, dataset)
 
     def _record(self, state: TrainState, split: str, d: float, j: float) -> met.EvalRecord:
         return met.EvalRecord(state.iteration, split, d, j, state.last_loss_seg,
@@ -540,7 +495,7 @@ class Trainer:
                 self.outer_update_A(state, hyper)
 
             if it % ipe == 0:
-                d, j = self.evaluate(state.S, self.val_ds)
+                d, j = evaluate_segmenter(self.seg, state.S, self.val_ds)
                 records.append(self._record(state, "val", d, j))
                 if d > state.best_metric:
                     state.best_metric = d
@@ -551,7 +506,7 @@ class Trainer:
             state.best_params = {k: v.copy() for k, v in state.groups().items()}
         if self.test_ds is not None and len(self.test_ds) and cfg.iters > 0:
             best_S = state.best_params["S"] if state.best_params else state.S
-            d, j = self.evaluate(best_S, self.test_ds)
+            d, j = evaluate_segmenter(self.seg, best_S, self.test_ds)
             records.append(self._record(state, "test", d, j))
         return records, state
 

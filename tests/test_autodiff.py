@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genseg import autodiff as ad
-from genseg.autodiff import (Node, ParamGroup, backward, bind, constant, grad_dot,
-                             group_backward, mixed_hvp_exact, mixed_hvp_fd,
-                             stop_gradient)
+from genseg.autodiff import (Node, ParamGroup, backward, bind, constant,
+                             group_backward, mixed_hvp_exact, mixed_hvp_fd)
 from genseg.checks import cosine, fd_gradient
 from genseg.tensor import ConvSpec
 
@@ -90,48 +89,6 @@ class TestBackward:
         # loss = x*x uses the same leaf twice: gradient must be 2x, not x
         grads = group_backward(ad.sum_(ad.mul(b["x"], b["x"])), b, g)
         np.testing.assert_allclose(grads[0], [6.0])
-
-    def test_stop_gradient_blocks_flow(self):
-        g = ParamGroup("G", [("x", np.array([2.0]))])
-        b = bind(g)
-        loss = ad.sum_(ad.mul(b["x"], stop_gradient(b["x"])))
-        grads = group_backward(loss, b, g)
-        np.testing.assert_allclose(grads[0], [2.0])  # only the live factor
-
-
-class TestGradDot:
-    def test_half_norm_squared(self):
-        x = np.array([1.0, 2.0, 3.0])
-        g = ParamGroup("G", [("x", x)])
-
-        def loss(b):
-            return ad.scale(ad.dot(b["x"], b["x"]), 0.5)
-
-        assert grad_dot(loss, g, x) == pytest.approx(float(x @ x), abs=1e-12)
-
-    def test_zero_vector(self):
-        g = ParamGroup("G", [("x", np.array([1.0, 2.0]))])
-        assert grad_dot(lambda b: ad.dot(b["x"], b["x"]), g, np.zeros(2)) == 0.0
-
-    def test_quadratic_against_matrix_oracle(self):
-        rng = np.random.default_rng(3)
-        q = rng.normal(size=(4, 4))
-        q = (q + q.T) / 2
-        x = rng.normal(size=4)
-        v = rng.normal(size=4)
-        g = ParamGroup("G", [("x", x)])
-
-        def loss(b):
-            qx = ad.matmul(constant(q), ad.reshape(b["x"], (4, 1)))
-            return ad.sum_(ad.mul(ad.reshape(b["x"], (4, 1)), qx))
-
-        want = float((2 * q @ x) @ v)
-        assert grad_dot(loss, g, v) == pytest.approx(want, rel=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        g = ParamGroup("G", [("x", np.zeros(3))])
-        with pytest.raises(ValueError):
-            grad_dot(lambda b: ad.sum_(b["x"]), g, np.zeros(4))
 
 
 def bilinear_loss(pb, qb):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from genseg.cli import main, render_svg
-from genseg.engine import TrainConfig
 from genseg.metrics import read_csv
 from genseg.synthdata import load_checkpoint, load_dataset
 
@@ -15,7 +14,7 @@ def write_config(path, data_dir, out_dir, **overrides):
         "mode": "baseline", "seed": 0, "iters": 4, "batch": 0, "img_size": 8,
         "enc_cells": 1, "base_channels": 2, "eta_g": 0.002, "eta_h": 0.002,
         "eta_s": 0.2, "eta_a": 0.0001, "gamma": 1.0, "lambda_l1": 100.0,
-        "eps_scale": TrainConfig.eps_scale, "hypergrad_backend": "fd", "direct_path": "false",
+        "direct_path": "false",
         "augment.rotate": "true", "augment.flip": "true", "augment.translate": "true",
         "data_dir": str(data_dir), "out_dir": str(out_dir),
     }
@@ -162,7 +161,7 @@ class TestGradcheckCommand:
     def test_level_hyper_passes(self, capsys):
         assert main(["gradcheck", "--level", "hyper", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "fd-backend" in out
+        assert "PASS" in out and "chain cosine" in out
 
 
 class TestPlot:
