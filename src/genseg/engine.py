@@ -48,6 +48,9 @@ ARCH_EPS = 1e-8
 
 AUGMENT_MAX_LEN = 3
 
+# images per segmenter forward in evaluate_segmenter
+EVAL_CHUNK = 64
+
 
 class TrainingAborted(RuntimeError):
     """Raised when a loss or gradient turns non-finite mid-run."""
@@ -83,6 +86,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.iters < 0 or self.batch < 0:
             raise ValueError("iters and batch must be >= 0")
+        for name in ("enc_cells", "base_channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # each encoder cell halves the extent
+        size = self.img_size
+        if size < 1 or size & (size - 1) or size.bit_length() - 1 < self.enc_cells:
+            raise ValueError(f"img_size must be a power of two >= 2**enc_cells = "
+                             f"{2 ** self.enc_cells}, got {size}")
 
     def batch_size(self, n_train: int) -> int:
         if self.batch:
@@ -261,6 +272,12 @@ class Trainer:
                           depth=2, base_channels=config.base_channels)
         self.aug_kinds = aug.enabled_kinds(config.augment_rotate, config.augment_flip,
                                            config.augment_translate)
+        # forward passes handed on within one iteration, each with the objects
+        # it was computed from: synth_batch's generator graph, which stage III
+        # differentiates in G, and stage III's validation logits, which the
+        # epoch validation scores
+        self._synth_graph = None  # ((G, A, m_hats), images node, G binding)
+        self._val_logits = None   # ((S, val_images), logits array)
 
     def init_state(self) -> TrainState:
         ss = np.random.SeedSequence(self.config.seed)
@@ -315,10 +332,14 @@ class Trainer:
 
         The architecture enters this forward pass as a frozen constant; the
         chain in stage III tracks its influence through the stage-I update
-        (plus the direct term when ``direct_path`` is set).
+        (plus the direct term when ``direct_path`` is set). The generator
+        weights enter as leaves, and the graph is kept for stage III, which
+        differentiates it in G instead of running the generator again.
         """
         m_hats = np.stack([aug.apply_sequence(ops, m) for ops, m in zip(ops_per_mask, masks)])
-        images = self.gen.forward(_const_binding(G), _const_binding(A), constant(m_hats))
+        gb = bind(G)
+        images = self.gen.forward(gb, _const_binding(A), constant(m_hats))
+        self._synth_graph = ((G, A, m_hats), images, gb)
         return m_hats, images.value
 
     def stage2_objective(self, sb: dict[str, Node], synth_masks, synth_images: Node,
@@ -368,35 +389,48 @@ class Trainer:
         segmenter, the mixed second derivative of the stage-II objective in
         (updated generator weights, segmenter), and the mixed second
         derivative of the generator loss in (architecture, generator
-        weights). The two step sizes multiply in; either being zero makes the
-        product exactly zero, as does a stationary validation loss.
+        weights). The product carries both step sizes, so it is zero when
+        ``eta_g`` is; the direct term (``direct_path``) carries only
+        ``eta_s``. Either way the result is exactly zero when ``eta_s`` is
+        zero or the validation loss is stationary.
+
+        Reuses the generator graph of the last ``synth_batch`` when it was
+        computed from ``state.G``, ``state.A`` and ``m_hats`` themselves, and
+        keeps its validation logits for the epoch validation at ``state.S``.
         """
         cfg = self.config
-        if cfg.eta_g == 0.0 or cfg.eta_s == 0.0:
+        kept, self._synth_graph = self._synth_graph, None
+        if cfg.eta_s == 0.0:
             return np.zeros(state.A.size)
 
         sb = bind(state.S)
-        val_loss = seg_cross_entropy(self.seg.forward(sb, constant(val_images)), val_masks)
-        v = ad.flat_grad(val_loss, sb, state.S)
+        logits = self.seg.forward(sb, constant(val_images))
+        self._val_logits = ((state.S, val_images), logits.value)
+        v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb, state.S)
         if not np.any(v):
             return np.zeros(state.A.size)
 
-        # only the synthetic term depends on the generator; the gamma real-data
-        # term has no generator dependence and contributes zero here
-        gb = bind(state.G)
-        images = self.gen.forward(gb, _const_binding(state.A), constant(m_hats))
-        u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
+        hyper = np.zeros(state.A.size)
+        if cfg.eta_g != 0.0:
+            # only the synthetic term depends on the generator; the gamma
+            # real-data term has no generator dependence and contributes zero
+            if kept is not None and _same_objects(kept[0], (state.G, state.A, m_hats)):
+                _, images, gb = kept
+            else:
+                gb = bind(state.G)
+                images = self.gen.forward(gb, _const_binding(state.A), constant(m_hats))
+            u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
 
-        def gen_loss(a_binding, g_binding):
-            m, i = constant(gan_masks), constant(gan_images)
-            fake = self.gen.forward(g_binding, a_binding, m)
-            loss = bce_with_logits(self.disc.forward(_const_binding(H_pre), m, fake), 1.0)
-            if cfg.lambda_l1 > 0:
-                loss = ad.add(loss, ad.scale(l1_mean(fake, i), cfg.lambda_l1))
-            return loss
+            def gen_loss(a_binding, g_binding):
+                m, i = constant(gan_masks), constant(gan_images)
+                fake = self.gen.forward(g_binding, a_binding, m)
+                loss = bce_with_logits(self.disc.forward(_const_binding(H_pre), m, fake), 1.0)
+                if cfg.lambda_l1 > 0:
+                    loss = ad.add(loss, ad.scale(l1_mean(fake, i), cfg.lambda_l1))
+                return loss
 
-        w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u)
-        hyper = cfg.eta_g * cfg.eta_s * w
+            w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u)
+            hyper = cfg.eta_g * cfg.eta_s * w
 
         if cfg.direct_path:
             # architecture also enters generation inside stage II directly
@@ -450,9 +484,11 @@ class Trainer:
 
         Validation runs after every epoch-equivalent (one pass over the
         training set); the best-validation segmenter snapshot is kept and
-        evaluated on the test split at the end. BLAS runs single-threaded so
-        identical runs are bit-identical and small matrix products avoid
-        synchronization overhead.
+        evaluated on the test split at the end. When threadpoolctl is
+        installed, BLAS runs single-threaded so identical runs are
+        bit-identical and small matrix products avoid synchronization
+        overhead; without it the cap does nothing, and BLAS threading follows
+        the environment (``OPENBLAS_NUM_THREADS`` and the like).
         """
         with threadpool_limits(limits=1, user_api="blas"):
             return self._train_loop()
@@ -469,6 +505,7 @@ class Trainer:
 
         for it in range(1, cfg.iters + 1):
             state.iteration = it
+            val_images = None  # what stage III validated on, if it ran
             idx = np.arange(n) if batch == n else rng.choice(n, size=batch, replace=False)
             masks = self.train_ds.masks(idx)
             images = self.train_ds.images(idx)
@@ -495,12 +532,14 @@ class Trainer:
                 self.outer_update_A(state, hyper)
 
             if it % ipe == 0:
-                d, j = evaluate_segmenter(self.seg, state.S, self.val_ds)
+                d, j = self._validate(state, val_images)
                 records.append(self._record(state, "val", d, j))
                 if d > state.best_metric:
                     state.best_metric = d
                     state.best_iteration = it
                     state.best_params = {k: v.copy() for k, v in state.groups().items()}
+            # no graph outlives its iteration (stage III never runs in `separate`)
+            self._synth_graph = self._val_logits = None
 
         if state.best_params is None and cfg.iters > 0:
             state.best_params = {k: v.copy() for k, v in state.groups().items()}
@@ -510,6 +549,20 @@ class Trainer:
             records.append(self._record(state, "test", d, j))
         return records, state
 
+    def _validate(self, state: TrainState, val_images: np.ndarray | None) -> tuple[float, float]:
+        """Validation dice and jaccard of ``state.S``.
+
+        Scores the logits stage III computed at this same S over the whole
+        split when the split fits one evaluation chunk: that is the very
+        forward ``evaluate_segmenter`` would run.
+        """
+        kept = self._val_logits
+        if (kept is not None and _same_objects(kept[0], (state.S, val_images))
+                and len(val_images) <= EVAL_CHUNK):
+            dices, jacs = _scores(kept[1], self.val_ds.masks())
+            return float(np.mean(dices)), float(np.mean(jacs))
+        return evaluate_segmenter(self.seg, state.S, self.val_ds)
+
     def _sample_ops(self, rng: np.random.Generator, count: int) -> list:
         if not self.aug_kinds:
             return [[] for _ in range(count)]
@@ -517,8 +570,19 @@ class Trainer:
                 for _ in range(count)]
 
 
+def _same_objects(a: tuple, b: tuple) -> bool:
+    return all(x is y for x, y in zip(a, b, strict=True))
+
+
+def _scores(logits: np.ndarray, masks: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-image dice and jaccard of the argmax predictions of a logit batch."""
+    preds = predict_mask(logits)
+    return ([met.dice(p, m) for p, m in zip(preds, masks)],
+            [met.jaccard(p, m) for p, m in zip(preds, masks)])
+
+
 def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset,
-                       chunk: int = 64) -> tuple[float, float]:
+                       chunk: int = EVAL_CHUNK) -> tuple[float, float]:
     """Mean dice and jaccard of a segmenter's argmax predictions over a dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -526,13 +590,10 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset,
     dices, jacs = [], []
     for start in range(0, len(dataset), chunk):
         idx = range(start, min(start + chunk, len(dataset)))
-        images = dataset.images(idx)
-        masks = dataset.masks(idx)
-        logits = seg.forward(sb, constant(images))
-        preds = predict_mask(logits.value)
-        for p, m in zip(preds, masks):
-            dices.append(met.dice(p, m))
-            jacs.append(met.jaccard(p, m))
+        logits = seg.forward(sb, constant(dataset.images(idx)))
+        d, j = _scores(logits.value, dataset.masks(idx))
+        dices += d
+        jacs += j
     return float(np.mean(dices)), float(np.mean(jacs))
 
 

@@ -1,4 +1,5 @@
-"""Dense float64 tensor arithmetic and the convolution primitives all models build on.
+"""Dense float64 kernels under the autodiff ops: overflow-safe sigmoid and
+softplus, the convolution spec, and the im2col/col2im pair.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64
 (NCHW layout for image-shaped data). Every operation here is pure: inputs are
@@ -11,14 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Tensor = np.ndarray
-
-ELEMENTWISE_BINARY = ("add", "sub", "mul")
-ELEMENTWISE_UNARY = ("relu", "sigmoid", "tanh", "exp", "log")
-
-
-def as_tensor(x) -> Tensor:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -64,61 +57,6 @@ class ConvSpec:
         return f"{tag}-{self.kernel}{self.stride}{self.padding}"
 
 
-def elementwise(op: str, a: Tensor, b=None) -> Tensor:
-    """Pointwise op on ``a`` (and ``b``: same-shape tensor or scalar for binary ops).
-
-    ``log`` requires positive inputs to keep the output finite.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if op in ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"elementwise '{op}' needs a second operand")
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim != 0 and b.shape != a.shape:
-            raise ValueError(f"elementwise '{op}' shape mismatch: {a.shape} vs {b.shape}")
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        return a * b
-    if op not in ELEMENTWISE_UNARY:
-        raise ValueError(f"unknown elementwise op '{op}'")
-    if b is not None:
-        raise ValueError(f"elementwise '{op}' is unary")
-    if op == "relu":
-        return np.maximum(a, 0.0)
-    if op == "sigmoid":
-        return sigmoid(a)
-    if op == "tanh":
-        return np.tanh(a)
-    if op == "exp":
-        return np.exp(a)
-    return np.log(a)
-
-
-def reduce(op: str, a: Tensor, axes=None) -> Tensor:
-    """Sum or mean over ``axes`` (all axes when None)."""
-    a = np.asarray(a, dtype=np.float64)
-    if op not in ("sum", "mean"):
-        raise ValueError(f"unknown reduce op '{op}'")
-    if axes is not None:
-        axes = tuple(np.atleast_1d(axes).tolist())
-        for ax in axes:
-            if not -a.ndim <= ax < a.ndim:
-                raise ValueError(f"axis {ax} invalid for shape {a.shape}")
-    if op == "sum":
-        return np.asarray(np.sum(a, axis=axes))
-    return np.asarray(np.mean(a, axis=axes))
-
-
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along ``axis``, stabilized by max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def im2col(x: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
     """Unfold NCHW input into a (N*OH*OW, K*K*C) patch matrix (zero padding).
 
@@ -153,40 +91,3 @@ def col2im(cols: Tensor, x_shape, kernel: int, stride: int, padding: int) -> Ten
     out = np.empty((n, c, h, w), dtype=np.float64)
     np.copyto(out, acc[:, padding:padding + h, padding:padding + w, :].transpose(0, 3, 1, 2))
     return out
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
-    """Strided cross-correlation (or its transpose) of NCHW input with OIKK weights.
-
-    For ``spec.transposed`` the weight maps (in_channels, out_channels, K, K)
-    and the op is the exact adjoint of the corresponding forward convolution.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ValueError(f"conv2d expects NCHW input and 4-d weight, got {x.shape} / {weight.shape}")
-    k = spec.kernel
-    if weight.shape[2] != k or weight.shape[3] != k:
-        raise ValueError(f"weight kernel {weight.shape[2:]} inconsistent with spec {spec}")
-    n, c, h, w = x.shape
-    oh, ow = spec.out_extent(h), spec.out_extent(w)
-    if not spec.transposed:
-        co, ci = weight.shape[0], weight.shape[1]
-        if ci != c:
-            raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ci}")
-        if bias.shape != (co,):
-            raise ValueError(f"bias shape {bias.shape} != ({co},)")
-        cols = im2col(x, k, spec.stride, spec.padding)
-        y = cols @ weight.transpose(0, 2, 3, 1).reshape(co, -1).T
-        y = y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(y + bias[None, :, None, None])
-    ci, co = weight.shape[0], weight.shape[1]
-    if ci != c:
-        raise ValueError(f"transposed conv2d channel mismatch: input has {c}, weight expects {ci}")
-    if bias.shape != (co,):
-        raise ValueError(f"bias shape {bias.shape} != ({co},)")
-    u = x.transpose(0, 2, 3, 1).reshape(n * h * w, ci)
-    cols = u @ weight.transpose(0, 2, 3, 1).reshape(ci, -1)
-    y = col2im(cols, (n, co, oh, ow), k, spec.stride, spec.padding)
-    return np.ascontiguousarray(y + bias[None, :, None, None])

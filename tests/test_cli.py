@@ -99,6 +99,11 @@ class TestTrain:
         assert main(["train", "--config", str(cfgp)]) == 1
         assert "wibble" in capsys.readouterr().err
 
+    def test_structural_override_named(self, tmp_path, dataset_dir, capsys):
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")
+        assert main(["train", "--config", str(cfgp), "--set", "base_channels=0"]) == 1
+        assert "base_channels" in capsys.readouterr().err
+
     def test_set_override_and_mode_flag(self, tmp_path, dataset_dir, capsys):
         out = tmp_path / "o"
         cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out)

@@ -8,10 +8,12 @@ from genseg import autodiff as ad
 from genseg import engine as eng
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.checks import cosine, measured_iteration, tiny_instance
+from genseg.autodiff import Node
 from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, TrainingAborted,
                            bce_with_logits, config_digest, parse_config,
                            resolved_config_text, seg_cross_entropy)
 from genseg.metrics import records_to_csv
+from genseg.models import DiscriminatorNet, GeneratorNet, SegNet
 from genseg.synthdata import Dataset, gen_task
 
 
@@ -77,6 +79,19 @@ class TestConfig:
         b = TrainConfig(data_dir="/data/b", out_dir="/runs/b")
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(replace(a, seed=1))
+
+    @pytest.mark.parametrize("key, value", [
+        ("enc_cells", "0"), ("base_channels", "0"), ("base_channels", "-2"),
+        ("img_size", "0"), ("img_size", "12"), ("img_size", "4"),
+    ])
+    def test_structural_value_named_in_error(self, key, value):
+        # the default enc_cells = 3 needs img_size >= 8
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}")
+
+    def test_smallest_extent_for_enc_cells_accepted(self):
+        cfg = parse_config("img_size = 4\nenc_cells = 2\nbase_channels = 1")
+        assert (cfg.img_size, cfg.enc_cells, cfg.base_channels) == (4, 2, 1)
 
     def test_batch_auto_rule(self):
         assert TrainConfig().batch_size(20) == 20
@@ -344,6 +359,100 @@ def trainer_gen_loss(trainer, ab, gb, H_pre, masks, images):
     return loss
 
 
+def count_forwards(monkeypatch) -> dict[str, int]:
+    """Counts of network forward passes from now on, by network."""
+    calls = {"gen": 0, "disc": 0, "seg": 0}
+    for name, cls in (("gen", GeneratorNet), ("disc", DiscriminatorNet), ("seg", SegNet)):
+        def counted(self, *args, _forward=cls.forward, _name=name):
+            calls[_name] += 1
+            return _forward(self, *args)
+        monkeypatch.setattr(cls, "forward", counted)
+    return calls
+
+
+def holds_node(x) -> bool:
+    if isinstance(x, Node):
+        return True
+    if isinstance(x, (tuple, list)):
+        return any(holds_node(y) for y in x)
+    if isinstance(x, dict):
+        return any(holds_node(y) for y in x.values())
+    return False
+
+
+class TestForwardReuse:
+    @pytest.mark.parametrize("n_val, seg_forwards", [(2, 5), (65, 7)])
+    def test_forwards_per_genseg_iteration(self, monkeypatch, n_val, seg_forwards):
+        # generator: stage I, synth, two in the stage-III generator-loss
+        # difference (stage III differentiates synth's graph); segmenter: two
+        # in stage II, the validation forward and two in stage III's
+        # difference; the epoch validation runs its own forwards only when the
+        # split does not fit one evaluation chunk (65 images: chunks of 64 + 1)
+        trainer, _, _ = small_setup(n_val=n_val)
+        trainer.config.iters = 1
+        calls = count_forwards(monkeypatch)
+        trainer.train()
+        assert calls == {"gen": 4, "disc": 4, "seg": seg_forwards}
+
+    def test_reused_graph_equals_recomputed(self, monkeypatch):
+        trainer, train, val = small_setup()
+        state = trainer.init_state()
+        state.iteration = 1
+        masks, images = train.masks(), train.images()
+        G_pre, H_pre, S_pre = state.G, state.H, state.S
+        trainer.stage1_update(state, masks, images)
+        ops = trainer._sample_ops(trainer.loop_rng(), len(masks))
+        m_hats, synth = trainer.synth_batch(state.G, state.A, masks, ops)
+        trainer.stage2_update(state, m_hats, synth, masks, images)
+        args = (G_pre, H_pre, S_pre, state, masks, images, m_hats, val.masks(), val.images())
+        calls = count_forwards(monkeypatch)
+        reused = trainer.stage3_hypergrad(*args)
+        assert calls["gen"] == 2
+        # the first call dropped the kept graph, so this one runs the generator
+        recomputed = trainer.stage3_hypergrad(*args)
+        assert calls["gen"] == 2 + 3
+        assert np.any(reused)
+        assert np.array_equal(reused, recomputed)
+
+    def test_graph_of_other_masks_not_reused(self):
+        trainer, train, val = small_setup()
+        state = trainer.init_state()
+        masks, images = train.masks(), train.images()
+        rng = trainer.loop_rng()
+        m_hats, _ = trainer.synth_batch(state.G, state.A, masks, trainer._sample_ops(rng, 4))
+        args = (state.G, state.H, state.S, state, masks, images, m_hats,
+                val.masks(), val.images())
+        fresh = trainer.stage3_hypergrad(*args)
+        # the kept graph now belongs to other augmented masks
+        trainer.synth_batch(state.G, state.A, masks, [[] for _ in masks])
+        assert np.array_equal(trainer.stage3_hypergrad(*args), fresh)
+
+    def test_val_record_equals_evaluate_segmenter(self, monkeypatch):
+        trainer, _, val = small_setup(seed=2, n_val=4)
+        trainer.config.iters = 1
+        init_state = trainer.init_state
+
+        def noisy_segmenter():
+            # random segmenter weights predict some foreground, so the scores
+            # are not trivially zero
+            state = init_state()
+            state.S = state.S.unflatten(np.random.default_rng(2).normal(size=state.S.size))
+            return state
+
+        monkeypatch.setattr(trainer, "init_state", noisy_segmenter)
+        records, state = trainer.train()
+        (record,) = records
+        assert 0.0 < record.dice < 1.0
+        assert (record.dice, record.jaccard) == eng.evaluate_segmenter(trainer.seg, state.S, val)
+
+    @pytest.mark.parametrize("mode", ["genseg", "separate"])
+    def test_no_graph_outlives_train(self, mode):
+        trainer, _, _ = small_setup(mode=mode)
+        trainer.config.iters = 4
+        trainer.train()
+        assert not any(holds_node(x) for x in vars(trainer).values())
+
+
 class TestOuterUpdate:
     def test_zero_grad_zero_decay_identity(self):
         trainer, _, _ = small_setup()
@@ -499,6 +608,25 @@ class TestHypergradOracle:
             state.iteration = it
             chain, saved = measured_iteration(trainer, state, rng, train, val)
             if it < 12:
+                trainer.outer_update_A(state, chain)
+        G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images = saved
+        oracle = eng.hypergrad_fd_oracle(trainer, G_pre, H_pre, S_pre, state.A,
+                                         masks, images, m_hats, val_masks, val_images,
+                                         arch_live_in_generation=True)
+        assert cosine(chain, oracle) >= 0.99
+
+
+    def test_direct_path_without_generator_step_matches_oracle(self):
+        # with eta_g = 0 the chain term vanishes but the direct term does not
+        trainer, train, val = tiny_instance(2)
+        trainer.config.direct_path = True
+        trainer.config.eta_g = 0.0
+        state = trainer.init_state()
+        rng = trainer.loop_rng()
+        for it in range(1, 6):
+            state.iteration = it
+            chain, saved = measured_iteration(trainer, state, rng, train, val)
+            if it < 5:
                 trainer.outer_update_A(state, chain)
         G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images = saved
         oracle = eng.hypergrad_fd_oracle(trainer, G_pre, H_pre, S_pre, state.A,

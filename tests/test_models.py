@@ -9,12 +9,17 @@ from genseg import autodiff as ad
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.models import (DiscriminatorNet, GeneratorNet, SearchableCell, SegNet,
                            derive_architecture, predict_mask)
-from genseg.tensor import ConvSpec, softmax
+from genseg.tensor import ConvSpec
 
 
 def dyadic(bound: float):
     """Floats in [-bound, bound] on the grid k * 2**-20."""
     return st.integers(-int(bound * 2**20), int(bound * 2**20)).map(lambda k: k * 2.0**-20)
+
+
+def softmax(logits):
+    e = np.exp(logits - np.max(logits))
+    return e / np.sum(e)
 
 
 def make_cell(seed=0, in_ch=2, out_ch=3, transposed=False):
@@ -26,13 +31,9 @@ def make_cell(seed=0, in_ch=2, out_ch=3, transposed=False):
 
 def candidate_outputs(cell, params, x):
     """Each candidate evaluated individually (oracle for the mixture)."""
-    from genseg.tensor import conv2d
-    outs = []
-    for spec in cell.candidates:
-        w = params[f"{cell.name}.{spec.name}.w"].value
-        b = params[f"{cell.name}.{spec.name}.b"].value
-        outs.append(conv2d(x, w, b, spec))
-    return outs
+    return [ad.conv2d(constant(x), params[f"{cell.name}.{spec.name}.w"],
+                      params[f"{cell.name}.{spec.name}.b"], spec).value
+            for spec in cell.candidates]
 
 
 class TestSearchableCell:
