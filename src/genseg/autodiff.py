@@ -10,6 +10,12 @@ through them yields exact second-order products. Training uses the cheaper
 central-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
 from :func:`default_eps`); the exact double-backward product
 (:func:`mixed_hvp_exact`) is kept as its oracle.
+
+A convolution is one node, and so is a transposed convolution; each is the
+other's input gradient, and each runs as an im2col gather and one matrix
+product (see :mod:`genseg.tensor`). A kernel gradient multiplies the
+gradient by patch columns held as an :func:`im2col` node, so only a second
+``backward`` through it reaches :func:`col2im`.
 """
 from __future__ import annotations
 
@@ -238,16 +244,84 @@ def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
 
 
 def im2col(a: Node, kernel: int, stride: int, padding: int) -> Node:
+    return _cols_node(a, T.im2col(a.value, kernel, stride, padding), kernel, stride, padding)
+
+
+def _cols_node(a: Node, cols: np.ndarray, kernel: int, stride: int, padding: int) -> Node:
+    """``cols`` = im2col of ``a``, already gathered, as a node over ``a``."""
     shape = a.value.shape
-    out = T.im2col(np.ascontiguousarray(a.value), kernel, stride, padding)
-    return Node(out, (a,),
-                lambda g: (lambda: col2im(g, shape, kernel, stride, padding),))
+    return Node(cols, (a,), lambda g: (lambda: col2im(g, shape, kernel, stride, padding),))
 
 
 def col2im(a: Node, x_shape, kernel: int, stride: int, padding: int) -> Node:
     out = T.col2im(np.ascontiguousarray(a.value), x_shape, kernel, stride, padding)
     return Node(out, (a,),
                 lambda g: (lambda: im2col(g, kernel, stride, padding),))
+
+
+def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
+          cols: np.ndarray | None = None) -> Node:
+    """Strided convolution with an (out, in, k, k) kernel and optional bias.
+
+    Its input gradient is :func:`_conv_transpose`; its kernel gradient is
+    the product of ``g`` with the forward's patch columns.
+    """
+    k = w.value.shape[2]
+    if cols is None:
+        cols = T.im2col(x.value, k, stride, padding)
+    out = T.conv(x.value, w.value, stride, padding, cols)
+    if b is not None:
+        out += b.value.reshape(1, -1, 1, 1)
+
+    def vjp(g):
+        return (lambda: _conv_transpose(g, w, None, stride, padding, x.value.shape[2:]),
+                lambda: _kernel_grad(g, _cols_node(x, cols, k, stride, padding), k),
+                lambda: sum_(g, axes=(0, 2, 3)))
+
+    return Node(out, (x, w) if b is None else (x, w, b), vjp)
+
+
+def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
+                    extent) -> Node:
+    """Transposed convolution with an (in, out, k, k) kernel and optional
+    bias, cropped to the spatial ``extent``.
+
+    Its input gradient is :func:`_conv` of ``g``; its kernel gradient is the
+    product of ``x`` with im2col of ``g``. Both gradients share that gather.
+    """
+    k = w.value.shape[2]
+    out = T.conv_transpose(x.value, w.value, stride, padding, extent)
+    if b is not None:
+        out += b.value.reshape(1, -1, 1, 1)
+
+    def vjp(g):
+        gathered = []
+
+        def g_cols():
+            if not gathered:
+                gathered.append(T.im2col(g.value, k, stride, padding))
+            return gathered[0]
+
+        return (lambda: _conv(g, w, None, stride, padding, g_cols()),
+                lambda: _kernel_grad(x, _cols_node(g, g_cols(), k, stride, padding), k),
+                lambda: sum_(g, axes=(0, 2, 3)))
+
+    return Node(out, (x, w) if b is None else (x, w, b), vjp)
+
+
+def _kernel_grad(a: Node, cols: Node, kernel: int) -> Node:
+    """Kernel gradient (a's channels, cols' channels, k, k) of a convolution
+    whose patch columns ``cols`` meet the NCHW node ``a`` pixel by pixel."""
+    n, ch, h, w = a.value.shape
+    out = T.kernel_grad(a.value, cols.value, kernel)
+
+    def vjp(g):
+        g_mat = reshape(transpose(g, (0, 2, 3, 1)), (ch, -1))
+        return (lambda: transpose(reshape(matmul(cols, transpose(g_mat, (1, 0))), (n, h, w, ch)),
+                                  (0, 3, 1, 2)),
+                lambda: matmul(reshape(transpose(a, (0, 2, 3, 1)), (-1, ch)), g_mat))
+
+    return Node(out, (a, cols), vjp)
 
 
 def max_stop(a: Node, axes=None, keepdims: bool = False) -> Node:
@@ -260,26 +334,23 @@ def max_stop(a: Node, axes=None, keepdims: bool = False) -> Node:
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
-    """Differentiable convolution, composed from im2col/col2im and matmul."""
-    n, c, h, w = x.value.shape
+    """Differentiable convolution with bias; a transposed ``spec`` takes an
+    (in, out, k, k) weight, a plain one (out, in, k, k)."""
+    _, c, h, w = x.value.shape
     k = spec.kernel
-    oh, ow = spec.out_extent(h), spec.out_extent(w)
-    if not spec.transposed:
-        co = weight.value.shape[0]
-        if weight.value.shape[1] != c:
-            raise ValueError(f"conv2d channel mismatch: input {c}, weight {weight.value.shape}")
-        cols = im2col(x, k, spec.stride, spec.padding)
-        w_mat = reshape(transpose(weight, (0, 2, 3, 1)), (co, -1))
-        y = matmul(cols, transpose(w_mat, (1, 0)))
-        y = transpose(reshape(y, (n, oh, ow, co)), (0, 3, 1, 2))
-    else:
-        ci, co = weight.value.shape[0], weight.value.shape[1]
-        if ci != c:
-            raise ValueError(f"transposed conv2d channel mismatch: input {c}, weight {weight.value.shape}")
-        u = reshape(transpose(x, (0, 2, 3, 1)), (n * h * w, ci))
-        cols = matmul(u, reshape(transpose(weight, (0, 2, 3, 1)), (ci, -1)))
-        y = col2im(cols, (n, co, oh, ow), k, spec.stride, spec.padding)
-    return add(y, reshape(bias, (1, -1, 1, 1)))
+    kind = "transposed conv2d" if spec.transposed else "conv2d"
+    if weight.value.ndim != 4 or weight.value.shape[2:] != (k, k):
+        raise ValueError(f"{kind}: weight {weight.value.shape} does not have spec {spec.name}'s "
+                         f"{k}x{k} kernel")
+    ci, co = weight.value.shape[:2] if spec.transposed else weight.value.shape[1::-1]
+    if ci != c:
+        raise ValueError(f"{kind} channel mismatch: input {c}, weight {weight.value.shape}")
+    if bias.value.shape != (co,):
+        raise ValueError(f"{kind}: bias {bias.value.shape} does not match {co} output channels")
+    extent = (spec.out_extent(h), spec.out_extent(w))
+    if spec.transposed:
+        return _conv_transpose(x, weight, bias, spec.stride, spec.padding, extent)
+    return _conv(x, weight, bias, spec.stride, spec.padding)
 
 
 def softmax(a: Node, axis: int = -1) -> Node:

@@ -120,16 +120,26 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
     out["matmul"] = _param_rel_error(
         lambda bi: ad.dot(ad.matmul(bi["a"], bi["b"]), constant(w_mm)), group)
 
-    # convolutions: plain, strided, and transposed, including weight and bias
-    for tag, spec, wshape, bias_len in (
-        ("conv_421", ConvSpec(4, 2, 1), (2, 3, 4, 4), 2),
-        ("conv_311", ConvSpec(3, 1, 1), (2, 3, 3, 3), 2),
-        ("upconv_421", ConvSpec(4, 2, 1, transposed=True), (3, 2, 4, 4), 2),
-        ("upconv_622", ConvSpec(6, 2, 2, transposed=True), (3, 2, 6, 6), 2),
+    # convolutions: plain, strided, and transposed, including weight and bias,
+    # at every spec the models run; at 7x7, (7 + 2p - k) mod 2 != 0 for the
+    # strided specs, so the input gradient comes back to a larger extent than
+    # the transposed convolution's natural one
+    for tag, spec, extent in (
+        ("conv_421", ConvSpec(4, 2, 1), 6),
+        ("conv_421_7x7", ConvSpec(4, 2, 1), 7),
+        ("conv_622", ConvSpec(6, 2, 2), 6),
+        ("conv_823", ConvSpec(8, 2, 3), 6),
+        ("conv_823_7x7", ConvSpec(8, 2, 3), 7),
+        ("conv_311", ConvSpec(3, 1, 1), 6),
+        ("upconv_421", ConvSpec(4, 2, 1, transposed=True), 6),
+        ("upconv_622", ConvSpec(6, 2, 2, transposed=True), 6),
+        ("upconv_823", ConvSpec(8, 2, 3, transposed=True), 6),
     ):
-        group = ParamGroup("G", [("x", x((2, 3, 6, 6))),
+        k = spec.kernel
+        wshape = (3, 2, k, k) if spec.transposed else (2, 3, k, k)
+        group = ParamGroup("G", [("x", x((2, 3, extent, extent))),
                                  ("w", x(wshape) * 0.3),
-                                 ("b", x((bias_len,)) * 0.3)])
+                                 ("b", x((2,)) * 0.3)])
         probe = {}
 
         def conv_loss(bi, spec=spec, probe=probe):
@@ -198,6 +208,19 @@ def check_net_grads(seed: int = 0) -> dict[str, float]:
     return out
 
 
+# (first layer, second layer) per check_hvp trial, in turn: two plain 3x3
+# convolutions, a stride-2 convolution then a transposed one, and the reverse
+HVP_SPECS = ((ConvSpec(3, 1, 1), ConvSpec(3, 1, 1)),
+             (ConvSpec(4, 2, 1), ConvSpec(4, 2, 1, transposed=True)),
+             (ConvSpec(4, 2, 1, transposed=True), ConvSpec(4, 2, 1)))
+
+
+def _conv_weight(rng, spec: ConvSpec, in_ch: int, out_ch: int) -> np.ndarray:
+    k = spec.kernel
+    shape = (in_ch, out_ch, k, k) if spec.transposed else (out_ch, in_ch, k, k)
+    return rng.normal(0, 0.5, size=shape)
+
+
 def check_hvp(seed: int = 0, trials: int = 3) -> tuple[float, float]:
     """Worst cosine and magnitude ratio of fd vs exact mixed HVPs on small nets."""
     cosines, ratios = [], []
@@ -205,15 +228,15 @@ def check_hvp(seed: int = 0, trials: int = 3) -> tuple[float, float]:
         rng = np.random.default_rng(seed + 17 * t)
         x = rng.normal(0, 1, size=(3, 2, 6, 6))
         y = rng.normal(0, 1, size=(3, 2, 6, 6))
-        spec = ConvSpec(3, 1, 1)
-        P = ParamGroup("G", [("w1", rng.normal(0, 0.5, size=(4, 2, 3, 3))),
+        spec1, spec2 = HVP_SPECS[t % len(HVP_SPECS)]
+        P = ParamGroup("G", [("w1", _conv_weight(rng, spec1, 2, 4)),
                              ("b1", rng.normal(0, 0.1, size=4))])
-        Q = ParamGroup("S", [("w2", rng.normal(0, 0.5, size=(2, 4, 3, 3))),
+        Q = ParamGroup("S", [("w2", _conv_weight(rng, spec2, 4, 2)),
                              ("b2", rng.normal(0, 0.1, size=2))])
 
-        def loss(pb, qb):
-            hlayer = ad.tanh(ad.conv2d(constant(x), pb["w1"], pb["b1"], spec))
-            out = ad.conv2d(hlayer, qb["w2"], qb["b2"], spec)
+        def loss(pb, qb, spec1=spec1, spec2=spec2):
+            hlayer = ad.tanh(ad.conv2d(constant(x), pb["w1"], pb["b1"], spec1))
+            out = ad.conv2d(hlayer, qb["w2"], qb["b2"], spec2)
             diff = ad.sub(out, constant(y))
             return ad.mean_(ad.mul(diff, diff))
 

@@ -6,6 +6,7 @@ import pytest
 
 from genseg import autodiff as ad
 from genseg import engine as eng
+from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.checks import cosine, measured_iteration, tiny_instance
 from genseg.autodiff import Node
@@ -453,6 +454,31 @@ class TestForwardReuse:
         assert not any(holds_node(x) for x in vars(trainer).values())
 
 
+class TestCol2imOffTrainingPath:
+    def test_no_col2im_in_training_or_evaluation(self, monkeypatch):
+        # every convolution and its gradients run as im2col gathers; col2im is
+        # only reached by second-order products
+        calls = []
+        real = tensor.col2im
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tensor, "col2im", counted)
+        trainer, _, val = small_setup()
+        trainer.config.iters = 1
+        _, state = trainer.train()
+        eng.evaluate_segmenter(trainer.seg, state.S, val)
+        assert calls == []
+        # the product of d/dS with d/dimages: differentiating the kernel
+        # gradients' patch columns back to their images runs col2im
+        images = ParamGroup("X", [("x", val.images())])
+        ad.mixed_hvp_exact(lambda xb, sb: seg_cross_entropy(
+            trainer.seg.forward(sb, xb["x"]), val.masks()), images, state.S, np.ones(state.S.size))
+        assert calls
+
+
 class TestOuterUpdate:
     def test_zero_grad_zero_decay_identity(self):
         trainer, _, _ = small_setup()
@@ -515,18 +541,25 @@ class TestTrainLoop:
             assert group_blob(getattr(state, name)) == group_blob(getattr(init, name))
         assert group_blob(state.S) != group_blob(init.S)
 
-    def test_best_val_is_running_max(self):
+    def test_best_val_is_running_max(self, monkeypatch):
+        # a scripted, non-monotone dice sequence: the best is at iteration 3,
+        # the tie at iteration 5 does not replace it, and S keeps moving
         trainer, train, val = small_setup(mode="baseline", eta_s=0.3)
-        trainer.config.iters = 12
+        trainer.config.iters = 6
+        script = iter([0.2, 0.1, 0.6, 0.3, 0.6, 0.5])
+        seen = []
+
+        def scripted(seg, S, dataset, chunk=eng.EVAL_CHUNK):
+            seen.append(S.copy())
+            return next(script), 0.0
+
+        monkeypatch.setattr(eng, "evaluate_segmenter", scripted)
         records, state = trainer.train()
-        val_dices = [r.dice for r in records if r.split == "val"]
-        assert state.best_metric == pytest.approx(max(val_dices))
-        running = -1.0
-        for r in records:
-            if r.split != "val":
-                continue
-            running = max(running, r.dice)
-            assert running >= r.dice
+        assert [r.dice for r in records] == [0.2, 0.1, 0.6, 0.3, 0.6, 0.5]
+        assert state.best_metric == 0.6
+        assert state.best_iteration == 3
+        assert group_blob(state.best_params["S"]) == group_blob(seen[2])
+        assert group_blob(state.best_params["S"]) != group_blob(state.S)
 
     def test_full_run_determinism_csv_bytes(self):
         outs = []

@@ -132,6 +132,11 @@ class TestConvSpec:
         with pytest.raises(ValueError):
             ConvSpec(8, 2, 3).out_extent(1)
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_kernel_not_multiple_of_stride_rejected(self, transposed):
+        with pytest.raises(ValueError, match="not a multiple of stride"):
+            ConvSpec(3, 2, 1, transposed)
+
     @pytest.mark.parametrize("extent", range(4, 65, 2))
     def test_candidate_pool_halves_and_doubles(self, extent):
         for spec in DOWN_SPECS:
@@ -161,11 +166,29 @@ class TestConv2d:
         with pytest.raises(ValueError):
             conv2d(np.zeros((1, 2, 8, 8)), np.zeros((3, 1, 4, 4)), np.zeros(3), ConvSpec(4, 2, 1))
 
-    @pytest.mark.parametrize("spec", DOWN_SPECS + UP_SPECS + [ConvSpec(3, 1, 1)],
-                             ids=lambda s: s.name)
-    def test_matches_loop_reference(self, spec):
-        rng = np.random.default_rng(hash(spec.name) % 2 ** 31)
-        x = rng.normal(size=(2, 2, 8, 8)) if spec.kernel <= 8 else None
+    @pytest.mark.parametrize("spec, wshape", [(ConvSpec(4, 2, 1), (3, 1, 4, 4)),
+                                              (ConvSpec(4, 2, 1, True), (1, 3, 4, 4))],
+                             ids=["conv", "upconv"])
+    def test_bias_length_mismatch(self, spec, wshape):
+        with pytest.raises(ValueError, match="bias"):
+            conv2d(np.zeros((1, 1, 8, 8)), np.zeros(wshape), np.zeros(1), spec)
+
+    @pytest.mark.parametrize("spec, wshape", [(ConvSpec(4, 2, 1), (3, 1, 6, 6)),
+                                              (ConvSpec(4, 2, 1, True), (1, 3, 4, 3))],
+                             ids=["conv", "upconv"])
+    def test_kernel_size_mismatch(self, spec, wshape):
+        with pytest.raises(ValueError, match="kernel"):
+            conv2d(np.zeros((1, 1, 8, 8)), np.zeros(wshape), np.zeros(3), spec)
+
+    # extent 8 keeps the bare spec name as its id; (h + 2p - k) mod 2 != 0
+    # at 5 and 7 for every strided spec
+    @pytest.mark.parametrize(
+        "spec, extent",
+        [pytest.param(spec, extent, id=spec.name if extent == 8 else f"{spec.name}-{extent}")
+         for spec in DOWN_SPECS + UP_SPECS + [ConvSpec(3, 1, 1)] for extent in (8, 5, 7)])
+    def test_matches_loop_reference(self, spec, extent):
+        rng = np.random.default_rng(extent)
+        x = rng.normal(size=(2, 2, extent, extent))
         wshape = (2, 2, spec.kernel, spec.kernel)
         w = rng.normal(size=wshape)
         b = rng.normal(size=2)
