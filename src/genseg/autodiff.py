@@ -120,11 +120,6 @@ def shift(a: Node, c) -> Node:
     return Node(a.value + c, (a,), lambda g: (lambda: _unbroadcast(g, a.value.shape),))
 
 
-def relu(a: Node) -> Node:
-    mask = (a.value > 0).astype(np.float64)
-    return Node(a.value * mask, (a,), lambda g: (lambda: mul(g, constant(mask)),))
-
-
 def sigmoid(a: Node) -> Node:
     out = Node(T.sigmoid(a.value), (a,))
     out.vjp = lambda g: (lambda: mul(g, mul(out, shift(neg(out), 1.0))),)
@@ -552,17 +547,11 @@ def mixed_hvp_exact(loss_fn: Callable[[Binding, Binding], Node],
     if v.shape != (q_group.size,):
         raise ValueError(f"vector length {v.shape} != perturbed group size ({q_group.size},)")
     pb, qb = bind(p_group), bind(q_group)
-    loss = loss_fn(pb, qb)
-    q_leaves = [qb[lbl] for lbl, _ in q_group.entries]
-    gq = backward(loss, q_leaves, create_graph=True)
+    gq = group_backward(loss_fn(pb, qb), qb, q_group, create_graph=True)
     s, off = None, 0
     for g in gq:
         vv = constant(v[off:off + g.value.size].reshape(g.value.shape))
         term = dot(g, vv)
         s = term if s is None else add(s, term)
         off += g.value.size
-    p_leaves = [pb[lbl] for lbl, _ in p_group.entries]
-    gp = backward(s, p_leaves)
-    if not gp:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate([np.ravel(g) for g in gp])
+    return flat_grad(s, pb, p_group)

@@ -29,6 +29,21 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _unet_channels(in_ch: int, base_channels: int, depth: int):
+    """(in, out) channels of the ``depth`` encoder and decoder stages of a U-Net.
+
+    The first encoder stage widens to ``base_channels`` and each later one
+    doubles the width; every decoder stage after the first also takes the
+    encoder output of its scale as a skip, and the last one ends at
+    ``base_channels``.
+    """
+    widths = [in_ch] + [base_channels * 2 ** i for i in range(depth)]
+    down = [(widths[i], widths[i + 1]) for i in range(depth)]
+    up = [(widths[depth] if j == 1 else 2 * widths[depth - j + 1],
+           widths[depth - j] if j < depth else base_channels) for j in range(1, depth + 1)]
+    return down, up
+
+
 class SearchableCell:
     """K candidate convolutions mixed by softmax weights over per-cell logits.
 
@@ -95,14 +110,11 @@ class GeneratorNet:
         self.enc_cells = enc_cells
         self.mask_channels = mask_channels
         self.img_channels = img_channels
-        widths = [mask_channels] + [base_channels * 2 ** i for i in range(enc_cells)]
-        self.encoders = [SearchableCell(f"enc{i+1}", widths[i], widths[i + 1], transposed=False)
-                         for i in range(enc_cells)]
-        self.decoders = []
-        for j in range(1, enc_cells + 1):
-            in_ch = widths[enc_cells] if j == 1 else 2 * widths[enc_cells - j + 1]
-            out_ch = widths[enc_cells - j] if j < enc_cells else base_channels
-            self.decoders.append(SearchableCell(f"dec{j}", in_ch, out_ch, transposed=True))
+        down, up = _unet_channels(mask_channels, base_channels, enc_cells)
+        self.encoders = [SearchableCell(f"enc{i}", ci, co, transposed=False)
+                         for i, (ci, co) in enumerate(down, start=1)]
+        self.decoders = [SearchableCell(f"dec{j}", ci, co, transposed=True)
+                         for j, (ci, co) in enumerate(up, start=1)]
         self.head_in = base_channels
 
     def init_params(self, seed: int) -> tuple[ParamGroup, ParamGroup]:
@@ -133,9 +145,6 @@ class GeneratorNet:
             x = ad.tanh(cell.forward(g, a[cell.logit_label()], x))
         x = ad.conv2d(x, g["head.w"], g["head.b"], ConvSpec(1, 1, 0))
         return ad.tanh(x)
-
-    def cells(self) -> list[SearchableCell]:
-        return self.encoders + self.decoders
 
 
 class DiscriminatorNet:
@@ -184,13 +193,9 @@ class SegNet:
         self.img_channels = img_channels
         self.num_classes = num_classes
         self.depth = depth
-        widths = [img_channels] + [base_channels * 2 ** i for i in range(depth)]
-        self.down = [(f"down{i+1}", widths[i], widths[i + 1]) for i in range(depth)]
-        self.up = []
-        for j in range(1, depth + 1):
-            in_ch = widths[depth] if j == 1 else 2 * widths[depth - j + 1]
-            out_ch = widths[depth - j] if j < depth else base_channels
-            self.up.append((f"up{j}", in_ch, out_ch))
+        down, up = _unet_channels(img_channels, base_channels, depth)
+        self.down = [(f"down{i}", ci, co) for i, (ci, co) in enumerate(down, start=1)]
+        self.up = [(f"up{j}", ci, co) for j, (ci, co) in enumerate(up, start=1)]
         self.head_in = base_channels
 
     def init_params(self, seed: int) -> ParamGroup:

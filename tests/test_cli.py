@@ -55,9 +55,16 @@ class TestGenData:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_bad_size_nonzero_exit(self, tmp_path, capsys):
-        assert main(["gen-data", "--n", "2", "--size", "31", "--out", str(tmp_path / "x")]) != 0
-        assert "power of two" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--size", "31", "power of two"),
+        ("--n", "0", "n must be >= 1"),
+        ("--difficulty", "-1", "difficulty must be >= 0"),
+    ], ids=["size-31", "n-0", "difficulty-neg"])
+    def test_bad_size_nonzero_exit(self, tmp_path, capsys, flag, value, message):
+        args = ["gen-data", "--n", "2", "--size", "8", flag, value, "--out", str(tmp_path / "x")]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "d"

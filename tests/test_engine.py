@@ -338,10 +338,9 @@ def exact_chain(trainer, state, saved, v):
     ``measured_iteration`` saved (``state`` as it left it, before the
     architecture step)."""
     G_pre, H_pre, S_pre, masks, images, m_hats, _, _ = saved
-    a_const = {lbl: constant(arr) for lbl, arr in state.A.entries}
     u = ad.mixed_hvp_exact(
         lambda gb, sb: seg_cross_entropy(
-            trainer.seg.forward(sb, trainer.gen.forward(gb, a_const, constant(m_hats))),
+            trainer.seg.forward(sb, trainer.gen.forward(gb, bind(state.A), constant(m_hats))),
             m_hats),
         state.G, S_pre, v)
     w = ad.mixed_hvp_exact(
@@ -351,13 +350,10 @@ def exact_chain(trainer, state, saved, v):
 
 
 def trainer_gen_loss(trainer, ab, gb, H_pre, masks, images):
-    m, i = constant(masks), constant(images)
+    m = constant(masks)
     fake = trainer.gen.forward(gb, ab, m)
-    hb = {lbl: constant(arr) for lbl, arr in H_pre.entries}
-    loss = bce_with_logits(trainer.disc.forward(hb, m, fake), 1.0)
-    if trainer.config.lambda_l1 > 0:
-        loss = ad.add(loss, ad.scale(eng.l1_mean(fake, i), trainer.config.lambda_l1))
-    return loss
+    return trainer.generator_loss(fake, trainer.disc.forward(bind(H_pre), m, fake),
+                                  constant(images))
 
 
 def count_forwards(monkeypatch) -> dict[str, int]:
@@ -691,3 +687,44 @@ class TestAbort:
         with pytest.raises(TrainingAborted,
                            match="gradient of segmentation loss became non-finite at iteration 1"):
             trainer.train()
+
+    # label -> (group whose step it guards, the stage that takes the step)
+    DESCENTS = {
+        "discriminator loss": ("H", lambda tr, st, m, i: tr.stage1_update(st, m, i)),
+        "generator loss": ("G", lambda tr, st, m, i: tr.stage1_update(st, m, i)),
+        "segmentation objective": ("S", lambda tr, st, m, i: tr.stage2_update(st, m, i, m, i)),
+        "segmentation loss": ("S", lambda tr, st, m, i: tr._baseline_update(st, m, i)),
+    }
+
+    @pytest.mark.parametrize("label", list(DESCENTS),
+                             ids=["disc-loss", "gen-loss", "seg-objective", "seg-loss"])
+    @pytest.mark.parametrize("poisoned", ["loss", "gradient"])
+    def test_every_descent_aborts_naming_label_and_iteration(self, monkeypatch, label,
+                                                            poisoned):
+        group_name, run_stage = self.DESCENTS[label]
+        trainer, train, _ = small_setup()
+        state = trainer.init_state()
+        state.iteration = 7
+        masks, images = train.masks(), train.images()
+        if poisoned == "gradient":
+            real_group_backward = ad.group_backward
+
+            def poison(loss, binding, group, create_graph=False):
+                grads = real_group_backward(loss, binding, group, create_graph)
+                if group.name == group_name:
+                    grads[-1] = np.full_like(grads[-1], np.inf)
+                return grads
+
+            monkeypatch.setattr(ad, "group_backward", poison)
+            pattern = f"gradient of {label} became non-finite at iteration 7"
+        else:
+            pattern = rf"{label} became non-finite \(nan\) at iteration 7"
+            if label == "generator loss":
+                # NaN images would trip the discriminator loss's check first
+                real_loss = Trainer.generator_loss
+                monkeypatch.setattr(Trainer, "generator_loss",
+                                    lambda self, *a: ad.scale(real_loss(self, *a), np.nan))
+            else:
+                images = np.full_like(images, np.nan)
+        with pytest.raises(TrainingAborted, match=pattern):
+            run_stage(trainer, state, masks, images)

@@ -62,9 +62,6 @@ class TestElementwise:
         out = ad.add(constant([1.0, 2.0]), constant([3.0, 4.0]))
         np.testing.assert_array_equal(out.value, [4.0, 6.0])
 
-    def test_relu(self):
-        np.testing.assert_array_equal(ad.relu(constant([-1.0, 0.0, 2.0])).value, [0.0, 0.0, 2.0])
-
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(constant(np.zeros(3))).value[0] == 0.5
 
@@ -76,7 +73,7 @@ class TestElementwise:
         a = np.array([1.0, -2.0])
         b = np.array([3.0, 4.0])
         ad.add(constant(a), constant(b))
-        ad.relu(constant(a))
+        ad.tanh(constant(a))
         np.testing.assert_array_equal(a, [1.0, -2.0])
         np.testing.assert_array_equal(b, [3.0, 4.0])
 
