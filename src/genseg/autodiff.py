@@ -329,19 +329,19 @@ def max_stop(a: Node, axes=None, keepdims: bool = False) -> Node:
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
-    """Differentiable convolution with bias; a transposed ``spec`` takes an
-    (in, out, k, k) weight, a plain one (out, in, k, k)."""
+    """Differentiable convolution with bias; the weight has
+    ``spec.weight_shape(in, out)`` and the bias one entry per output channel."""
     _, c, h, w = x.value.shape
     k = spec.kernel
     kind = "transposed conv2d" if spec.transposed else "conv2d"
     if weight.value.ndim != 4 or weight.value.shape[2:] != (k, k):
         raise ValueError(f"{kind}: weight {weight.value.shape} does not have spec {spec.name}'s "
                          f"{k}x{k} kernel")
-    ci, co = weight.value.shape[:2] if spec.transposed else weight.value.shape[1::-1]
-    if ci != c:
-        raise ValueError(f"{kind} channel mismatch: input {c}, weight {weight.value.shape}")
-    if bias.value.shape != (co,):
-        raise ValueError(f"{kind}: bias {bias.value.shape} does not match {co} output channels")
+    co = bias.value.size
+    if bias.value.shape != (co,) or weight.value.shape != spec.weight_shape(c, co):
+        raise ValueError(f"{kind}: weight {weight.value.shape}, bias {bias.value.shape} and {c} "
+                         f"input channels disagree; spec {spec.name} takes a {co}-vector bias "
+                         f"with weight {spec.weight_shape(c, co)}")
     extent = (spec.out_extent(h), spec.out_extent(w))
     if spec.transposed:
         return _conv_transpose(x, weight, bias, spec.stride, spec.padding, extent)

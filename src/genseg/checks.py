@@ -133,10 +133,8 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
         ("upconv_622", ConvSpec(6, 2, 2, transposed=True), 6),
         ("upconv_823", ConvSpec(8, 2, 3, transposed=True), 6),
     ):
-        k = spec.kernel
-        wshape = (3, 2, k, k) if spec.transposed else (2, 3, k, k)
         group = ParamGroup("G", [("x", x((2, 3, extent, extent))),
-                                 ("w", x(wshape) * 0.3),
+                                 ("w", x(spec.weight_shape(3, 2)) * 0.3),
                                  ("b", x((2,)) * 0.3)])
         probe = {}
 
@@ -212,12 +210,6 @@ HVP_SPECS = ((ConvSpec(3, 1, 1), ConvSpec(3, 1, 1)),
              (ConvSpec(4, 2, 1, transposed=True), ConvSpec(4, 2, 1)))
 
 
-def _conv_weight(rng, spec: ConvSpec, in_ch: int, out_ch: int) -> np.ndarray:
-    k = spec.kernel
-    shape = (in_ch, out_ch, k, k) if spec.transposed else (out_ch, in_ch, k, k)
-    return rng.normal(0, 0.5, size=shape)
-
-
 def check_hvp(seed: int = 0, trials: int = 3) -> tuple[float, float]:
     """Worst cosine and magnitude ratio of fd vs exact mixed HVPs on small nets."""
     cosines, ratios = [], []
@@ -226,9 +218,9 @@ def check_hvp(seed: int = 0, trials: int = 3) -> tuple[float, float]:
         x = rng.normal(0, 1, size=(3, 2, 6, 6))
         y = rng.normal(0, 1, size=(3, 2, 6, 6))
         spec1, spec2 = HVP_SPECS[t % len(HVP_SPECS)]
-        P = ParamGroup("G", [("w1", _conv_weight(rng, spec1, 2, 4)),
+        P = ParamGroup("G", [("w1", rng.normal(0, 0.5, size=spec1.weight_shape(2, 4))),
                              ("b1", rng.normal(0, 0.1, size=4))])
-        Q = ParamGroup("S", [("w2", _conv_weight(rng, spec2, 4, 2)),
+        Q = ParamGroup("S", [("w2", rng.normal(0, 0.5, size=spec2.weight_shape(4, 2))),
                              ("b2", rng.normal(0, 0.1, size=2))])
 
         def loss(pb, qb, spec1=spec1, spec2=spec2):

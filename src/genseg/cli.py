@@ -177,12 +177,11 @@ def cmd_eval(args) -> int:
     try:
         groups, _ = load_checkpoint(args.ckpt)
         ds = load_dataset(args.data)
+        if len(ds) == 0:
+            return _fail(f"dataset at {args.data} is empty")
+        d, j = engine.evaluate_segmenter(SegNet.from_params(groups["S"]), groups["S"], ds)
     except (ValueError, FileNotFoundError) as e:
         return _fail(str(e))
-    if len(ds) == 0:
-        return _fail(f"dataset at {args.data} is empty")
-    seg = SegNet.from_params(groups["S"])
-    d, j = engine.evaluate_segmenter(seg, groups["S"], ds)
     print(f"dice={d:.9f} jaccard={j:.9f} n={len(ds)}")
     return 0
 

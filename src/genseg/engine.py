@@ -82,8 +82,8 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
         for name in ("eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.iters < 0 or self.batch < 0:
             raise ValueError("iters and batch must be >= 0")
         for name in ("enc_cells", "base_channels"):
@@ -258,6 +258,8 @@ class Trainer:
                  test_ds: Dataset | None = None):
         if len(train_ds) == 0:
             raise ValueError("training set must not be empty")
+        if len(val_ds) == 0:
+            raise ValueError("validation set must not be empty")
         self.config = config
         self.train_ds = train_ds
         self.val_ds = val_ds
@@ -587,15 +589,14 @@ def _scores(logits: np.ndarray, masks: np.ndarray) -> tuple[list[float], list[fl
             [met.jaccard(p, m) for p, m in zip(preds, masks)])
 
 
-def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset,
-                       chunk: int = EVAL_CHUNK) -> tuple[float, float]:
+def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[float, float]:
     """Mean dice and jaccard of a segmenter's argmax predictions over a dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     sb = bind(S)
     dices, jacs = [], []
-    for start in range(0, len(dataset), chunk):
-        idx = range(start, min(start + chunk, len(dataset)))
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        idx = range(start, min(start + EVAL_CHUNK, len(dataset)))
         logits = seg.forward(sb, constant(dataset.images(idx)))
         d, j = _scores(logits.value, dataset.masks(idx))
         dices += d

@@ -8,6 +8,9 @@ evaluation, and second-order products.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 
 from . import autodiff as ad
@@ -17,12 +20,27 @@ from .tensor import ConvSpec
 # candidate pool per cell: kernel/stride/padding triples that all halve
 # (or, transposed, double) even spatial extents
 DOWN_CANDIDATES = (ConvSpec(4, 2, 1), ConvSpec(6, 2, 2), ConvSpec(8, 2, 3))
-UP_CANDIDATES = tuple(ConvSpec(k, s, p, transposed=True) for k, s, p in ((4, 2, 1), (6, 2, 2), (8, 2, 3)))
+UP_CANDIDATES = tuple(replace(spec, transposed=True) for spec in DOWN_CANDIDATES)
+
+# the fixed layers: stride-2 convolutions that halve (or, transposed, double)
+# even extents, and the 1x1 heads
+HALVE = ConvSpec(4, 2, 1)
+DOUBLE = replace(HALVE, transposed=True)
+HEAD = ConvSpec(1, 1, 0)
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    s = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-s, s, size=shape).astype(np.float64)
+def _conv_params(rng: np.random.Generator, name: str, spec: ConvSpec,
+                 in_ch: int, out_ch: int) -> list[tuple[str, np.ndarray]]:
+    """``name.w`` uniform within the fan-in bound 1/sqrt(in_ch*k*k), and a zero ``name.b``."""
+    s = 1.0 / np.sqrt(in_ch * spec.kernel ** 2)
+    return [(f"{name}.w", rng.uniform(-s, s, size=spec.weight_shape(in_ch, out_ch))),
+            (f"{name}.b", np.zeros(out_ch, dtype=np.float64))]
+
+
+def _conv(params: dict[str, Node], layer: tuple[str, ConvSpec, int, int], x: Node) -> Node:
+    """A fixed layer ``(name, spec, in_ch, out_ch)`` applied to ``x``."""
+    name, spec = layer[:2]
+    return ad.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], spec)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -42,6 +60,21 @@ def _unet_channels(in_ch: int, base_channels: int, depth: int):
     up = [(widths[depth] if j == 1 else 2 * widths[depth - j + 1],
            widths[depth - j] if j < depth else base_channels) for j in range(1, depth + 1)]
     return down, up
+
+
+def _unet(down, up, x: Node) -> Node:
+    """The U-Net body: each of the ``down`` and then the ``up`` layers, a
+    callable on one node, followed by tanh; every ``up`` layer after the first
+    also takes the ``down`` output of its scale as a channel skip."""
+    skips = []
+    for layer in down:
+        x = ad.tanh(layer(x))
+        skips.append(x)
+    for j, layer in enumerate(up):
+        if j:
+            x = ad.concat([x, skips[-1 - j]], axis=1)
+        x = ad.tanh(layer(x))
+    return x
 
 
 class SearchableCell:
@@ -67,13 +100,8 @@ class SearchableCell:
         self.fused_spec = big
 
     def param_entries(self, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        entries = []
-        for spec in self.candidates:
-            k = spec.kernel
-            wshape = (self.in_ch, self.out_ch, k, k) if spec.transposed else (self.out_ch, self.in_ch, k, k)
-            entries.append((f"{self.name}.{spec.name}.w", _uniform_init(rng, wshape, self.in_ch * k * k)))
-            entries.append((f"{self.name}.{spec.name}.b", np.zeros(self.out_ch, dtype=np.float64)))
-        return entries
+        return [entry for spec in self.candidates
+                for entry in _conv_params(rng, f"{self.name}.{spec.name}", spec, self.in_ch, self.out_ch)]
 
     def logit_label(self) -> str:
         return f"{self.name}.logits"
@@ -87,9 +115,9 @@ class SearchableCell:
             bk = params[f"{self.name}.{spec.name}.b"]
             off = big.padding - spec.padding
             if spec.kernel != big.kernel:
-                co, ci = wk.value.shape[0], wk.value.shape[1]
-                wk = ad.pad_insert(wk, (co, ci, big.kernel, spec.kernel), 2, off)
-                wk = ad.pad_insert(wk, (co, ci, big.kernel, big.kernel), 3, off)
+                channels = wk.value.shape[:2]
+                wk = ad.pad_insert(wk, (*channels, big.kernel, spec.kernel), 2, off)
+                wk = ad.pad_insert(wk, (*channels, big.kernel, big.kernel), 3, off)
             alpha = ad.slice_axis(weights, 0, idx, idx + 1)
             w_term, b_term = ad.mul(alpha, wk), ad.mul(alpha, bk)
             w_eff = w_term if w_eff is None else ad.add(w_eff, w_term)
@@ -109,13 +137,12 @@ class GeneratorNet:
                  enc_cells: int = 3, base_channels: int = 8):
         self.enc_cells = enc_cells
         self.mask_channels = mask_channels
-        self.img_channels = img_channels
         down, up = _unet_channels(mask_channels, base_channels, enc_cells)
         self.encoders = [SearchableCell(f"enc{i}", ci, co, transposed=False)
                          for i, (ci, co) in enumerate(down, start=1)]
         self.decoders = [SearchableCell(f"dec{j}", ci, co, transposed=True)
                          for j, (ci, co) in enumerate(up, start=1)]
-        self.head_in = base_channels
+        self.head = ("head", HEAD, base_channels, img_channels)
 
     def init_params(self, seed: int) -> tuple[ParamGroup, ParamGroup]:
         rng = np.random.default_rng(seed)
@@ -124,8 +151,7 @@ class GeneratorNet:
         for cell in self.encoders + self.decoders:
             g.entries.extend(cell.param_entries(rng))
             a.entries.append((cell.logit_label(), np.zeros(len(cell.candidates), dtype=np.float64)))
-        g.entries.append(("head.w", _uniform_init(rng, (self.img_channels, self.head_in, 1, 1), self.head_in)))
-        g.entries.append(("head.b", np.zeros(self.img_channels, dtype=np.float64)))
+        g.entries.extend(_conv_params(rng, *self.head))
         return g, a
 
     def forward(self, g: dict[str, Node], a: dict[str, Node], mask: Node) -> Node:
@@ -134,17 +160,10 @@ class GeneratorNet:
             raise ValueError(f"mask has {c} channels, expected {self.mask_channels}")
         if h != w or not _is_power_of_two(h) or h < 2 ** self.enc_cells:
             raise ValueError(f"mask extent {h}x{w} must be a square power of two >= {2 ** self.enc_cells}")
-        skips = []
-        x = mask
-        for cell in self.encoders:
-            x = ad.tanh(cell.forward(g, a[cell.logit_label()], x))
-            skips.append(x)
-        for j, cell in enumerate(self.decoders, start=1):
-            if j > 1:
-                x = ad.concat([x, skips[self.enc_cells - j]], axis=1)
-            x = ad.tanh(cell.forward(g, a[cell.logit_label()], x))
-        x = ad.conv2d(x, g["head.w"], g["head.b"], ConvSpec(1, 1, 0))
-        return ad.tanh(x)
+        # looked up per call, so a wrapper put on SearchableCell.forward later still runs
+        down, up = ([partial(cell.forward, g, a[cell.logit_label()]) for cell in cells]
+                    for cells in (self.encoders, self.decoders))
+        return ad.tanh(_conv(g, self.head, _unet(down, up, mask)))
 
 
 class DiscriminatorNet:
@@ -160,29 +179,24 @@ class DiscriminatorNet:
         in_ch = mask_channels + img_channels
         for i in range(depth):
             out_ch = base_channels * 2 ** i
-            self.layers.append((f"d{i+1}", in_ch, out_ch, ConvSpec(4, 2, 1)))
+            self.layers.append((f"d{i+1}", HALVE, in_ch, out_ch))
             in_ch = out_ch
-        self.head_in = in_ch
-        self.depth = depth
+        self.head = ("head", HEAD, in_ch, 1)
 
     def init_params(self, seed: int) -> ParamGroup:
         rng = np.random.default_rng(seed)
         h = ParamGroup("H")
-        for name, in_ch, out_ch, spec in self.layers:
-            k = spec.kernel
-            h.entries.append((f"{name}.w", _uniform_init(rng, (out_ch, in_ch, k, k), in_ch * k * k)))
-            h.entries.append((f"{name}.b", np.zeros(out_ch, dtype=np.float64)))
-        h.entries.append(("head.w", _uniform_init(rng, (1, self.head_in, 1, 1), self.head_in)))
-        h.entries.append(("head.b", np.zeros(1, dtype=np.float64)))
+        for layer in self.layers + [self.head]:
+            h.entries.extend(_conv_params(rng, *layer))
         return h
 
     def forward(self, h: dict[str, Node], mask: Node, image: Node) -> Node:
         if mask.value.shape[2:] != image.value.shape[2:]:
             raise ValueError(f"mask {mask.value.shape} and image {image.value.shape} are not spatially aligned")
         x = ad.concat([mask, image], axis=1)
-        for name, _, _, spec in self.layers:
-            x = ad.tanh(ad.conv2d(x, h[f"{name}.w"], h[f"{name}.b"], spec))
-        return ad.conv2d(x, h["head.w"], h["head.b"], ConvSpec(1, 1, 0))
+        for layer in self.layers:
+            x = ad.tanh(_conv(h, layer, x))
+        return _conv(h, self.head, x)
 
 
 class SegNet:
@@ -194,21 +208,15 @@ class SegNet:
         self.num_classes = num_classes
         self.depth = depth
         down, up = _unet_channels(img_channels, base_channels, depth)
-        self.down = [(f"down{i}", ci, co) for i, (ci, co) in enumerate(down, start=1)]
-        self.up = [(f"up{j}", ci, co) for j, (ci, co) in enumerate(up, start=1)]
-        self.head_in = base_channels
+        self.down = [(f"down{i}", HALVE, ci, co) for i, (ci, co) in enumerate(down, start=1)]
+        self.up = [(f"up{j}", DOUBLE, ci, co) for j, (ci, co) in enumerate(up, start=1)]
+        self.head = ("head", HEAD, base_channels, num_classes)
 
     def init_params(self, seed: int) -> ParamGroup:
         rng = np.random.default_rng(seed)
         s = ParamGroup("S")
-        for name, in_ch, out_ch in self.down:
-            s.entries.append((f"{name}.w", _uniform_init(rng, (out_ch, in_ch, 4, 4), in_ch * 16)))
-            s.entries.append((f"{name}.b", np.zeros(out_ch, dtype=np.float64)))
-        for name, in_ch, out_ch in self.up:
-            s.entries.append((f"{name}.w", _uniform_init(rng, (in_ch, out_ch, 4, 4), in_ch * 16)))
-            s.entries.append((f"{name}.b", np.zeros(out_ch, dtype=np.float64)))
-        s.entries.append(("head.w", _uniform_init(rng, (self.num_classes, self.head_in, 1, 1), self.head_in)))
-        s.entries.append(("head.b", np.zeros(self.num_classes, dtype=np.float64)))
+        for layer in self.down + self.up + [self.head]:
+            s.entries.extend(_conv_params(rng, *layer))
         return s
 
     @classmethod
@@ -224,18 +232,13 @@ class SegNet:
         n, c, h, w = image.value.shape
         if c != self.img_channels:
             raise ValueError(f"image has {c} channels, expected {self.img_channels}")
-        down_spec = ConvSpec(4, 2, 1)
-        up_spec = ConvSpec(4, 2, 1, transposed=True)
-        skips = []
-        x = image
-        for name, _, _ in self.down:
-            x = ad.tanh(ad.conv2d(x, s[f"{name}.w"], s[f"{name}.b"], down_spec))
-            skips.append(x)
-        for j, (name, _, _) in enumerate(self.up, start=1):
-            if j > 1:
-                x = ad.concat([x, skips[self.depth - j]], axis=1)
-            x = ad.tanh(ad.conv2d(x, s[f"{name}.w"], s[f"{name}.b"], up_spec))
-        return ad.conv2d(x, s["head.w"], s["head.b"], ConvSpec(1, 1, 0))
+        # each down layer halves the extent, and each skip must meet its up layer's output
+        scale = 2 ** self.depth
+        if h < scale or h % scale or w < scale or w % scale:
+            raise ValueError(f"image extent {h}x{w} is not a positive multiple of "
+                             f"2**depth = {scale} in both axes")
+        down, up = ([partial(_conv, s, layer) for layer in layers] for layers in (self.down, self.up))
+        return _conv(s, self.head, _unet(down, up, image))
 
 
 def predict_mask(logits: np.ndarray) -> np.ndarray:

@@ -238,8 +238,7 @@ def save_checkpoint(path, groups: dict[str, ParamGroup], config_digest: str = ""
         f.write(blob)
 
 
-def load_checkpoint(path, expect_digest: str | None = None,
-                    required=("G", "H", "S", "A")) -> tuple[dict[str, ParamGroup], str]:
+def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, ParamGroup], str]:
     """Read groups and the stored config digest; tampering raises, a digest
     mismatch only warns."""
     with open(path, "rb") as f:
@@ -265,7 +264,7 @@ def load_checkpoint(path, expect_digest: str | None = None,
             arr, offset = tensor_from_bytes(body, offset)
             entries.append((label, arr))
         groups[name] = ParamGroup(name, entries)
-    missing = [r for r in required if r not in groups]
+    missing = [r for r in ("G", "H", "S", "A") if r not in groups]
     if missing:
         raise ValueError(f"checkpoint missing parameter groups: {missing}")
     if expect_digest is not None and digest != expect_digest:

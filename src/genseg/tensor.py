@@ -66,6 +66,11 @@ class ConvSpec:
             raise ValueError(f"spec {self} on extent {n} gives output extent {m} < 1")
         return m
 
+    def weight_shape(self, in_ch: int, out_ch: int) -> tuple[int, int, int, int]:
+        """(out, in, k, k), or (in, out, k, k) when transposed."""
+        k = self.kernel
+        return (in_ch, out_ch, k, k) if self.transposed else (out_ch, in_ch, k, k)
+
     @property
     def name(self) -> str:
         tag = "UpConv" if self.transposed else "Conv"

@@ -4,9 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from genseg.autodiff import ParamGroup
 from genseg.cli import main, render_svg
 from genseg.metrics import read_csv
-from genseg.synthdata import load_checkpoint, load_dataset
+from genseg.models import SegNet
+from genseg.synthdata import (Dataset, MaskImagePair, gen_task, load_checkpoint, load_dataset,
+                              save_checkpoint, save_dataset)
 
 
 def write_config(path, data_dir, out_dir, **overrides):
@@ -155,6 +158,19 @@ class TestEval:
         empty.mkdir()
         (empty / "manifest.txt").write_text("")
         assert main(["eval", "--ckpt", str(out / "best.ckpt"), "--data", str(empty)]) == 1
+
+    def test_extent_segmenter_cannot_round_trip(self, tmp_path, capsys):
+        S = SegNet(depth=2, base_channels=2).init_params(0)
+        groups = {name: ParamGroup(name, S.entries if name == "S" else [])
+                  for name in ("G", "H", "S", "A")}
+        save_checkpoint(tmp_path / "s.ckpt", groups)
+        data = gen_task(seed=1, n=2, size=16)
+        pairs = [MaskImagePair(p.mask[:, :10, :10], p.image[:, :10, :10]) for p in data]
+        save_dataset(tmp_path / "d10", Dataset(pairs))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "s.ckpt"), "--data", str(tmp_path / "d10")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "10x10" in err
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

@@ -90,6 +90,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = {value}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1"])
+    def test_non_finite_value_named_in_error(self, key, value):
+        # nan < 0 is False, so a sign check alone lets NaN through
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}")
+
     def test_smallest_extent_for_enc_cells_accepted(self):
         cfg = parse_config("img_size = 4\nenc_cells = 2\nbase_channels = 1")
         assert (cfg.img_size, cfg.enc_cells, cfg.base_channels) == (4, 2, 1)
@@ -545,7 +552,7 @@ class TestTrainLoop:
         script = iter([0.2, 0.1, 0.6, 0.3, 0.6, 0.5])
         seen = []
 
-        def scripted(seg, S, dataset, chunk=eng.EVAL_CHUNK):
+        def scripted(seg, S, dataset):
             seen.append(S.copy())
             return next(script), 0.0
 
@@ -572,6 +579,12 @@ class TestTrainLoop:
         val = gen_task(seed=1, n=2, size=8)
         with pytest.raises(ValueError):
             Trainer(cfg, empty, val)
+
+    def test_empty_validation_set_rejected(self):
+        cfg = TrainConfig(img_size=8, enc_cells=1, base_channels=2)
+        train = gen_task(seed=1, n=2, size=8)
+        with pytest.raises(ValueError, match="validation set"):
+            Trainer(cfg, train, Dataset([], split="val"))
 
     def test_separate_mode_freezes_gan_losses_in_second_half(self):
         trainer, train, val = small_setup(mode="separate", eta_g=1e-3, eta_h=1e-3)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -230,6 +231,35 @@ class TestSegNet:
         img = constant(np.random.default_rng(1).normal(size=(1, 1, 16, 16)))
         np.testing.assert_array_equal(seg.forward(bind(S), img).value,
                                       rebuilt.forward(bind(S), img).value)
+
+    def test_extent_must_be_multiple_of_two_to_the_depth(self):
+        # at 10, the down layers give 5 then 2, and 2 doubles back to 4, not 5
+        seg = SegNet(depth=2, base_channels=2)
+        S = seg.init_params(0)
+        with pytest.raises(ValueError, match="10x10"):
+            seg.forward(bind(S), constant(np.zeros((2, 1, 10, 10))))
+        out = seg.forward(bind(S), constant(np.zeros((2, 1, 12, 12))))
+        assert out.value.shape == (2, 2, 12, 12)
+
+
+def params_hash(*groups) -> str:
+    """First 16 hex digits of sha256 over each label and its <f8 bytes, in entry order."""
+    h = hashlib.sha256()
+    for group in groups:
+        for label, arr in group.entries:
+            h.update(label.encode())
+            h.update(np.asarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("groups, want", [
+    (lambda: GeneratorNet(enc_cells=3, base_channels=8).init_params(0), "f357f36cc2bf77ee"),
+    (lambda: [DiscriminatorNet(base_channels=8, depth=3).init_params(0)], "7a4d00078b9474a4"),
+    (lambda: [SegNet(depth=2, base_channels=8).init_params(0)], "454b6f03ee256381"),
+], ids=["generator", "discriminator", "segmenter"])
+def test_initial_parameters_pinned(groups, want):
+    # labels, shapes, values and draw order of every init_params, byte for byte
+    assert params_hash(*groups()) == want
 
 
 class TestDeriveArchitecture:
