@@ -5,8 +5,11 @@ float64 value, its parent nodes, and one lazy vector-Jacobian thunk per
 parent. Backward walks the reverse topological order and only evaluates
 thunks on paths that reach a requested leaf, so gradients into constants or
 unrequested parameters cost nothing. Backward rules are themselves built
-from these ops, so gradients are ordinary nodes and a second ``backward``
-through them yields exact second-order products. Training uses the cheaper
+from these ops. Under ``backward(create_graph=True)`` gradients are ordinary
+nodes, and a second ``backward`` through them yields exact second-order
+products. Every other backward only needs gradient values: while it runs,
+recording is off and each op builds a node with no parents and no
+vector-Jacobian rule, so no gradient tape is kept. Training uses the cheaper
 central-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
 from :func:`default_eps`); the exact double-backward product
 (:func:`mixed_hvp_exact`) is kept as its oracle.
@@ -28,6 +31,9 @@ from . import tensor as T
 
 _next_id = 0
 
+# off only while a value-only backward runs its rules (see :func:`backward`)
+_recording = True
+
 
 def _new_id() -> int:
     global _next_id
@@ -42,8 +48,11 @@ class Node:
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents
-        self.vjp = vjp  # callable(grad: Node) -> tuple of thunks, one per parent
+        if _recording:
+            self.parents = parents
+            self.vjp = vjp  # callable(grad: Node) -> tuple of thunks, one per parent
+        else:
+            self.parents, self.vjp = (), None
         self.id = _new_id()
 
     @property
@@ -122,19 +131,22 @@ def shift(a: Node, c) -> Node:
 
 def sigmoid(a: Node) -> Node:
     out = Node(T.sigmoid(a.value), (a,))
-    out.vjp = lambda g: (lambda: mul(g, mul(out, shift(neg(out), 1.0))),)
+    if _recording:  # the rule refers to the node, so it is attached afterwards
+        out.vjp = lambda g: (lambda: mul(g, mul(out, shift(neg(out), 1.0))),)
     return out
 
 
 def tanh(a: Node) -> Node:
     out = Node(np.tanh(a.value), (a,))
-    out.vjp = lambda g: (lambda: mul(g, shift(neg(mul(out, out)), 1.0)),)
+    if _recording:
+        out.vjp = lambda g: (lambda: mul(g, shift(neg(mul(out, out)), 1.0)),)
     return out
 
 
 def exp(a: Node) -> Node:
     out = Node(np.exp(a.value), (a,))
-    out.vjp = lambda g: (lambda: mul(g, out),)
+    if _recording:
+        out.vjp = lambda g: (lambda: mul(g, out),)
     return out
 
 
@@ -395,10 +407,17 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     """Accumulated gradients of a scalar loss with respect to leaf nodes.
 
     Returns one entry per ``wrt`` node: a :class:`Node` when
-    ``create_graph`` (differentiable gradients), else a float64 array.
-    Leaves the loss does not depend on get zeros. Gradient work is pruned to
-    paths that reach a requested leaf.
+    ``create_graph``, else a float64 array. Leaves the loss does not depend
+    on get zeros. Gradient work is pruned to paths that reach a requested
+    leaf.
+
+    Only ``create_graph=True`` builds a differentiable graph of the
+    gradients. Otherwise recording is off while the backward rules run, so
+    every gradient node has no parents, and each intermediate gradient is
+    dropped once its rule has run: the arrays are freed during the pass,
+    and the values are the same to the bit.
     """
+    global _recording
     if loss.value.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     order = _toposort(loss)
@@ -407,22 +426,32 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
         if node.id not in needed:
             needed[node.id] = any(needed.get(p.id, False) for p in node.parents)
 
+    wanted = {w.id for w in wrt}
+    done: dict[int, Node] = {}
     grads: dict[int, Node] = {loss.id: constant(np.ones((), dtype=np.float64))}
-    for node in reversed(order):
-        g = grads.get(node.id)
-        if g is None or node.vjp is None:
-            continue
-        thunks = node.vjp(g)
-        for parent, thunk in zip(node.parents, thunks):
-            if thunk is None or not needed.get(parent.id, False):
+    recording, _recording = _recording, create_graph
+    try:
+        for node in reversed(order):
+            g = grads.pop(node.id, None)
+            if g is None:
                 continue
-            pg = thunk()
-            prev = grads.get(parent.id)
-            grads[parent.id] = pg if prev is None else add(prev, pg)
+            if node.id in wanted:
+                done[node.id] = g
+            if node.vjp is None:
+                continue
+            thunks = node.vjp(g)
+            for parent, thunk in zip(node.parents, thunks):
+                if thunk is None or not needed.get(parent.id, False):
+                    continue
+                pg = thunk()
+                prev = grads.get(parent.id)
+                grads[parent.id] = pg if prev is None else add(prev, pg)
+    finally:
+        _recording = recording
 
     out = []
     for w in wrt:
-        g = grads.get(w.id)
+        g = done.get(w.id)
         if g is None:
             g = constant(np.zeros_like(w.value))
         out.append(g if create_graph else g.value)

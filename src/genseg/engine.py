@@ -9,8 +9,11 @@ one-step gradient updates are used for the inner variables on purpose: the
 architecture chain differentiates exactly those steps.
 
 Each mixed second-derivative product in that chain is a central difference
-of two gradients (``autodiff.default_eps`` sets the step); the exact
-double-backward product and ``hypergrad_fd_oracle`` serve only as judges.
+(``autodiff.default_eps`` sets the step): the segmentation product is one
+gradient of the difference of two perturbed losses that share the generator
+graph, and the generator product is the difference of two gradients. The
+exact double-backward product and ``hypergrad_fd_oracle`` serve only as
+judges.
 
 Also provides the two reference modes: ``baseline`` (segmenter on real data
 only) and ``separate`` (fit the generator first, freeze it, then fit the
@@ -26,8 +29,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 try:
-    from threadpoolctl import threadpool_limits
+    from threadpoolctl import threadpool_info, threadpool_limits
 except ImportError:  # pragma: no cover
+    threadpool_info = None
+
     def threadpool_limits(*args, **kwargs):
         return contextlib.nullcontext()
 
@@ -178,6 +183,18 @@ def config_digest(cfg: TrainConfig) -> str:
     runs into different directories write identical checkpoints."""
     keys = [k for k in CONFIG_KEYS if k not in _PATH_KEYS]
     return hashlib.sha256(resolved_config_text(cfg, keys).encode("utf-8")).hexdigest()[:16]
+
+
+def blas_cap_status() -> str:
+    """One line saying whether :meth:`Trainer.train` caps BLAS at one thread."""
+    if threadpool_info is None:
+        return ("BLAS thread cap: not applied (threadpoolctl is not installed); "
+                "BLAS threads follow the environment")
+    blas = [lib for lib in threadpool_info() if lib.get("user_api") == "blas"]
+    if not blas:
+        return "BLAS thread cap: not applied (threadpoolctl finds no BLAS library)"
+    n = len(blas)
+    return f"BLAS thread cap: applied (1 thread in {n} BLAS librar{'y' if n == 1 else 'ies'})"
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +448,10 @@ class Trainer:
                 gb = bind(state.G)
                 images = self.gen.forward(gb, bind(state.A), constant(m_hats))
             u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
+            # the synthetic and validation graphs are reference cycles; once
+            # unreachable, the collector can free them while the generator
+            # product below builds two more graphs
+            del kept, images, gb, logits
 
             def gen_loss(a_binding, g_binding):
                 m, i = constant(gan_masks), constant(gan_images)
@@ -453,18 +474,20 @@ class Trainer:
         """Central-difference mixed HVP of the synthetic segmentation loss,
         differentiated with respect to the binding that produced ``images``.
 
-        The generator forward pass does not depend on the segmenter, so its
-        graph is shared by the two perturbed-segmenter evaluations.
+        The gradient of a difference is the difference of the gradients, so
+        one backward of [L(S + eps v) - L(S - eps v)] / (2 eps) gives the
+        product. The two perturbed segmenter branches meet at ``images``, and
+        the generator graph below it is walked once.
         """
         eps = ad.default_eps(v)
         s0 = S_base.flatten()
 
-        def grad_p(svec):
+        def loss_at(svec):
             sb = bind(S_base.unflatten(svec))
-            loss = seg_cross_entropy(self.seg.forward(sb, images), m_hats)
-            return ad.flat_grad(loss, p_binding, p_group)
+            return seg_cross_entropy(self.seg.forward(sb, images), m_hats)
 
-        return (grad_p(s0 + eps * v) - grad_p(s0 - eps * v)) / (2.0 * eps)
+        diff = ad.sub(loss_at(s0 + eps * v), loss_at(s0 - eps * v))
+        return ad.flat_grad(ad.scale(diff, 1.0 / (2.0 * eps)), p_binding, p_group)
 
     def outer_update_A(self, state: TrainState, hypergrad: np.ndarray,
                        weight_decay: float = ARCH_WEIGHT_DECAY):
@@ -497,6 +520,7 @@ class Trainer:
         bit-identical and small matrix products avoid synchronization
         overhead; without it the cap does nothing, and BLAS threading follows
         the environment (``OPENBLAS_NUM_THREADS`` and the like).
+        :func:`blas_cap_status` says which holds.
         """
         with threadpool_limits(limits=1, user_api="blas"):
             return self._train_loop()

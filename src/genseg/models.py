@@ -221,12 +221,25 @@ class SegNet:
 
     @classmethod
     def from_params(cls, group: ParamGroup) -> "SegNet":
-        """Reconstruct the layer structure from a saved parameter group."""
-        depth = sum(1 for lbl, _ in group.entries if lbl.startswith("down") and lbl.endswith(".w"))
-        first = group.get("down1.w")
-        head = group.get("head.w")
-        return cls(img_channels=first.shape[1], num_classes=head.shape[0],
-                   depth=depth, base_channels=first.shape[0])
+        """Reconstruct the layer structure from a saved parameter group; a
+        missing or misshapen layer parameter is a ValueError naming its label."""
+        shapes = {lbl: arr.shape for lbl, arr in group.entries}
+        for label in ("down1.w", "head.w"):
+            if len(shapes.get(label, ())) != 4:
+                raise ValueError(f"segmenter parameters lack a 4-d '{label}'")
+        depth = sum(1 for lbl in shapes if lbl.startswith("down") and lbl.endswith(".w"))
+        first, head = shapes["down1.w"], shapes["head.w"]
+        net = cls(img_channels=first[1], num_classes=head[0], depth=depth,
+                  base_channels=first[0])
+        for name, spec, in_ch, out_ch in net.down + net.up + [net.head]:
+            for label, shape in ((f"{name}.w", spec.weight_shape(in_ch, out_ch)),
+                                 (f"{name}.b", (out_ch,))):
+                if label not in shapes:
+                    raise ValueError(f"segmenter parameters lack '{label}'")
+                if shapes[label] != shape:
+                    raise ValueError(f"segmenter parameter '{label}' has shape {shapes[label]}, "
+                                     f"expected {shape}")
+        return net
 
     def forward(self, s: dict[str, Node], image: Node) -> Node:
         n, c, h, w = image.value.shape

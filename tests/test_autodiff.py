@@ -7,6 +7,8 @@ from genseg import autodiff as ad
 from genseg.autodiff import (Node, ParamGroup, backward, bind, constant,
                              group_backward, mixed_hvp_exact, mixed_hvp_fd)
 from genseg.checks import cosine, fd_gradient
+from genseg.engine import bce_with_logits, seg_cross_entropy
+from genseg.models import DiscriminatorNet, GeneratorNet, SegNet
 from genseg.tensor import ConvSpec
 
 
@@ -89,6 +91,72 @@ class TestBackward:
         # loss = x*x uses the same leaf twice: gradient must be 2x, not x
         grads = group_backward(ad.sum_(ad.mul(b["x"], b["x"])), b, g)
         np.testing.assert_allclose(grads[0], [6.0])
+
+
+def network_losses(seed):
+    """(loss, leaves) of a generator loss through the discriminator and of a
+    segmenter loss, on small networks."""
+    rng = np.random.default_rng(seed)
+    masks = (rng.uniform(size=(2, 1, 8, 8)) < 0.4).astype(np.float64)
+    images = rng.uniform(-0.9, 0.9, size=(2, 1, 8, 8))
+    gen = GeneratorNet(enc_cells=1, base_channels=2)
+    disc = DiscriminatorNet(base_channels=2, depth=2)
+    seg = SegNet(depth=2, base_channels=2)
+    G, A = gen.init_params(seed)
+    gb, ab, hb = bind(G), bind(A), bind(disc.init_params(seed + 1))
+    m, i = constant(masks), constant(images)
+    fake = gen.forward(gb, ab, m)
+    l1 = ad.mean_(ad.absval(ad.sub(fake, i)))
+    gan = ad.add(bce_with_logits(disc.forward(hb, m, fake), 1.0), ad.scale(l1, 100.0))
+    sb = bind(seg.init_params(seed + 2))
+    segl = seg_cross_entropy(seg.forward(sb, i), masks)
+    return [(gan, [*gb.values(), *ab.values(), *hb.values()]), (segl, list(sb.values()))]
+
+
+def identity_keeping_rule_output(rule_output: list):
+    """An identity op whose backward rule builds ``tanh(g * a)`` and keeps it."""
+    def op(a):
+        def vjp(g):
+            def thunk():
+                rule_output.append(ad.tanh(ad.mul(g, a)))
+                return rule_output[-1]
+            return (thunk,)
+        return Node(a.value, (a,), vjp)
+    return op
+
+
+class TestValueOnlyBackward:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_bytes_as_differentiable_backward(self, seed):
+        for loss, leaves in network_losses(seed):
+            values = backward(loss, leaves)
+            nodes = backward(loss, leaves, create_graph=True)
+            assert [v.tobytes() for v in values] == [n.value.tobytes() for n in nodes]
+            assert any(n.parents for n in nodes)
+
+    def test_rules_build_no_tape(self):
+        x = Node(np.array([0.3, -0.7]))
+        value_only, differentiable = [], []
+        backward(ad.sum_(identity_keeping_rule_output(value_only)(x)), [x])
+        backward(ad.sum_(identity_keeping_rule_output(differentiable)(x)), [x], create_graph=True)
+        assert value_only[0].parents == () and value_only[0].vjp is None
+        assert differentiable[0].parents and differentiable[0].vjp is not None
+
+    def test_recording_restored_after_a_rule_raises(self):
+        x = Node(np.array([0.3, -0.7]))
+
+        def broken(g):
+            ad.exp(g)  # built while recording is off
+            raise RuntimeError("rule failed")
+
+        with pytest.raises(RuntimeError, match="rule failed"):
+            backward(ad.sum_(Node(x.value, (x,), broken)), [x])
+        assert ad._recording
+        y = ad.tanh(x)
+        assert y.parents == (x,) and y.vjp is not None
+        (g,) = backward(ad.sum_(ad.mul(y, y)), [x])
+        t = np.tanh(x.value)
+        np.testing.assert_allclose(g, 2 * t * (1 - t * t), rtol=1e-14)
 
 
 def bilinear_loss(pb, qb):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from genseg import engine
 from genseg.autodiff import ParamGroup
 from genseg.cli import main, render_svg
 from genseg.metrics import read_csv
@@ -91,6 +92,19 @@ class TestTrain:
         assert any(r.split == "val" for r in rows)
         assert rows[-1].split == "test"
 
+    @pytest.mark.parametrize("libs, status", [
+        (None, "not applied (threadpoolctl is not installed)"),
+        ([], "not applied (threadpoolctl finds no BLAS library)"),
+        ([{"user_api": "blas"}, {"user_api": "openmp"}], "applied (1 thread in 1 BLAS library)"),
+    ])
+    def test_reports_blas_cap_at_start(self, tmp_path, dataset_dir, capsys, monkeypatch,
+                                       libs, status):
+        monkeypatch.setattr(engine, "threadpool_info", None if libs is None else lambda: libs)
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "run", iters=1)
+        assert main(["train", "--config", str(cfgp)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"BLAS thread cap: {status}")
+
     def test_determinism_byte_identical(self, tmp_path, dataset_dir):
         blobs = []
         for tag in ("r1", "r2"):
@@ -171,6 +185,16 @@ class TestEval:
         assert main(["eval", "--ckpt", str(tmp_path / "s.ckpt"), "--data", str(tmp_path / "d10")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "10x10" in err
+
+    def test_segmenter_layer_missing_from_checkpoint(self, tmp_path, capsys):
+        groups = {name: ParamGroup(name, []) for name in ("G", "H", "S", "A")}
+        save_checkpoint(tmp_path / "empty.ckpt", groups)
+        save_dataset(tmp_path / "d8", gen_task(seed=1, n=2, size=8))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "empty.ckpt"),
+                     "--data", str(tmp_path / "d8")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'down1.w'" in err
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

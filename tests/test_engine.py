@@ -8,7 +8,7 @@ from genseg import autodiff as ad
 from genseg import engine as eng
 from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
-from genseg.checks import cosine, measured_iteration, tiny_instance
+from genseg.checks import cosine, measured_iteration, rel_error, tiny_instance
 from genseg.autodiff import Node
 from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, TrainingAborted,
                            bce_with_logits, config_digest, parse_config,
@@ -610,10 +610,68 @@ class TestTrainLoop:
             Trainer(cfg, data, data)
 
 
+def two_backward_hvp(trainer, images, binding, group, S, v, m_hats):
+    """``Trainer._seg_hvp_fd`` as the difference of two separate gradients."""
+    eps = ad.default_eps(v)
+    s0 = S.flatten()
+
+    def grad_p(svec):
+        sb = bind(S.unflatten(svec))
+        loss = seg_cross_entropy(trainer.seg.forward(sb, images), m_hats)
+        return ad.flat_grad(loss, binding, group)
+
+    return (grad_p(s0 + eps * v) - grad_p(s0 - eps * v)) / (2.0 * eps)
+
+
+class TestSegHvp:
+    def _case(self, seed, binding_of):
+        # binding_of picks the leaves the product is taken in: G for the
+        # chain, A for the direct path
+        trainer, train, _ = tiny_instance(seed)
+        state = trainer.init_state()
+        gb, ab = bind(state.G), bind(state.A)
+        m_hats = train.masks()
+        images = trainer.gen.forward(gb, ab, constant(m_hats))
+        binding, group = {"G": (gb, state.G), "A": (ab, state.A)}[binding_of]
+        v = np.random.default_rng(seed).normal(size=state.S.size)
+        return trainer, images, binding, group, state.S, v, m_hats
+
+    @pytest.mark.parametrize("binding_of", ["G", "A"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_antisymmetric_in_v_exactly(self, seed, binding_of):
+        trainer, images, binding, group, S, v, m_hats = self._case(seed, binding_of)
+        plus = trainer._seg_hvp_fd(images, binding, group, S, v, m_hats)
+        minus = trainer._seg_hvp_fd(images, binding, group, S, -v, m_hats)
+        assert np.any(plus)
+        assert np.array_equal(plus, -minus)
+
+    @pytest.mark.parametrize("binding_of", ["G", "A"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_difference_of_two_gradients(self, seed, binding_of):
+        trainer, images, binding, group, S, v, m_hats = self._case(seed, binding_of)
+        one = trainer._seg_hvp_fd(images, binding, group, S, v, m_hats)
+        two = two_backward_hvp(trainer, images, binding, group, S, v, m_hats)
+        assert rel_error(one, two) <= 1e-6
+
+    def test_one_backward_per_product(self, monkeypatch):
+        trainer, images, binding, group, S, v, m_hats = self._case(0, "G")
+        calls = []
+        backward = ad.backward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "backward", counted)
+        trainer._seg_hvp_fd(images, binding, group, S, v, m_hats)
+        assert len(calls) == 1
+
+
 class TestHypergradOracle:
-    def test_exact_backend_matches_pipeline_fd(self):
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_backend_matches_pipeline_fd(self, seed):
         from genseg.checks import check_hypergrad
-        assert check_hypergrad(seed=0, warmup=20) >= 0.99
+        assert check_hypergrad(seed=seed, warmup=20) >= 0.99
 
     def test_fd_vs_exact_chain_agreement(self):
         # the engine's finite-difference chain after 8 iterations against the

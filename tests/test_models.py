@@ -232,6 +232,19 @@ class TestSegNet:
         np.testing.assert_array_equal(seg.forward(bind(S), img).value,
                                       rebuilt.forward(bind(S), img).value)
 
+    @pytest.mark.parametrize("label", ["down1.w", "head.w", "down2.b", "up1.w", "up2.b"])
+    def test_from_params_names_missing_layer(self, label):
+        S = SegNet(depth=2, base_channels=2).init_params(0)
+        S.entries = [(lbl, arr) for lbl, arr in S.entries if lbl != label]
+        with pytest.raises(ValueError, match=f"'{label}'"):
+            SegNet.from_params(S)
+
+    def test_from_params_names_misshapen_layer(self):
+        S = SegNet(depth=2, base_channels=2).init_params(0)
+        S.entries = [(lbl, arr[:1] if lbl == "up1.b" else arr) for lbl, arr in S.entries]
+        with pytest.raises(ValueError, match=r"'up1.b' has shape \(1,\)"):
+            SegNet.from_params(S)
+
     def test_extent_must_be_multiple_of_two_to_the_depth(self):
         # at 10, the down layers give 5 then 2, and 2 doubles back to 4, not 5
         seg = SegNet(depth=2, base_channels=2)
