@@ -14,11 +14,11 @@ central-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
 from :func:`default_eps`); the exact double-backward product
 (:func:`mixed_hvp_exact`) is kept as its oracle.
 
-A convolution is one node, and so is a transposed convolution; each is the
-other's input gradient, and each runs as an im2col gather and one matrix
-product (see :mod:`genseg.tensor`). A kernel gradient multiplies the
-gradient by patch columns held as an :func:`im2col` node, so only a second
-``backward`` through it reaches :func:`col2im`.
+Three nodes make up the convolution family: a convolution, a transposed
+convolution and a kernel gradient, each an im2col gather and one matrix
+product (see :mod:`genseg.tensor`). The family is closed under
+differentiation: each node's gradients are built from the other two, so
+second-order products need no separate patch gather or scatter on the tape.
 """
 from __future__ import annotations
 
@@ -250,28 +250,13 @@ def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
     return Node(out, (a,), lambda g: (lambda: slice_axis(g, axis, start, stop),))
 
 
-def im2col(a: Node, kernel: int, stride: int, padding: int) -> Node:
-    return _cols_node(a, T.im2col(a.value, kernel, stride, padding), kernel, stride, padding)
-
-
-def _cols_node(a: Node, cols: np.ndarray, kernel: int, stride: int, padding: int) -> Node:
-    """``cols`` = im2col of ``a``, already gathered, as a node over ``a``."""
-    shape = a.value.shape
-    return Node(cols, (a,), lambda g: (lambda: col2im(g, shape, kernel, stride, padding),))
-
-
-def col2im(a: Node, x_shape, kernel: int, stride: int, padding: int) -> Node:
-    out = T.col2im(np.ascontiguousarray(a.value), x_shape, kernel, stride, padding)
-    return Node(out, (a,),
-                lambda g: (lambda: im2col(g, kernel, stride, padding),))
-
-
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
           cols: np.ndarray | None = None) -> Node:
     """Strided convolution with an (out, in, k, k) kernel and optional bias.
 
     Its input gradient is :func:`_conv_transpose`; its kernel gradient is
-    the product of ``g`` with the forward's patch columns.
+    :func:`_kernel_grad` of ``g`` against ``x``, reusing the forward's patch
+    columns ``cols``.
     """
     k = w.value.shape[2]
     if cols is None:
@@ -282,7 +267,7 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
 
     def vjp(g):
         return (lambda: _conv_transpose(g, w, None, stride, padding, x.value.shape[2:]),
-                lambda: _kernel_grad(g, _cols_node(x, cols, k, stride, padding), k),
+                lambda: _kernel_grad(g, x, cols, k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
     return Node(out, (x, w) if b is None else (x, w, b), vjp)
@@ -293,8 +278,9 @@ def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     """Transposed convolution with an (in, out, k, k) kernel and optional
     bias, cropped to the spatial ``extent``.
 
-    Its input gradient is :func:`_conv` of ``g``; its kernel gradient is the
-    product of ``x`` with im2col of ``g``. Both gradients share that gather.
+    Its input gradient is :func:`_conv` of ``g``; its kernel gradient is
+    :func:`_kernel_grad` of ``x`` against ``g``. Both share one gather of
+    ``g``'s patch columns.
     """
     k = w.value.shape[2]
     out = T.conv_transpose(x.value, w.value, stride, padding, extent)
@@ -302,33 +288,31 @@ def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
         out += b.value.reshape(1, -1, 1, 1)
 
     def vjp(g):
-        gathered = []
-
-        def g_cols():
-            if not gathered:
-                gathered.append(T.im2col(g.value, k, stride, padding))
-            return gathered[0]
-
-        return (lambda: _conv(g, w, None, stride, padding, g_cols()),
-                lambda: _kernel_grad(x, _cols_node(g, g_cols(), k, stride, padding), k),
+        g_cols = T.im2col(g.value, k, stride, padding)
+        return (lambda: _conv(g, w, None, stride, padding, g_cols),
+                lambda: _kernel_grad(x, g, g_cols, k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
     return Node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
-def _kernel_grad(a: Node, cols: Node, kernel: int) -> Node:
-    """Kernel gradient (a's channels, cols' channels, k, k) of a convolution
-    whose patch columns ``cols`` meet the NCHW node ``a`` pixel by pixel."""
-    n, ch, h, w = a.value.shape
-    out = T.kernel_grad(a.value, cols.value, kernel)
+def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
+                 padding: int) -> Node:
+    """Kernel gradient (a's channels, b's channels, k, k) of the convolution
+    of ``b`` whose output meets the NCHW node ``a`` pixel by pixel; ``cols``
+    is ``im2col(b)``.
+
+    With cotangent ``g``, <g, K> = <a, conv(b, g)>, so its gradients are
+    :func:`_conv` of ``b`` (reusing ``cols``) and :func:`_conv_transpose`
+    of ``a``, both with ``g`` as the kernel.
+    """
+    out = T.kernel_grad(a.value, cols, kernel)
 
     def vjp(g):
-        g_mat = reshape(transpose(g, (0, 2, 3, 1)), (ch, -1))
-        return (lambda: transpose(reshape(matmul(cols, transpose(g_mat, (1, 0))), (n, h, w, ch)),
-                                  (0, 3, 1, 2)),
-                lambda: matmul(reshape(transpose(a, (0, 2, 3, 1)), (-1, ch)), g_mat))
+        return (lambda: _conv(b, g, None, stride, padding, cols),
+                lambda: _conv_transpose(a, g, None, stride, padding, b.value.shape[2:]))
 
-    return Node(out, (a, cols), vjp)
+    return Node(out, (a, b), vjp)
 
 
 def max_stop(a: Node, axes=None, keepdims: bool = False) -> Node:

@@ -15,7 +15,7 @@ from . import engine as eng
 from .autodiff import ParamGroup, bind, constant
 from .models import DiscriminatorNet, GeneratorNet, SegNet
 from .synthdata import gen_task
-from .tensor import ConvSpec
+from .tensor import ConvSpec, im2col
 
 GRAD_TOL = 1e-5
 HVP_COSINE_TOL = 0.999
@@ -146,15 +146,21 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
 
         out[tag] = _param_rel_error(conv_loss, group)
 
-    # im2col / col2im as standalone linear maps
-    group = ParamGroup("G", [("x", x((2, 2, 5, 5)))])
-    w_cols = rng.normal(0, 1, size=(2 * 9, 2 * 9))
-    out["im2col"] = _param_rel_error(
-        lambda bi: ad.dot(ad.im2col(bi["x"], 3, 2, 1), constant(w_cols)), group)
-    group = ParamGroup("G", [("c", x((2 * 9, 2 * 9)))])
-    w_im = rng.normal(0, 1, size=(2, 2, 5, 5))
-    out["col2im"] = _param_rel_error(
-        lambda bi: ad.dot(ad.col2im(bi["c"], (2, 2, 5, 5), 3, 2, 1), constant(w_im)), group)
+    # kernel gradients in both operands: ``a`` meets the convolution of ``b``
+    # pixel by pixel, and at 7x7 the b-gradient crops past its natural extent
+    for tag, spec, extent in (("kernel_grad_421", ConvSpec(4, 2, 1), 6),
+                              ("kernel_grad_421_7x7", ConvSpec(4, 2, 1), 7),
+                              ("kernel_grad_823_7x7", ConvSpec(8, 2, 3), 7)):
+        k, s, p = spec.kernel, spec.stride, spec.padding
+        o = spec.out_extent(extent)
+        group = ParamGroup("G", [("a", x((2, 2, o, o))), ("b", x((2, 3, extent, extent)))])
+        w_k = rng.normal(0, 1, size=(2, 3, k, k))
+
+        def kg_loss(bi, k=k, s=s, p=p, w_k=w_k):
+            cols = im2col(bi["b"].value, k, s, p)
+            return ad.dot(ad._kernel_grad(bi["a"], bi["b"], cols, k, s, p), constant(w_k))
+
+        out[tag] = _param_rel_error(kg_loss, group)
     return out
 
 

@@ -89,11 +89,10 @@ class TrainConfig:
         for name in ("eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.iters < 0 or self.batch < 0:
-            raise ValueError("iters and batch must be >= 0")
-        for name in ("enc_cells", "base_channels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("iters", 0), ("batch", 0), ("enc_cells", 1),
+                            ("base_channels", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         # each encoder cell halves the extent
         size = self.img_size
         if size < 1 or size & (size - 1) or size.bit_length() - 1 < self.enc_cells:
@@ -106,13 +105,9 @@ class TrainConfig:
         return n_train if n_train <= 32 else 16
 
 
-# config file keys in canonical order; dots map to underscores on the dataclass
-CONFIG_KEYS = [
-    "mode", "seed", "iters", "batch", "img_size", "enc_cells", "base_channels",
-    "eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1", "direct_path",
-    "augment.rotate", "augment.flip", "augment.translate",
-    "data_dir", "out_dir",
-]
+# config file keys in canonical order: the dataclass fields, with the
+# augment_ prefix written augment.
+CONFIG_KEYS = [f.name.replace("augment_", "augment.") for f in fields(TrainConfig)]
 
 _FIELD_FOR_KEY = {k: k.replace(".", "_") for k in CONFIG_KEYS}
 _TYPES = {f.name: f.type for f in fields(TrainConfig)}

@@ -20,6 +20,7 @@ from .autodiff import ParamGroup
 
 GSTN_MAGIC = b"GSTN"
 CKPT_MAGIC = b"GSCK"
+CKPT_HEADER_LEN = 37  # magic, version byte, sha256 of the body
 
 # render constants: foreground band 0.2..0.6 under a stripe pattern, background
 # graded into the same band near the bottom so plain thresholding cannot solve
@@ -170,6 +171,9 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if buf[offset:offset + 4] != GSTN_MAGIC:
         raise ValueError(f"bad GSTN magic at byte {base}")
     offset += 4
+    if len(buf) < offset + 3:
+        raise ValueError(f"truncated GSTN header at byte {offset}: expected 3 version, dtype "
+                         f"and rank bytes, have {len(buf) - offset}")
     version, dtype, rank = buf[offset], buf[offset + 1], buf[offset + 2]
     if version != 1:
         raise ValueError(f"unsupported GSTN version {version} at byte {base + 4}")
@@ -245,9 +249,12 @@ def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, P
         buf = f.read()
     if buf[:4] != CKPT_MAGIC:
         raise ValueError("bad checkpoint magic at byte 0")
+    if len(buf) < CKPT_HEADER_LEN:
+        raise ValueError(f"truncated checkpoint header: expected {CKPT_HEADER_LEN} bytes, "
+                         f"have {len(buf)}")
     if buf[4] != 1:
         raise ValueError(f"unsupported checkpoint version {buf[4]}")
-    stored_hash, body = buf[5:37], buf[37:]
+    stored_hash, body = buf[5:CKPT_HEADER_LEN], buf[CKPT_HEADER_LEN:]
     if hashlib.sha256(body).digest() != stored_hash:
         raise ValueError("checkpoint payload hash mismatch (file corrupted)")
     digest, offset = _read_lp_str(body, 0)

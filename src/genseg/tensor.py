@@ -7,8 +7,8 @@ by one matrix product. :func:`conv` gathers strided patches of its input.
 :func:`conv_transpose`, the input gradient of :func:`conv`, splits a stride-s
 kernel into s*s flipped sub-pixel phases, runs them as one stride-1
 convolution and interleaves the phases (depth-to-space). :func:`kernel_grad`
-multiplies a gradient by patch columns. The scatter-add :func:`col2im` is
-only the adjoint of :func:`im2col` as a standalone map.
+multiplies a gradient by patch columns. No autodiff node calls the
+scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint reference.
 
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW indexing
 for image-shaped data). Convolution outputs are NCHW views of channels-last

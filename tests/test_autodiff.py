@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from genseg import autodiff as ad
 from genseg.autodiff import (Node, ParamGroup, backward, bind, constant,
                              group_backward, mixed_hvp_exact, mixed_hvp_fd)
-from genseg.checks import cosine, fd_gradient
+from genseg.checks import HVP_COSINE_TOL, HVP_RATIO_RANGE, cosine, fd_gradient
 from genseg.engine import bce_with_logits, seg_cross_entropy
-from genseg.models import DiscriminatorNet, GeneratorNet, SegNet
+from genseg.models import (DOWN_CANDIDATES, HEAD, UP_CANDIDATES, DiscriminatorNet, GeneratorNet,
+                           SegNet)
 from genseg.tensor import ConvSpec
 
 
@@ -218,6 +219,34 @@ class TestMixedHvp:
         fd = mixed_hvp_fd(loss, p, q, v)
         exact = mixed_hvp_exact(loss, p, q, v)
         assert cosine(fd, exact) >= 0.999
+
+    @pytest.mark.parametrize("extent", [6, 7])
+    @pytest.mark.parametrize("spec", DOWN_CANDIDATES + UP_CANDIDATES + (HEAD,),
+                             ids=lambda spec: spec.name)
+    def test_fd_matches_exact_through_kernel_gradient(self, spec, extent):
+        # Q is a layer of the spec under test, so the exact product
+        # differentiates its kernel gradient in both operands; at 7x7 the
+        # strided specs' b-gradient crops past the natural extent
+        rng = np.random.default_rng(extent)
+        x = rng.normal(size=(2, 2, extent, extent))
+        p = ParamGroup("P", [("w1", rng.normal(0, 0.5, (3, 2, 3, 3))),
+                             ("b1", rng.normal(0, 0.1, 3))])
+        q = ParamGroup("Q", [("w2", rng.normal(0, 0.5, spec.weight_shape(3, 2))),
+                             ("b2", rng.normal(0, 0.1, 2))])
+        n = spec.out_extent(extent)
+        y = rng.normal(size=(2, 2, n, n))
+
+        def loss(pb, qb):
+            h = ad.tanh(ad.conv2d(constant(x), pb["w1"], pb["b1"], ConvSpec(3, 1, 1)))
+            d = ad.sub(ad.conv2d(h, qb["w2"], qb["b2"], spec), constant(y))
+            return ad.mean_(ad.mul(d, d))
+
+        v = rng.normal(size=q.size)
+        fd = mixed_hvp_fd(loss, p, q, v)
+        exact = mixed_hvp_exact(loss, p, q, v)
+        assert cosine(fd, exact) >= HVP_COSINE_TOL
+        lo, hi = HVP_RATIO_RANGE
+        assert lo <= np.linalg.norm(fd) / np.linalg.norm(exact) <= hi
 
     def test_vector_length_mismatch(self):
         p = ParamGroup("P", [("p", np.zeros(2))])

@@ -143,6 +143,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfgp)]) == 1
         assert main(["train", "--config", str(cfgp), "--force"]) == 0
 
+    def test_tensor_cut_inside_fixed_header(self, tmp_path, dataset_dir, capsys):
+        img = dataset_dir / "train" / "img_00000.gstn"
+        img.write_bytes(img.read_bytes()[:5])
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert "error: truncated GSTN header at byte 4" in err
+
     def test_flat_dataset_dir_is_split(self, tmp_path, capsys):
         flat = tmp_path / "flat"
         assert main(["gen-data", "--n", "10", "--size", "8", "--out", str(flat)]) == 0
@@ -195,6 +204,13 @@ class TestEval:
                      "--data", str(tmp_path / "d8")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'down1.w'" in err
+
+    def test_truncated_checkpoint_header(self, tmp_path, dataset_dir, capsys):
+        (tmp_path / "short.ckpt").write_bytes(b"GSCK")
+        assert main(["eval", "--ckpt", str(tmp_path / "short.ckpt"),
+                     "--data", str(dataset_dir / "val")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated checkpoint header") and "have 4" in err
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

@@ -123,6 +123,12 @@ class TestGstn:
         msg = str(exc.value)
         assert "expected 48" in msg and "have 38" in msg
 
+    @pytest.mark.parametrize("length", [4, 5, 6])
+    def test_cut_inside_fixed_header_reports_offset(self, length):
+        blob = tensor_to_bytes(np.zeros(2))[:length]
+        with pytest.raises(ValueError, match="truncated GSTN header at byte 4"):
+            tensor_from_bytes(blob)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "extra.gstn"
         path.write_bytes(tensor_to_bytes(np.zeros(2)) + b"xx")
@@ -181,6 +187,14 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, groups, "")
         with pytest.raises(ValueError, match="missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("length", [4, 36])
+    def test_truncated_header_rejected(self, tmp_path, length):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, make_groups(), "aaaa")
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(ValueError, match=f"truncated checkpoint header: .* have {length}"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
