@@ -10,6 +10,8 @@ mask-to-image mapping exists for the generator to learn.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -154,7 +156,22 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
 # ---------------------------------------------------------------------------
 # GSTN tensor format: magic 'GSTN', version 0x01, dtype byte 0x00 (float64
 # little-endian), rank byte, rank x uint32-LE extents, row-major payload.
+# Every field is read through _take, so a short blob fails with a ValueError
+# naming the field and its byte offset; a .gstn file rejects trailing bytes.
 # ---------------------------------------------------------------------------
+
+def _take(buf, offset: int, n: int, what: str):
+    """``n`` bytes of ``buf`` at ``offset`` and the offset after them."""
+    if len(buf) - offset < n:
+        raise ValueError(f"truncated {what} at byte {offset}: expected {n} bytes, "
+                         f"have {len(buf) - offset}")
+    return buf[offset:offset + n], offset + n
+
+
+def _expect_end(buf, offset: int, what: str):
+    if offset != len(buf):
+        raise ValueError(f"trailing {len(buf) - offset} bytes after {what} at byte {offset}")
+
 
 def tensor_to_bytes(t: np.ndarray) -> bytes:
     t = np.asarray(t, dtype="<f8")  # ascontiguousarray would promote rank 0 to rank 1
@@ -167,33 +184,19 @@ def tensor_to_bytes(t: np.ndarray) -> bytes:
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one GSTN blob at ``offset``; returns (tensor, next offset)."""
-    base = offset
-    if buf[offset:offset + 4] != GSTN_MAGIC:
+    buf, base = memoryview(buf), offset
+    magic, offset = _take(buf, offset, 4, "GSTN magic")
+    if magic != GSTN_MAGIC:
         raise ValueError(f"bad GSTN magic at byte {base}")
-    offset += 4
-    if len(buf) < offset + 3:
-        raise ValueError(f"truncated GSTN header at byte {offset}: expected 3 version, dtype "
-                         f"and rank bytes, have {len(buf) - offset}")
-    version, dtype, rank = buf[offset], buf[offset + 1], buf[offset + 2]
+    (version, dtype, rank), offset = _take(buf, offset, 3, "GSTN header")
     if version != 1:
         raise ValueError(f"unsupported GSTN version {version} at byte {base + 4}")
     if dtype != 0:
         raise ValueError(f"unsupported GSTN dtype {dtype} at byte {base + 5}")
-    offset += 3
-    need = 4 * rank
-    if len(buf) < offset + need:
-        raise ValueError(f"truncated GSTN header at byte {offset}: "
-                         f"expected {need} extent bytes, have {len(buf) - offset}")
-    shape = tuple(struct.unpack_from("<I", buf, offset + 4 * i)[0] for i in range(rank))
-    offset += need
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    need = 8 * count
-    if len(buf) < offset + need:
-        raise ValueError(f"truncated GSTN payload at byte {offset}: "
-                         f"expected {need} bytes, have {len(buf) - offset}")
-    data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    offset += need
-    return data.reshape(shape).astype(np.float64), offset
+    extents, offset = _take(buf, offset, 4 * rank, "GSTN extents")
+    shape = struct.unpack(f"<{rank}I", extents)
+    payload, offset = _take(buf, offset, 8 * math.prod(shape), "GSTN payload")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64), offset
 
 
 def save_tensor(path, t: np.ndarray):
@@ -205,15 +208,16 @@ def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         buf = f.read()
     t, end = tensor_from_bytes(buf)
-    if end != len(buf):
-        raise ValueError(f"trailing {len(buf) - end} bytes after GSTN payload at byte {end}")
+    _expect_end(buf, end, "GSTN payload")
     return t
 
 
 # ---------------------------------------------------------------------------
 # checkpoint format: magic 'GSCK', version, sha256 of the remaining payload,
 # length-prefixed config digest, then the four parameter groups as
-# length-prefixed labels with embedded GSTN blobs.
+# length-prefixed labels with embedded GSTN blobs. Past the 37-byte header
+# every read is bounds-checked by _take at its file offset, and bytes left
+# after the last group are rejected even when the hash matches.
 # ---------------------------------------------------------------------------
 
 def _lp_str(s: str) -> bytes:
@@ -221,10 +225,10 @@ def _lp_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def _read_lp_str(buf: bytes, offset: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", buf, offset)
-    offset += 2
-    return buf[offset:offset + n].decode("utf-8"), offset + n
+def _read_lp_str(buf, offset: int, what: str) -> tuple[str, int]:
+    size, offset = _take(buf, offset, 2, f"{what} length")
+    raw, offset = _take(buf, offset, int.from_bytes(size, "little"), what)
+    return str(raw, "utf-8"), offset
 
 
 def save_checkpoint(path, groups: dict[str, ParamGroup], config_digest: str = ""):
@@ -246,7 +250,7 @@ def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, P
     """Read groups and the stored config digest; tampering raises, a digest
     mismatch only warns."""
     with open(path, "rb") as f:
-        buf = f.read()
+        buf = memoryview(f.read())
     if buf[:4] != CKPT_MAGIC:
         raise ValueError("bad checkpoint magic at byte 0")
     if len(buf) < CKPT_HEADER_LEN:
@@ -254,23 +258,21 @@ def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, P
                          f"have {len(buf)}")
     if buf[4] != 1:
         raise ValueError(f"unsupported checkpoint version {buf[4]}")
-    stored_hash, body = buf[5:CKPT_HEADER_LEN], buf[CKPT_HEADER_LEN:]
-    if hashlib.sha256(body).digest() != stored_hash:
+    if hashlib.sha256(buf[CKPT_HEADER_LEN:]).digest() != buf[5:CKPT_HEADER_LEN]:
         raise ValueError("checkpoint payload hash mismatch (file corrupted)")
-    digest, offset = _read_lp_str(body, 0)
-    n_groups = body[offset]
-    offset += 1
+    digest, offset = _read_lp_str(buf, CKPT_HEADER_LEN, "config digest")
+    (n_groups,), offset = _take(buf, offset, 1, "group count")
     groups: dict[str, ParamGroup] = {}
     for _ in range(n_groups):
-        name, offset = _read_lp_str(body, offset)
-        (n_entries,) = struct.unpack_from("<I", body, offset)
-        offset += 4
+        name, offset = _read_lp_str(buf, offset, "group name")
+        count, offset = _take(buf, offset, 4, "entry count")
         entries = []
-        for _ in range(n_entries):
-            label, offset = _read_lp_str(body, offset)
-            arr, offset = tensor_from_bytes(body, offset)
+        for _ in range(int.from_bytes(count, "little")):
+            label, offset = _read_lp_str(buf, offset, "entry label")
+            arr, offset = tensor_from_bytes(buf, offset)
             entries.append((label, arr))
         groups[name] = ParamGroup(name, entries)
+    _expect_end(buf, offset, "checkpoint body")
     missing = [r for r in ("G", "H", "S", "A") if r not in groups]
     if missing:
         raise ValueError(f"checkpoint missing parameter groups: {missing}")
@@ -282,46 +284,35 @@ def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, P
 
 # ---------------------------------------------------------------------------
 # dataset directory layout: manifest.txt with one 'image mask' filename pair
-# per line; GSTN tensors, or binary PGM (P5, maxval 255) for imports.
+# per line; GSTN tensors, or binary PGM (P5, maxval 255) for imports. Every
+# pair must have the first pair's image and mask shapes.
 # ---------------------------------------------------------------------------
+
+# magic, width, height and maxval separated by whitespace or '#' comment
+# lines, then the single whitespace byte that ends the header
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5" + 3 * (_PGM_SEP + rb"(\d+)") + rb"\s")
+
 
 def read_pgm(path) -> np.ndarray:
     """Binary PGM (P5, maxval 255) as a (H, W) float array in [0, 255]."""
     with open(path, "rb") as f:
         data = f.read()
-    tokens, pos = [], 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    if tokens[0] != b"P5":
+    if data[:2] != b"P5":
         raise ValueError(f"not a binary PGM (P5) file: {path}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"truncated or malformed PGM header: {path}")
+    w, h, maxval = (int(g) for g in header.groups())
     if maxval != 255:
-        raise ValueError(f"PGM maxval must be 255, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    return pixels.reshape(h, w).astype(np.float64)
+        raise ValueError(f"PGM maxval must be 255, got {maxval}: {path}")
+    pixels, _ = _take(memoryview(data), header.end(), w * h, f"PGM pixels of {path}")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).astype(np.float64)
 
 
-def _load_image_file(path) -> np.ndarray:
-    if str(path).endswith(".pgm"):
-        return (read_pgm(path) / 255.0 * 2.0 - 1.0)[None]
-    t = load_tensor(path)
-    return t if t.ndim == 3 else t[None]
-
-
-def _load_mask_file(path) -> np.ndarray:
-    if str(path).endswith(".pgm"):
-        return (read_pgm(path) >= 128.0).astype(np.float64)[None]
-    t = load_tensor(path)
+def _load_grid(path, from_pgm) -> np.ndarray:
+    """A (C, H, W) array from a GSTN file, or from a PGM through ``from_pgm``."""
+    t = from_pgm(read_pgm(path)) if str(path).endswith(".pgm") else load_tensor(path)
     return t if t.ndim == 3 else t[None]
 
 
@@ -345,14 +336,22 @@ def load_dataset(dirpath) -> Dataset:
         raise FileNotFoundError(f"no manifest.txt in {dirpath}")
     pairs = []
     with open(manifest, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, 1):
+            names = line.split()
+            if not names:
                 continue
-            img_name, msk_name = line.split()
-            image = _load_image_file(os.path.join(dirpath, img_name))
-            mask = _load_mask_file(os.path.join(dirpath, msk_name))
+            if len(names) != 2:
+                raise ValueError(f"{manifest} line {lineno}: expected 'image mask', "
+                                 f"got {len(names)} names")
+            img_name, msk_name = names
+            image = _load_grid(os.path.join(dirpath, img_name), lambda p: p / 255.0 * 2.0 - 1.0)
+            mask = _load_grid(os.path.join(dirpath, msk_name),
+                              lambda p: (p >= 128.0).astype(np.float64))
             if image.shape[1:] != mask.shape[1:]:
                 raise ValueError(f"{img_name}/{msk_name}: image {image.shape} vs mask {mask.shape}")
+            if pairs and (image.shape, mask.shape) != (pairs[0].image.shape, pairs[0].mask.shape):
+                raise ValueError(f"{img_name}/{msk_name}: image {image.shape} and mask "
+                                 f"{mask.shape} differ from the first pair's image "
+                                 f"{pairs[0].image.shape} and mask {pairs[0].mask.shape}")
             pairs.append(MaskImagePair(mask, image))
     return Dataset(pairs, provenance=str(dirpath))

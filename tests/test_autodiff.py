@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from genseg import autodiff as ad
 from genseg.autodiff import (Node, ParamGroup, backward, bind, constant,
                              group_backward, mixed_hvp_exact, mixed_hvp_fd)
-from genseg.checks import HVP_COSINE_TOL, HVP_RATIO_RANGE, cosine, fd_gradient
+from genseg.checks import HVP_COSINE_TOL, HVP_RATIO_RANGE, check_hvp, cosine, fd_gradient
 from genseg.engine import bce_with_logits, seg_cross_entropy
 from genseg.models import (DOWN_CANDIDATES, HEAD, UP_CANDIDATES, DiscriminatorNet, GeneratorNet,
                            SegNet)
@@ -219,6 +219,12 @@ class TestMixedHvp:
         fd = mixed_hvp_fd(loss, p, q, v)
         exact = mixed_hvp_exact(loss, p, q, v)
         assert cosine(fd, exact) >= 0.999
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_check_hvp_gate(self, seed):
+        cos, ratio = check_hvp(seed)
+        assert cos >= HVP_COSINE_TOL
+        assert HVP_RATIO_RANGE[0] <= ratio <= HVP_RATIO_RANGE[1]
 
     @pytest.mark.parametrize("extent", [6, 7])
     @pytest.mark.parametrize("spec", DOWN_CANDIDATES + UP_CANDIDATES + (HEAD,),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 
@@ -152,6 +153,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: truncated GSTN header at byte 4" in err
 
+    def test_mixed_shape_dataset_named(self, tmp_path, dataset_dir, capsys):
+        small = gen_task(seed=4, n=1, size=8).pairs[0]
+        save_dataset(dataset_dir / "train", Dataset(
+            load_dataset(dataset_dir / "train").pairs[:1]
+            + [MaskImagePair(small.mask[:, :4, :4], small.image[:, :4, :4])]))
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert "error: img_00001.gstn/msk_00001.gstn" in err and "first pair's" in err
+
     def test_flat_dataset_dir_is_split(self, tmp_path, capsys):
         flat = tmp_path / "flat"
         assert main(["gen-data", "--n", "10", "--size", "8", "--out", str(flat)]) == 0
@@ -211,6 +223,23 @@ class TestEval:
                      "--data", str(dataset_dir / "val")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: truncated checkpoint header") and "have 4" in err
+
+    @pytest.mark.parametrize("body", [b"", b"\x00", b"\x00\x00", b"\x00\x00\x04",
+                                      b"\x00\x00\x01\x01\x00G", None],
+                             ids=["empty", "cut-digest-length", "cut-group-count",
+                                  "cut-group-name", "cut-entry-count", "trailing-bytes"])
+    def test_hash_matching_bad_body(self, tmp_path, dataset_dir, capsys, body):
+        # None: a valid body followed by two extra bytes
+        path = tmp_path / "bad.ckpt"
+        if body is None:
+            groups = {name: ParamGroup(name, []) for name in ("G", "H", "S", "A")}
+            save_checkpoint(path, groups)
+            body = path.read_bytes()[37:] + b"xx"
+        path.write_bytes(b"GSCK\x01" + hashlib.sha256(body).digest() + body)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir / "val")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated ") or err.startswith("error: trailing 2 bytes")
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,13 @@ class TestGstn:
         with pytest.raises(ValueError):
             load_tensor(path)
 
+    def test_element_count_does_not_wrap(self):
+        # 2^31 * 2^31 * 4 elements is 0 modulo 2^64; the payload is still named
+        blob = b"GSTN\x01\x00\x03" + b"".join(e.to_bytes(4, "little")
+                                             for e in (2 ** 31, 2 ** 31, 4))
+        with pytest.raises(ValueError, match="truncated GSTN payload at byte 19"):
+            tensor_from_bytes(blob)
+
     @given(st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_bytes_round_trip_random(self, seed):
@@ -151,6 +160,24 @@ def make_groups(seed=0):
     return {name: ParamGroup(name, [(f"{name.lower()}1", rng.normal(size=(2, 3))),
                                     (f"{name.lower()}2", rng.normal(size=(4,)))])
             for name in ("G", "H", "S", "A")}
+
+
+def write_ckpt_body(path, body: bytes):
+    """A version-1 checkpoint around ``body`` whose stored sha256 matches it."""
+    path.write_bytes(b"GSCK\x01" + hashlib.sha256(body).digest() + body)
+
+
+def valid_body(tmp_path) -> bytes:
+    path = tmp_path / "valid.ckpt"
+    save_checkpoint(path, make_groups(), "abc")
+    return path.read_bytes()[37:]
+
+
+# bodies that match their hash but are cut short or overlong; None stands for
+# a valid body followed by two extra bytes
+BAD_BODIES = [b"", b"\x00", b"\x00\x00", b"\x00\x00\x04", b"\x00\x00\x01\x01\x00G", None]
+BAD_BODY_IDS = ["empty", "cut-digest-length", "cut-group-count", "cut-group-name",
+                "cut-entry-count", "trailing-bytes"]
 
 
 class TestCheckpoint:
@@ -203,6 +230,56 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("body", BAD_BODIES, ids=BAD_BODY_IDS)
+    def test_hash_matching_bad_body_rejected(self, tmp_path, body):
+        path = tmp_path / "x.ckpt"
+        write_ckpt_body(path, valid_body(tmp_path) + b"xx" if body is None else body)
+        with pytest.raises(ValueError, match="truncated|trailing"):
+            load_checkpoint(path)
+
+    def test_truncation_names_field_and_file_offset(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        write_ckpt_body(path, b"\x00\x00\x01\x01\x00G")
+        with pytest.raises(ValueError, match="truncated entry count at byte 43: "
+                                             "expected 4 bytes, have 0"):
+            load_checkpoint(path)
+
+
+def cut_and_overwritten(blob: bytes, value: int | None):
+    """Every prefix of ``blob`` (value None), or every copy of it with one
+    byte overwritten by ``value``."""
+    if value is None:
+        return [blob[:n] for n in range(len(blob))]
+    return [blob[:i] + bytes([value]) + blob[i + 1:] for i in range(len(blob))]
+
+
+class TestReaderFuzz:
+    """Every damaged input either loads or raises ValueError."""
+
+    @pytest.mark.parametrize("value", [None, 0x00, 0x7F, 0xFF], ids=["cut", "00", "7F", "FF"])
+    def test_checkpoint_body(self, tmp_path, value):
+        path = tmp_path / "fuzz.ckpt"
+        bodies = cut_and_overwritten(valid_body(tmp_path), value)
+        for body in bodies:
+            write_ckpt_body(path, body)
+            try:
+                load_checkpoint(path)
+            except ValueError:
+                pass
+        assert len(bodies) > 400
+
+    @pytest.mark.parametrize("value", [None, 0x00, 0x7F, 0xFF], ids=["cut", "00", "7F", "FF"])
+    def test_gstn_rank3(self, tmp_path, value):
+        path = tmp_path / "fuzz.gstn"
+        blobs = cut_and_overwritten(tensor_to_bytes(np.arange(24.0).reshape(2, 3, 4)), value)
+        for blob in blobs:
+            path.write_bytes(blob)
+            try:
+                load_tensor(path)
+            except ValueError:
+                pass
+        assert len(blobs) == 7 + 12 + 192
+
 
 class TestDatasetDir:
     def test_save_load_round_trip(self, tmp_path):
@@ -236,3 +313,41 @@ class TestDatasetDir:
         p.write_bytes(b"P2\n2 2\n255\n....")
         with pytest.raises(ValueError, match="P5"):
             read_pgm(p)
+
+    @pytest.mark.parametrize("data", [b"P5\n4", b"P5\n4 3\n", b"P5\n4 3\n255",
+                                      b"P5\n4 x\n255\n"],
+                             ids=["width", "maxval", "end-byte", "non-numeric"])
+    def test_pgm_header_cut_names_file(self, tmp_path, data):
+        p = tmp_path / "cut.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="PGM header: .*cut.pgm"):
+            read_pgm(p)
+
+    def test_pgm_short_pixels_names_file(self, tmp_path):
+        p = tmp_path / "short.pgm"
+        p.write_bytes(b"P5\n4 3\n255\n" + bytes(8))
+        with pytest.raises(ValueError, match="truncated PGM pixels of .*short.pgm at byte 11: "
+                                             "expected 12 bytes, have 8"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("line", ["img_00001.gstn", "img_00001.gstn msk_00001.gstn extra"],
+                             ids=["one-name", "three-names"])
+    def test_bad_manifest_line_named(self, tmp_path, line):
+        save_dataset(tmp_path, gen_task(seed=2, n=2, size=8))
+        (tmp_path / "manifest.txt").write_text(f"img_00000.gstn msk_00000.gstn\n\n{line}\n")
+        with pytest.raises(ValueError, match="manifest.txt line 3: expected 'image mask'"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("differs", ["channels", "extent"])
+    def test_mixed_shapes_named(self, tmp_path, differs):
+        ds = gen_task(seed=2, n=2, size=8)
+        odd = ds.pairs[1]
+        if differs == "channels":
+            ds.pairs[1] = MaskImagePair(odd.mask, np.concatenate([odd.image, odd.image]))
+        else:
+            small = gen_task(seed=3, n=1, size=8).pairs[0]
+            ds.pairs[1] = MaskImagePair(small.mask[:, :4, :4], small.image[:, :4, :4])
+        save_dataset(tmp_path, ds)
+        with pytest.raises(ValueError, match="img_00001.gstn/msk_00001.gstn: .* differ from "
+                                             "the first pair's"):
+            load_dataset(tmp_path)
