@@ -1,9 +1,15 @@
 """Reverse-mode automatic differentiation over the tensor ops.
 
 The graph is the tape: every operation returns a :class:`Node` holding its
-float64 value, its parent nodes, and one lazy vector-Jacobian thunk per
-parent. Backward walks the reverse topological order and only evaluates
-thunks on paths that reach a requested leaf, so gradients into constants or
+float64 value, its parent nodes, and a vector-Jacobian rule that gives one
+lazy thunk per parent. ``backward`` calls the rule as ``vjp(node, g)``,
+handing it its own node, so a rule that needs the output (``sigmoid``,
+``tanh``, ``exp``) reads it from that argument. No rule refers to its own
+node, so no graph is a reference cycle, and a graph is freed as soon as it
+becomes unreachable.
+
+Backward walks the reverse topological order and only evaluates thunks on
+paths that reach a requested leaf, so gradients into constants or
 unrequested parameters cost nothing. Backward rules are themselves built
 from these ops. Under ``backward(create_graph=True)`` gradients are ordinary
 nodes, and a second ``backward`` through them yields exact second-order
@@ -50,7 +56,10 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         if _recording:
             self.parents = parents
-            self.vjp = vjp  # callable(grad: Node) -> tuple of thunks, one per parent
+            # callable(node, grad: Node) -> tuple of thunks, one per parent. It
+            # gets its node as an argument and never holds it, so the graph
+            # has no cycles and is freed once it becomes unreachable
+            self.vjp = vjp
         else:
             self.parents, self.vjp = (), None
         self.id = _new_id()
@@ -85,7 +94,7 @@ def _unbroadcast(g: Node, shape) -> Node:
 
 
 def add(a: Node, b: Node) -> Node:
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: _unbroadcast(g, a.value.shape),
                 lambda: _unbroadcast(g, b.value.shape))
 
@@ -93,7 +102,7 @@ def add(a: Node, b: Node) -> Node:
 
 
 def sub(a: Node, b: Node) -> Node:
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: _unbroadcast(g, a.value.shape),
                 lambda: _unbroadcast(neg(g), b.value.shape))
 
@@ -101,7 +110,7 @@ def sub(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: _unbroadcast(mul(g, b), a.value.shape),
                 lambda: _unbroadcast(mul(g, a), b.value.shape))
 
@@ -109,7 +118,7 @@ def mul(a: Node, b: Node) -> Node:
 
 
 def div(a: Node, b: Node) -> Node:
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: _unbroadcast(div(g, b), a.value.shape),
                 lambda: _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.value.shape))
 
@@ -117,58 +126,51 @@ def div(a: Node, b: Node) -> Node:
 
 
 def neg(a: Node) -> Node:
-    return Node(-a.value, (a,), lambda g: (lambda: neg(g),))
+    return Node(-a.value, (a,), lambda _, g: (lambda: neg(g),))
 
 
 def scale(a: Node, c: float) -> Node:
-    return Node(a.value * c, (a,), lambda g: (lambda: scale(g, c),))
+    return Node(a.value * c, (a,), lambda _, g: (lambda: scale(g, c),))
 
 
 def shift(a: Node, c) -> Node:
     """Add a constant array or scalar (no gradient into the constant)."""
-    return Node(a.value + c, (a,), lambda g: (lambda: _unbroadcast(g, a.value.shape),))
+    return Node(a.value + c, (a,), lambda _, g: (lambda: _unbroadcast(g, a.value.shape),))
 
 
 def sigmoid(a: Node) -> Node:
-    out = Node(T.sigmoid(a.value), (a,))
-    if _recording:  # the rule refers to the node, so it is attached afterwards
-        out.vjp = lambda g: (lambda: mul(g, mul(out, shift(neg(out), 1.0))),)
-    return out
+    return Node(T.sigmoid(a.value), (a,),
+                lambda out, g: (lambda: mul(g, mul(out, shift(neg(out), 1.0))),))
 
 
 def tanh(a: Node) -> Node:
-    out = Node(np.tanh(a.value), (a,))
-    if _recording:
-        out.vjp = lambda g: (lambda: mul(g, shift(neg(mul(out, out)), 1.0)),)
-    return out
+    return Node(np.tanh(a.value), (a,),
+                lambda out, g: (lambda: mul(g, shift(neg(mul(out, out)), 1.0)),))
 
 
 def exp(a: Node) -> Node:
-    out = Node(np.exp(a.value), (a,))
-    if _recording:
-        out.vjp = lambda g: (lambda: mul(g, out),)
-    return out
+    return Node(np.exp(a.value), (a,), lambda out, g: (lambda: mul(g, out),))
 
 
 def log(a: Node) -> Node:
-    return Node(np.log(a.value), (a,), lambda g: (lambda: div(g, a),))
+    return Node(np.log(a.value), (a,), lambda _, g: (lambda: div(g, a),))
 
 
 def softplus(a: Node) -> Node:
     """log(1+exp(a)); derivative is sigmoid(a)."""
-    return Node(T.softplus(a.value), (a,), lambda g: (lambda: mul(g, sigmoid(a)),))
+    return Node(T.softplus(a.value), (a,), lambda _, g: (lambda: mul(g, sigmoid(a)),))
 
 
 def absval(a: Node) -> Node:
     sgn = np.sign(a.value)
-    return Node(np.abs(a.value), (a,), lambda g: (lambda: mul(g, constant(sgn)),))
+    return Node(np.abs(a.value), (a,), lambda _, g: (lambda: mul(g, constant(sgn)),))
 
 
 def sum_(a: Node, axes=None, keepdims: bool = False) -> Node:
     out = np.sum(a.value, axis=axes, keepdims=keepdims)
     shape = a.value.shape
 
-    def vjp(g):
+    def vjp(_, g):
         def back():
             if axes is None:
                 return broadcast_to(g, shape)
@@ -197,22 +199,22 @@ def mean_(a: Node, axes=None, keepdims: bool = False) -> Node:
 
 def broadcast_to(a: Node, shape) -> Node:
     out = np.broadcast_to(a.value, shape)
-    return Node(out, (a,), lambda g: (lambda: _unbroadcast(g, a.value.shape),))
+    return Node(out, (a,), lambda _, g: (lambda: _unbroadcast(g, a.value.shape),))
 
 
 def reshape(a: Node, shape) -> Node:
     old = a.value.shape
-    return Node(a.value.reshape(shape), (a,), lambda g: (lambda: reshape(g, old),))
+    return Node(a.value.reshape(shape), (a,), lambda _, g: (lambda: reshape(g, old),))
 
 
 def transpose(a: Node, axes) -> Node:
     axes = tuple(axes)
     inv = tuple(int(i) for i in np.argsort(axes))
-    return Node(a.value.transpose(axes), (a,), lambda g: (lambda: transpose(g, inv),))
+    return Node(a.value.transpose(axes), (a,), lambda _, g: (lambda: transpose(g, inv),))
 
 
 def matmul(a: Node, b: Node) -> Node:
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: matmul(g, transpose(b, (1, 0))),
                 lambda: matmul(transpose(a, (1, 0)), g))
 
@@ -224,7 +226,7 @@ def concat(nodes: Sequence[Node], axis: int) -> Node:
     sizes = [n.value.shape[axis] for n in nodes]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    def vjp(g):
+    def vjp(_, g):
         return tuple(
             (lambda s=start, e=end: slice_axis(g, axis, int(s), int(e)))
             for start, end in zip(offsets[:-1], offsets[1:]))
@@ -237,7 +239,7 @@ def slice_axis(a: Node, axis: int, start: int, stop: int) -> Node:
     idx[axis] = slice(start, stop)
     shape = a.value.shape
     return Node(a.value[tuple(idx)], (a,),
-                lambda g: (lambda: pad_insert(g, shape, axis, start),))
+                lambda _, g: (lambda: pad_insert(g, shape, axis, start),))
 
 
 def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
@@ -247,7 +249,7 @@ def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
     stop = start + a.value.shape[axis]
     idx[axis] = slice(start, stop)
     out[tuple(idx)] = a.value
-    return Node(out, (a,), lambda g: (lambda: slice_axis(g, axis, start, stop),))
+    return Node(out, (a,), lambda _, g: (lambda: slice_axis(g, axis, start, stop),))
 
 
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
@@ -265,7 +267,7 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     if b is not None:
         out += b.value.reshape(1, -1, 1, 1)
 
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: _conv_transpose(g, w, None, stride, padding, x.value.shape[2:]),
                 lambda: _kernel_grad(g, x, cols, k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
@@ -287,7 +289,7 @@ def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     if b is not None:
         out += b.value.reshape(1, -1, 1, 1)
 
-    def vjp(g):
+    def vjp(_, g):
         g_cols = T.im2col(g.value, k, stride, padding)
         return (lambda: _conv(g, w, None, stride, padding, g_cols),
                 lambda: _kernel_grad(x, g, g_cols, k, stride, padding),
@@ -308,7 +310,7 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
     """
     out = T.kernel_grad(a.value, cols, kernel)
 
-    def vjp(g):
+    def vjp(_, g):
         return (lambda: _conv(b, g, None, stride, padding, cols),
                 lambda: _conv_transpose(a, g, None, stride, padding, b.value.shape[2:]))
 
@@ -423,7 +425,7 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
                 done[node.id] = g
             if node.vjp is None:
                 continue
-            thunks = node.vjp(g)
+            thunks = node.vjp(node, g)
             for parent, thunk in zip(node.parents, thunks):
                 if thunk is None or not needed.get(parent.id, False):
                     continue

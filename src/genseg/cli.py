@@ -150,7 +150,6 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     if _refuse_overwrite(metrics_path, args.force):
         return 1
-    print(engine.blas_cap_status(), file=sys.stderr)
     try:
         train_ds, val_ds, test_ds = _load_splits(cfg.data_dir, cfg.seed)
         trainer = engine.Trainer(cfg, train_ds, val_ds, test_ds)

@@ -21,20 +21,12 @@ segmenter on its outputs plus real data).
 """
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import hashlib
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_info, threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_info = None
-
-    def threadpool_limits(*args, **kwargs):
-        return contextlib.nullcontext()
 
 from . import augment as aug
 from . import autodiff as ad
@@ -180,16 +172,20 @@ def config_digest(cfg: TrainConfig) -> str:
     return hashlib.sha256(resolved_config_text(cfg, keys).encode("utf-8")).hexdigest()[:16]
 
 
-def blas_cap_status() -> str:
-    """One line saying whether :meth:`Trainer.train` caps BLAS at one thread."""
-    if threadpool_info is None:
-        return ("BLAS thread cap: not applied (threadpoolctl is not installed); "
-                "BLAS threads follow the environment")
-    blas = [lib for lib in threadpool_info() if lib.get("user_api") == "blas"]
-    if not blas:
-        return "BLAS thread cap: not applied (threadpoolctl finds no BLAS library)"
-    n = len(blas)
-    return f"BLAS thread cap: applied (1 thread in {n} BLAS librar{'y' if n == 1 else 'ies'})"
+# glibc's mallopt parameter number for M_TOP_PAD, and the pad Trainer.train asks for
+_M_TOP_PAD = -2
+HEAP_TOP_PAD = 256 << 20
+
+
+def retain_heap() -> bool:
+    """Ask glibc's allocator to keep ``HEAP_TOP_PAD`` bytes of freed heap
+    instead of handing them back to the system; True if it applied, False
+    where there is no glibc ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return mallopt(_M_TOP_PAD, HEAP_TOP_PAD) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +335,7 @@ class Trainer:
         cfg, it = self.config, state.iteration
         l_disc, l_gen, gb, hb, _ = self._gan_graph(state.G, state.H, state.A, masks, images)
         # both losses are checked before either backward, so non-finite real
-        # images, which spoil both, are named as the discriminator's. G's
-        # backward runs first: the other order leaves more dead graphs to the
-        # cyclic garbage collector's oldest generation, and raised the peak
-        # RSS of a 32 px search from 503 to 598 MB
+        # images, which spoil both, are named as the discriminator's
         _check_loss(l_disc, "discriminator loss", it)
         state.G = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it)
         state.H = _descend(state.H, l_disc, hb, cfg.eta_h, "discriminator loss", it)
@@ -443,9 +436,8 @@ class Trainer:
                 gb = bind(state.G)
                 images = self.gen.forward(gb, bind(state.A), constant(m_hats))
             u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
-            # the synthetic and validation graphs are reference cycles; once
-            # unreachable, the collector can free them while the generator
-            # product below builds two more graphs
+            # free the synthetic and validation graphs now, before the
+            # generator product below builds two more
             del kept, images, gb, logits
 
             def gen_loss(a_binding, g_binding):
@@ -510,17 +502,15 @@ class Trainer:
 
         Validation runs after every epoch-equivalent (one pass over the
         training set); the best-validation segmenter snapshot is kept and
-        evaluated on the test split at the end. When threadpoolctl is
-        installed, BLAS runs single-threaded so identical runs are
-        bit-identical and small matrix products avoid synchronization
-        overhead; without it the cap does nothing, and BLAS threading follows
-        the environment (``OPENBLAS_NUM_THREADS`` and the like).
-        :func:`blas_cap_status` says which holds.
-        """
-        with threadpool_limits(limits=1, user_api="blas"):
-            return self._train_loop()
+        evaluated on the test split at the end.
 
-    def _train_loop(self) -> tuple[list[met.EvalRecord], TrainState]:
+        Each graph is freed as soon as it is dropped, many megabytes at a
+        time, several times an iteration. Without :func:`retain_heap`, glibc
+        hands that memory back to the system and faults it in again at the
+        next forward, which made a 32 px segmenter-only iteration about 30%
+        slower.
+        """
+        retain_heap()
         cfg = self.config
         state = self.init_state()
         rng = self.loop_rng()

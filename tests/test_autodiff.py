@@ -117,7 +117,7 @@ def network_losses(seed):
 def identity_keeping_rule_output(rule_output: list):
     """An identity op whose backward rule builds ``tanh(g * a)`` and keeps it."""
     def op(a):
-        def vjp(g):
+        def vjp(_, g):
             def thunk():
                 rule_output.append(ad.tanh(ad.mul(g, a)))
                 return rule_output[-1]
@@ -146,7 +146,7 @@ class TestValueOnlyBackward:
     def test_recording_restored_after_a_rule_raises(self):
         x = Node(np.array([0.3, -0.7]))
 
-        def broken(g):
+        def broken(_, g):
             ad.exp(g)  # built while recording is off
             raise RuntimeError("rule failed")
 

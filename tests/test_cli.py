@@ -93,19 +93,6 @@ class TestTrain:
         assert any(r.split == "val" for r in rows)
         assert rows[-1].split == "test"
 
-    @pytest.mark.parametrize("libs, status", [
-        (None, "not applied (threadpoolctl is not installed)"),
-        ([], "not applied (threadpoolctl finds no BLAS library)"),
-        ([{"user_api": "blas"}, {"user_api": "openmp"}], "applied (1 thread in 1 BLAS library)"),
-    ])
-    def test_reports_blas_cap_at_start(self, tmp_path, dataset_dir, capsys, monkeypatch,
-                                       libs, status):
-        monkeypatch.setattr(engine, "threadpool_info", None if libs is None else lambda: libs)
-        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "run", iters=1)
-        assert main(["train", "--config", str(cfgp)]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"BLAS thread cap: {status}")
-
     def test_determinism_byte_identical(self, tmp_path, dataset_dir):
         blobs = []
         for tag in ("r1", "r2"):
