@@ -28,6 +28,7 @@ second-order products need no separate patch gather or scatter on the tape.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -56,9 +57,8 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         if _recording:
             self.parents = parents
-            # callable(node, grad: Node) -> tuple of thunks, one per parent. It
-            # gets its node as an argument and never holds it, so the graph
-            # has no cycles and is freed once it becomes unreachable
+            # vjp(node, grad: Node) -> one thunk per parent; a rule is handed its
+            # node and never holds it, so a graph is freed once unreachable
             self.vjp = vjp
         else:
             self.parents, self.vjp = (), None
@@ -515,8 +515,11 @@ def default_eps(v: np.ndarray) -> float:
     perturbation of norm 0.01 (the DARTS value) fails 9 of 10 seeds and 1e-5
     fails 1 of 150; 1e-6 fails none. A smaller step makes a crossing rarer but
     cannot rule one out; :func:`mixed_hvp_exact` takes no step.
+
+    The norm is summed by numpy, not by a BLAS dot product, whose rounding
+    depends on how many threads split it.
     """
-    return 1e-6 / float(np.linalg.norm(v))
+    return 1e-6 / math.sqrt(float(np.sum(v * v)))
 
 
 Binding = dict[str, Node]

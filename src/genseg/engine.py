@@ -176,16 +176,17 @@ def config_digest(cfg: TrainConfig) -> str:
 _M_TOP_PAD = -2
 HEAP_TOP_PAD = 256 << 20
 
+try:  # looked up once: loading the C library builds ctypes objects that form cycles
+    _mallopt = ctypes.CDLL(None).mallopt
+except (OSError, TypeError, AttributeError):  # no C library to load, or no mallopt in it
+    _mallopt = None
+
 
 def retain_heap() -> bool:
     """Ask glibc's allocator to keep ``HEAP_TOP_PAD`` bytes of freed heap
     instead of handing them back to the system; True if it applied, False
     where there is no glibc ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return False
-    return mallopt(_M_TOP_PAD, HEAP_TOP_PAD) == 1
+    return _mallopt is not None and _mallopt(_M_TOP_PAD, HEAP_TOP_PAD) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -225,10 +225,15 @@ def _lp_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def _read_lp_str(buf, offset: int, what: str) -> tuple[str, int]:
-    size, offset = _take(buf, offset, 2, f"{what} length")
-    raw, offset = _take(buf, offset, int.from_bytes(size, "little"), what)
-    return str(raw, "utf-8"), offset
+def _read_lp_str(buf, offset: int, what: str) -> tuple[str, int, int]:
+    """A length-prefixed UTF-8 string, the file offset of its bytes, and the
+    offset after them."""
+    size, start = _take(buf, offset, 2, f"{what} length")
+    raw, offset = _take(buf, start, int.from_bytes(size, "little"), what)
+    try:
+        return str(raw, "utf-8"), start, offset
+    except UnicodeDecodeError:
+        raise ValueError(f"{what} at byte {start} is not UTF-8") from None
 
 
 def save_checkpoint(path, groups: dict[str, ParamGroup], config_digest: str = ""):
@@ -260,18 +265,21 @@ def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, P
         raise ValueError(f"unsupported checkpoint version {buf[4]}")
     if hashlib.sha256(buf[CKPT_HEADER_LEN:]).digest() != buf[5:CKPT_HEADER_LEN]:
         raise ValueError("checkpoint payload hash mismatch (file corrupted)")
-    digest, offset = _read_lp_str(buf, CKPT_HEADER_LEN, "config digest")
+    digest, _, offset = _read_lp_str(buf, CKPT_HEADER_LEN, "config digest")
     (n_groups,), offset = _take(buf, offset, 1, "group count")
     groups: dict[str, ParamGroup] = {}
     for _ in range(n_groups):
-        name, offset = _read_lp_str(buf, offset, "group name")
+        name, at, offset = _read_lp_str(buf, offset, "group name")
+        if name in groups:
+            raise ValueError(f"duplicate group {name!r} at byte {at}")
         count, offset = _take(buf, offset, 4, "entry count")
-        entries = []
+        entries: dict[str, np.ndarray] = {}
         for _ in range(int.from_bytes(count, "little")):
-            label, offset = _read_lp_str(buf, offset, "entry label")
-            arr, offset = tensor_from_bytes(buf, offset)
-            entries.append((label, arr))
-        groups[name] = ParamGroup(name, entries)
+            label, at, offset = _read_lp_str(buf, offset, "entry label")
+            if label in entries:
+                raise ValueError(f"duplicate entry label {label!r} in group {name!r} at byte {at}")
+            entries[label], offset = tensor_from_bytes(buf, offset)
+        groups[name] = ParamGroup(name, list(entries.items()))
     _expect_end(buf, offset, "checkpoint body")
     missing = [r for r in ("G", "H", "S", "A") if r not in groups]
     if missing:

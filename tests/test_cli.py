@@ -1,10 +1,13 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import genseg
 from genseg import engine
 from genseg.autodiff import ParamGroup
 from genseg.cli import main, render_svg
@@ -103,6 +106,27 @@ class TestTrain:
             blobs.append(((out / "metrics.csv").read_bytes(),
                           (out / "best.ckpt").read_bytes(),
                           (out / "final.ckpt").read_bytes()))
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("mode", ["genseg", "separate"])
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path, mode):
+        # 32 px with base_channels 8: G has 179377 entries, enough for a
+        # threaded BLAS to split a reduction over it. Seed 1 is one where such
+        # a split moved the finite-difference step of a norm taken by BLAS
+        data = tmp_path / "data"
+        for name, seed in (("train", 1), ("val", 2)):
+            assert main(["gen-data", "--seed", str(seed), "--n", "4", "--size", "32",
+                         "--out", str(data / name)]) == 0
+        src = os.path.dirname(os.path.dirname(genseg.__file__))
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cfgp = write_config(tmp_path / f"{threads}.cfg", data, out, mode=mode, seed=1,
+                                iters=4, img_size=32, enc_cells=3, base_channels=8)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "genseg.cli", "train", "--config", str(cfgp)],
+                           env=env, check=True, capture_output=True)
+            blobs.append((out / "final.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_unknown_config_key_named(self, tmp_path, dataset_dir, capsys):
@@ -227,6 +251,15 @@ class TestEval:
         assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir / "val")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: truncated ") or err.startswith("error: trailing 2 bytes")
+
+    def test_duplicate_group_named(self, tmp_path, dataset_dir, capsys):
+        path = tmp_path / "dup.ckpt"
+        save_checkpoint(path, {name: ParamGroup(name, []) for name in ("A", "G", "H", "S")})
+        # the body lists its groups in name order: A, G, H, S; rename H to G
+        body = path.read_bytes()[37:].replace(b"\x01\x00H", b"\x01\x00G")
+        path.write_bytes(b"GSCK\x01" + hashlib.sha256(body).digest() + body)
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir / "val")]) == 1
+        assert capsys.readouterr().err == "error: duplicate group 'G' at byte 56\n"
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

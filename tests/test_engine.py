@@ -1,4 +1,6 @@
+import gc
 import math
+import platform
 from dataclasses import fields, replace
 
 import numpy as np
@@ -612,6 +614,31 @@ class TestTrainLoop:
         data = gen_task(seed=0, n=4, size=8)
         with pytest.raises(ValueError, match="img_size"):
             Trainer(cfg, data, data)
+
+
+class TestGraphsFreedPromptly:
+    def test_no_graph_is_a_reference_cycle(self):
+        # every graph is freed by reference counting as soon as it becomes
+        # unreachable, so the cyclic collector finds nothing left behind
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in ("genseg", "separate", "baseline"):
+                trainer, train, val = small_setup(mode=mode, eta_g=1e-3, eta_h=1e-3)
+                trainer.config.iters = 3
+                _, state = trainer.train()
+            G, H, A = state.G, state.H, state.A
+            ad.mixed_hvp_exact(
+                lambda ab, gb: trainer_gen_loss(trainer, ab, gb, H, train.masks(), train.images()),
+                A, G, np.ones(G.size))
+            eng.evaluate_segmenter(trainer.seg, state.S, val)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_heap_retention_applies_on_glibc(self):
+        assert eng.retain_heap()
 
 
 def two_backward_hvp(trainer, images, binding, group, S, v, m_hats):

@@ -180,6 +180,42 @@ BAD_BODY_IDS = ["empty", "cut-digest-length", "cut-group-count", "cut-group-name
                 "cut-entry-count", "trailing-bytes"]
 
 
+def body_of(digest: bytes, groups) -> bytes:
+    """A checkpoint body written field by field: ``groups`` is a list of
+    (name, [(label, array), ...]) with names and labels as raw bytes."""
+    def lp(raw):
+        return len(raw).to_bytes(2, "little") + raw
+
+    body = lp(digest) + bytes([len(groups)])
+    for name, entries in groups:
+        body += lp(name) + len(entries).to_bytes(4, "little")
+        for label, arr in entries:
+            body += lp(label) + tensor_to_bytes(arr)
+    return body
+
+
+def with_first_group(name: bytes, entries):
+    """Groups named ``name``, then H, S and A, the last three empty."""
+    return [(name, entries)] + [(n, []) for n in (b"H", b"S", b"A")]
+
+
+# bodies that match their hash and are complete but break a naming rule; the
+# offset is where the named string's bytes start in the file
+W = np.zeros(2)
+MISNAMED_BODIES = {
+    "digest-not-utf8": (body_of(b"\xff", with_first_group(b"G", [])),
+                        "config digest at byte 39 is not UTF-8"),
+    "group-not-utf8": (body_of(b"", with_first_group(b"\xff", [])),
+                       "group name at byte 42 is not UTF-8"),
+    "label-not-utf8": (body_of(b"", with_first_group(b"G", [(b"\xc3", W)])),
+                       "entry label at byte 49 is not UTF-8"),
+    "duplicate-group": (body_of(b"", [(b"G", [])] + with_first_group(b"G", [])),
+                        "duplicate group 'G' at byte 49"),
+    "duplicate-label": (body_of(b"", with_first_group(b"G", [(b"w", W), (b"w", W)])),
+                        "duplicate entry label 'w' in group 'G' at byte 79"),
+}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         groups = make_groups()
@@ -235,6 +271,14 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         write_ckpt_body(path, valid_body(tmp_path) + b"xx" if body is None else body)
         with pytest.raises(ValueError, match="truncated|trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", MISNAMED_BODIES)
+    def test_misnamed_body_names_field_and_offset(self, tmp_path, case):
+        body, message = MISNAMED_BODIES[case]
+        path = tmp_path / "x.ckpt"
+        write_ckpt_body(path, body)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_checkpoint(path)
 
     def test_truncation_names_field_and_file_offset(self, tmp_path):
