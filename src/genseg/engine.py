@@ -174,19 +174,20 @@ def config_digest(cfg: TrainConfig) -> str:
 
 # glibc's mallopt parameter number for M_TOP_PAD, and the pad Trainer.train asks for
 _M_TOP_PAD = -2
-HEAP_TOP_PAD = 256 << 20
+_HEAP_TOP_PAD = 256 << 20
 
 try:  # looked up once: loading the C library builds ctypes objects that form cycles
     _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
 except (OSError, TypeError, AttributeError):  # no C library to load, or no mallopt in it
     _mallopt = None
 
 
 def retain_heap() -> bool:
-    """Ask glibc's allocator to keep ``HEAP_TOP_PAD`` bytes of freed heap
-    instead of handing them back to the system; True if it applied, False
-    where there is no glibc ``mallopt``."""
-    return _mallopt is not None and _mallopt(_M_TOP_PAD, HEAP_TOP_PAD) == 1
+    """Ask glibc's allocator to keep 256 MB of freed heap instead of handing
+    it back to the system; True if it applied, False where there is no glibc
+    ``mallopt``."""
+    return _mallopt is not None and _mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
 
 
 # ---------------------------------------------------------------------------
