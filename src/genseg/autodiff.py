@@ -16,9 +16,10 @@ nodes, and a second ``backward`` through them yields exact second-order
 products. Every other backward only needs gradient values: while it runs,
 recording is off and each op builds a node with no parents and no
 vector-Jacobian rule, so no gradient tape is kept. Training uses the cheaper
-central-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
-from :func:`default_eps`); the exact double-backward product
-(:func:`mixed_hvp_exact`) is kept as its oracle.
+forward-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
+from :func:`default_eps`), whose base gradient the caller may already hold;
+the exact double-backward product (:func:`mixed_hvp_exact`) is kept as its
+oracle.
 
 Three nodes make up the convolution family: a convolution, a transposed
 convolution and a kernel gradient, each an im2col gather and one matrix
@@ -514,7 +515,9 @@ def default_eps(v: np.ndarray) -> float:
     one of its kinks ruins the difference: against the pipeline oracle, a
     perturbation of norm 0.01 (the DARTS value) fails 9 of 10 seeds and 1e-5
     fails 1 of 150; 1e-6 fails none. A smaller step makes a crossing rarer but
-    cannot rule one out; :func:`mixed_hvp_exact` takes no step.
+    cannot rule one out; :func:`mixed_hvp_exact` takes no step. These rates
+    were measured with central differences; the forward difference of
+    :func:`mixed_hvp_fd` takes the same step.
 
     The norm is summed by numpy, not by a BLAS dot product, whose rounding
     depends on how many threads split it.
@@ -526,12 +529,15 @@ Binding = dict[str, Node]
 
 
 def mixed_hvp_fd(loss_fn: Callable[[Binding, Binding], Node],
-                 p_group: ParamGroup, q_group: ParamGroup, v: np.ndarray) -> np.ndarray:
-    """Central-difference estimate of the mixed second-derivative product.
+                 p_group: ParamGroup, q_group: ParamGroup, v: np.ndarray,
+                 grad_p: np.ndarray | None = None) -> np.ndarray:
+    """Forward-difference estimate of the mixed second-derivative product.
 
-    Computes [grad_P L(P, Q + eps v) - grad_P L(P, Q - eps v)] / (2 eps),
-    the product of the mixed Hessian block (rows P, columns Q) with ``v``,
-    with ``eps`` from :func:`default_eps`.
+    Computes [grad_P L(P, Q + eps v) - grad_P L(P, Q)] / eps, the product of
+    the mixed Hessian block (rows P, columns Q) with ``v``, with ``eps`` from
+    :func:`default_eps`. ``grad_p`` is the flat base gradient
+    grad_P L(P, Q); it is computed when absent, so a caller whose own
+    backward already took it saves one forward and one backward.
     ``loss_fn`` receives two bindings and returns the scalar loss node.
     A zero ``v`` short-circuits to zeros, the exact product.
     """
@@ -541,16 +547,14 @@ def mixed_hvp_fd(loss_fn: Callable[[Binding, Binding], Node],
     if not np.any(v):
         return np.zeros(p_group.size, dtype=np.float64)
     eps = default_eps(v)
-    q0 = q_group.flatten()
 
-    def grad_p(qvec):
+    def grad_at(q):
         pb = bind(p_group)
-        qb = bind(q_group.unflatten(qvec))
-        return flat_grad(loss_fn(pb, qb), pb, p_group)
+        return flat_grad(loss_fn(pb, bind(q)), pb, p_group)
 
-    gp = grad_p(q0 + eps * v)
-    gm = grad_p(q0 - eps * v)
-    return (gp - gm) / (2.0 * eps)
+    if grad_p is None:
+        grad_p = grad_at(q_group)
+    return (grad_at(q_group.unflatten(q_group.flatten() + eps * v)) - grad_p) / eps
 
 
 def mixed_hvp_exact(loss_fn: Callable[[Binding, Binding], Node],
@@ -559,7 +563,7 @@ def mixed_hvp_exact(loss_fn: Callable[[Binding, Binding], Node],
     """Exact mixed Hessian-vector product by differentiating through backward.
 
     Feasible for small parameter counts; serves as the oracle for the
-    central-difference estimate.
+    finite-difference estimate.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (q_group.size,):

@@ -8,12 +8,13 @@ through both one-step updates via mixed second-derivative products. Plain
 one-step gradient updates are used for the inner variables on purpose: the
 architecture chain differentiates exactly those steps.
 
-Each mixed second-derivative product in that chain is a central difference
-(``autodiff.default_eps`` sets the step): the segmentation product is one
-gradient of the difference of two perturbed losses that share the generator
-graph, and the generator product is the difference of two gradients. The
-exact double-backward product and ``hypergrad_fd_oracle`` serve only as
-judges.
+Each mixed second-derivative product in that chain is a finite difference
+(``autodiff.default_eps`` sets the step). The segmentation product is a
+central one: one gradient of the difference of two perturbed losses that
+share the generator graph. The generator product is a forward one: one
+gradient at the perturbed generator weights less the architecture gradient
+that stage I's backward already took at the base point. The exact
+double-backward product and ``hypergrad_fd_oracle`` serve only as judges.
 
 Also provides the two reference modes: ``baseline`` (segmenter on real data
 only) and ``separate`` (fit the generator first, freeze it, then fit the
@@ -229,15 +230,30 @@ def _check_loss(loss: Node, what: str, iteration: int):
 
 
 def _descend(group: ParamGroup, loss: Node, binding: dict[str, Node], eta: float,
-             what: str, iteration: int) -> ParamGroup:
+             what: str, iteration: int, also=None):
     """One plain descent step of ``group`` on ``loss``, built on ``binding``;
     a non-finite loss or gradient aborts the run, naming ``what`` and the
-    iteration."""
+    iteration.
+
+    ``also``, a (binding, group) pair, is differentiated in the same
+    backward; then the result is the stepped group and the loss's flat
+    gradient in ``also``'s group, which is not checked.
+    """
     _check_loss(loss, what, iteration)
-    grads = ad.group_backward(loss, binding, group)
+    if also is None:
+        grads = ad.group_backward(loss, binding, group)
+    else:
+        also_binding, also_group = also
+        n = len(group.entries)
+        grads = ad.backward(loss, [binding[lbl] for lbl in group.labels()]
+                            + [also_binding[lbl] for lbl in also_group.labels()])
+        grads, also_grads = grads[:n], grads[n:]
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise TrainingAborted(f"gradient of {what} became non-finite at iteration {iteration}")
-    return _gd_step(group, grads, eta)
+    stepped = _gd_step(group, grads, eta)
+    if also is None:
+        return stepped
+    return stepped, np.concatenate([np.ravel(g) for g in also_grads])
 
 
 @dataclass
@@ -287,10 +303,12 @@ class Trainer:
                           depth=2, base_channels=config.base_channels)
         self.aug_kinds = aug.enabled_kinds(config.augment_rotate, config.augment_flip,
                                            config.augment_translate)
-        # forward passes handed on within one iteration, each with the objects
-        # it was computed from: synth_batch's generator graph, which stage III
-        # differentiates in G, and stage III's validation logits, which the
-        # epoch validation scores
+        # passes handed on within one iteration, each with the objects it was
+        # computed from: stage I's generator-loss gradient in A, the base point
+        # of stage III's generator product; synth_batch's generator graph,
+        # which stage III differentiates in G; and stage III's validation
+        # logits, which the epoch validation scores
+        self._gen_grad_a = None   # ((G, H, A, masks, images), flat gradient)
         self._synth_graph = None  # ((G, A, m_hats), images node, G binding)
         self._val_logits = None   # ((S, val_images), logits array)
 
@@ -331,15 +349,25 @@ class Trainer:
 
     def stage1_update(self, state: TrainState, masks: np.ndarray, images: np.ndarray):
         """One plain descent step on G (generator loss) and H (discriminator loss),
-        both from the same graph at the old weights."""
+        both from the same graph at the old weights.
+
+        In ``genseg`` mode the generator loss's backward also takes its
+        gradient in A, kept for stage III's generator product.
+        """
         if len(masks) == 0:
             raise ValueError("stage1_update needs a non-empty batch")
         cfg, it = self.config, state.iteration
-        l_disc, l_gen, gb, hb, _ = self._gan_graph(state.G, state.H, state.A, masks, images)
+        l_disc, l_gen, gb, hb, ab = self._gan_graph(state.G, state.H, state.A, masks, images)
         # both losses are checked before either backward, so non-finite real
         # images, which spoil both, are named as the discriminator's
         _check_loss(l_disc, "discriminator loss", it)
-        state.G = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it)
+        if cfg.mode == "genseg":
+            key = (state.G, state.H, state.A, masks, images)
+            state.G, grad_a = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it,
+                                       (ab, state.A))
+            self._gen_grad_a = (key, grad_a)
+        else:
+            state.G = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it)
         state.H = _descend(state.H, l_disc, hb, cfg.eta_h, "discriminator loss", it)
         state.last_loss_g = float(l_gen.value)
         state.last_loss_d = float(l_disc.value)
@@ -412,12 +440,17 @@ class Trainer:
         ``eta_s``. Either way the result is exactly zero when ``eta_s`` is
         zero or the validation loss is stationary.
 
-        Reuses the generator graph of the last ``synth_batch`` when it was
-        computed from ``state.G``, ``state.A`` and ``m_hats`` themselves, and
-        keeps its validation logits for the epoch validation at ``state.S``.
+        The segmentation product is a central difference and the generator
+        product a forward one. Reuses the generator graph of the last
+        ``synth_batch`` when it was computed from ``state.G``, ``state.A`` and
+        ``m_hats`` themselves, and the last stage I's generator-loss gradient
+        in A, the generator product's base point, when it was computed from
+        ``G_pre``, ``H_pre``, ``state.A``, ``gan_masks`` and ``gan_images``.
+        Keeps its validation logits for the epoch validation at ``state.S``.
         """
         cfg = self.config
         kept, self._synth_graph = self._synth_graph, None
+        base, self._gen_grad_a = self._gen_grad_a, None
         if cfg.eta_s == 0.0:
             return np.zeros(state.A.size)
 
@@ -439,7 +472,7 @@ class Trainer:
                 images = self.gen.forward(gb, bind(state.A), constant(m_hats))
             u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
             # free the synthetic and validation graphs now, before the
-            # generator product below builds two more
+            # generator product below builds another
             del kept, images, gb, logits
 
             def gen_loss(a_binding, g_binding):
@@ -447,7 +480,11 @@ class Trainer:
                 fake = self.gen.forward(g_binding, a_binding, m)
                 return self.generator_loss(fake, self.disc.forward(bind(H_pre), m, fake), i)
 
-            w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u)
+            grad_a = None
+            if base is not None and _same_objects(
+                    base[0], (G_pre, H_pre, state.A, gan_masks, gan_images)):
+                grad_a = base[1]
+            w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u, grad_a)
             hyper = cfg.eta_g * cfg.eta_s * w
 
         if cfg.direct_path:
@@ -480,9 +517,15 @@ class Trainer:
 
     def outer_update_A(self, state: TrainState, hypergrad: np.ndarray,
                        weight_decay: float = ARCH_WEIGHT_DECAY):
-        """Adaptive-moment step on the architecture logits with decoupled decay."""
+        """Adaptive-moment step on the architecture logits with decoupled decay.
+
+        A non-finite hypergradient aborts the run before the moments or the
+        logits change."""
         if hypergrad.shape != (state.A.size,):
             raise ValueError(f"hypergrad shape {hypergrad.shape} != ({state.A.size},)")
+        if not np.all(np.isfinite(hypergrad)):
+            raise TrainingAborted("architecture hypergradient became non-finite at iteration "
+                                  f"{state.iteration}")
         state.adam_t += 1
         t = state.adam_t
         state.adam_m = ARCH_BETA1 * state.adam_m + (1 - ARCH_BETA1) * hypergrad
@@ -558,7 +601,7 @@ class Trainer:
                     state.best_iteration = it
                     state.best_params = {k: v.copy() for k, v in state.groups().items()}
             # no graph outlives its iteration (stage III never runs in `separate`)
-            self._synth_graph = self._val_logits = None
+            self._gen_grad_a = self._synth_graph = self._val_logits = None
 
         if state.best_params is None and cfg.iters > 0:
             state.best_params = {k: v.copy() for k, v in state.groups().items()}
@@ -601,9 +644,14 @@ def _scores(logits: np.ndarray, masks: np.ndarray) -> tuple[list[float], list[fl
 
 
 def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[float, float]:
-    """Mean dice and jaccard of a segmenter's argmax predictions over a dataset."""
+    """Mean dice and jaccard of a segmenter's argmax predictions over a dataset.
+
+    Keeps freed heap (:func:`retain_heap`) like training: each chunk's graph
+    is freed before the next one is built.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    retain_heap()
     sb = bind(S)
     dices, jacs = [], []
     for start in range(0, len(dataset), EVAL_CHUNK):

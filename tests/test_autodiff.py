@@ -168,11 +168,15 @@ def bilinear_loss(pb, qb):
 
 class TestMixedHvp:
     def test_hand_computed_closed_form(self):
-        # L = (p q)^2 at p=1, q=2: d/dq [dL/dp] = 4 p q = 8
+        # L = (p q)^2 at p=1, q=2: d/dq [dL/dp] = 4 p q = 8. The forward
+        # difference of dL/dp = 2 p q^2 over a step d is (8 d + 2 d^2) / eps,
+        # 8 + 2 eps at d = eps = 1e-6; d is the step q = 2 can represent
         p = ParamGroup("P", [("p", np.array([1.0]))])
         q = ParamGroup("Q", [("q", np.array([2.0]))])
         got = mixed_hvp_fd(bilinear_loss, p, q, np.array([1.0]))
-        assert got[0] == pytest.approx(8.0, abs=1e-6)
+        eps = 1e-6
+        d = (2.0 + eps) - 2.0
+        assert got[0] == pytest.approx((8 * d + 2 * d * d) / eps, abs=1e-9)
         exact = mixed_hvp_exact(bilinear_loss, p, q, np.array([1.0]))
         assert exact[0] == pytest.approx(8.0, abs=1e-12)
 
@@ -190,14 +194,31 @@ class TestMixedHvp:
         q = ParamGroup("Q", [("q", np.array([2.0]))])
         np.testing.assert_array_equal(mixed_hvp_fd(bilinear_loss, p, q, np.zeros(1)), np.zeros(1))
 
-    def test_antisymmetric_in_v_sign_exactly(self):
-        rng = np.random.default_rng(4)
-        p = ParamGroup("P", [("p", rng.normal(size=6))])
-        q = ParamGroup("Q", [("q", rng.normal(size=6))])
-        v = rng.normal(size=6)
-        plus = mixed_hvp_fd(bilinear_loss, p, q, v)
-        minus = mixed_hvp_fd(bilinear_loss, p, q, -v)
-        assert np.array_equal(plus, -minus)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_supplied_base_gradient_gives_same_bytes(self, seed):
+        # the generator loss through the discriminator, P = A and Q = G as in
+        # stage III
+        rng = np.random.default_rng(seed)
+        masks = (rng.uniform(size=(2, 1, 8, 8)) < 0.4).astype(np.float64)
+        images = rng.uniform(-0.9, 0.9, size=(2, 1, 8, 8))
+        gen = GeneratorNet(enc_cells=1, base_channels=2)
+        disc = DiscriminatorNet(base_channels=2, depth=2)
+        G, A = gen.init_params(seed)
+        H = disc.init_params(seed + 1)
+
+        def loss(ab, gb):
+            m = constant(masks)
+            fake = gen.forward(gb, ab, m)
+            l1 = ad.mean_(ad.absval(ad.sub(fake, constant(images))))
+            return ad.add(bce_with_logits(disc.forward(bind(H), m, fake), 1.0),
+                          ad.scale(l1, 100.0))
+
+        ab = bind(A)
+        base = ad.flat_grad(loss(ab, bind(G)), ab, A)
+        v = rng.normal(size=G.size)
+        computed = mixed_hvp_fd(loss, A, G, v)
+        assert np.any(computed)
+        assert mixed_hvp_fd(loss, A, G, v, base).tobytes() == computed.tobytes()
 
     def test_fd_matches_exact_on_50_param_net(self):
         rng = np.random.default_rng(5)

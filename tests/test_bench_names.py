@@ -13,6 +13,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from genseg import autodiff, cli, engine, models, synthdata, tensor  # noqa: E402
+from genseg.checks import tiny_instance  # noqa: E402
 from perfbench import tracing  # noqa: E402
 
 
@@ -40,3 +41,18 @@ def test_stage3_takes_what_the_oracle_hook_unpacks():
     params = list(inspect.signature(engine.Trainer.stage3_hypergrad).parameters.values())[1:]
     assert len(params) == 9
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+
+
+def test_one_genseg_iteration_runs_each_traced_product_once(monkeypatch):
+    # the benchmark's autodiff.hvp span wraps these two by name; a product
+    # computed inline elsewhere would silently drop out of autodiff.hvp.ms
+    calls = []
+    for owner, attr in ((autodiff, "mixed_hvp_fd"), (engine.Trainer, "_seg_hvp_fd")):
+        def counted(*args, _real=getattr(owner, attr), _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    trainer, _, _ = tiny_instance(0)
+    trainer.config.iters = 1
+    trainer.train()
+    assert sorted(calls) == ["_seg_hvp_fd", "mixed_hvp_fd"]

@@ -393,8 +393,9 @@ def holds_node(x) -> bool:
 class TestForwardReuse:
     @pytest.mark.parametrize("n_val, seg_forwards", [(2, 5), (65, 7)])
     def test_forwards_per_genseg_iteration(self, monkeypatch, n_val, seg_forwards):
-        # generator: stage I, synth, two in the stage-III generator-loss
-        # difference (stage III differentiates synth's graph); segmenter: two
+        # generator: stage I, synth, and the perturbed point of the stage-III
+        # generator-loss difference (stage III differentiates synth's graph
+        # and takes the base point's gradient from stage I); segmenter: two
         # in stage II, the validation forward and two in stage III's
         # difference; the epoch validation runs its own forwards only when the
         # split does not fit one evaluation chunk (65 images: chunks of 64 + 1)
@@ -402,7 +403,7 @@ class TestForwardReuse:
         trainer.config.iters = 1
         calls = count_forwards(monkeypatch)
         trainer.train()
-        assert calls == {"gen": 4, "disc": 4, "seg": seg_forwards}
+        assert calls == {"gen": 3, "disc": 3, "seg": seg_forwards}
 
     def test_reused_graph_equals_recomputed(self, monkeypatch):
         trainer, train, val = small_setup()
@@ -415,12 +416,16 @@ class TestForwardReuse:
         m_hats, synth = trainer.synth_batch(state.G, state.A, masks, ops)
         trainer.stage2_update(state, m_hats, synth, masks, images)
         args = (G_pre, H_pre, S_pre, state, masks, images, m_hats, val.masks(), val.images())
+        assert trainer._gen_grad_a is not None
         calls = count_forwards(monkeypatch)
         reused = trainer.stage3_hypergrad(*args)
-        assert calls["gen"] == 2
-        # the first call dropped the kept graph, so this one runs the generator
+        # only the perturbed generator-loss point runs the generator
+        assert calls["gen"] == calls["disc"] == 1
+        # the first call dropped the kept graph and stage I's gradient, so this
+        # one runs the generator for the synthetic images and at both points
         recomputed = trainer.stage3_hypergrad(*args)
-        assert calls["gen"] == 2 + 3
+        assert calls["gen"] == 1 + 3
+        assert calls["disc"] == 1 + 2
         assert np.any(reused)
         assert np.array_equal(reused, recomputed)
 
@@ -436,6 +441,45 @@ class TestForwardReuse:
         # the kept graph now belongs to other augmented masks
         trainer.synth_batch(state.G, state.A, masks, [[] for _ in masks])
         assert np.array_equal(trainer.stage3_hypergrad(*args), fresh)
+
+        # a kept generator-loss gradient in A is used only when it was taken
+        # at these very objects: plant a NaN one under each key with one
+        # entry swapped for an equal copy
+        key = (state.G, state.H, state.A, masks, images)
+        trainer._gen_grad_a = (key, np.full(state.A.size, np.nan))
+        assert np.all(np.isnan(trainer.stage3_hypergrad(*args)))
+        for i, obj in enumerate(key):
+            other = key[:i] + (obj.copy(),) + key[i + 1:]
+            trainer._gen_grad_a = (other, np.full(state.A.size, np.nan))
+            assert np.array_equal(trainer.stage3_hypergrad(*args), fresh)
+
+    @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
+    def test_arch_gradient_kept_only_in_genseg(self, monkeypatch, mode):
+        # only genseg's stage III reads it, so only genseg's stage I pays for
+        # the A leaves in its generator-loss backward
+        trainer, _, _ = small_setup(mode=mode)
+        trainer.config.iters = 2  # separate: stage I, then stage II
+        kept, requested = [], []
+        stage1, backward = Trainer.stage1_update, ad.backward
+
+        def spied_stage1(self, *args):
+            stage1(self, *args)
+            kept.append(self._gen_grad_a)
+
+        def spied_backward(loss, wrt, create_graph=False):
+            requested.append(len(wrt))
+            return backward(loss, wrt, create_graph)
+
+        monkeypatch.setattr(Trainer, "stage1_update", spied_stage1)
+        monkeypatch.setattr(ad, "backward", spied_backward)
+        _, state = trainer.train()
+        n_g, n_a = len(state.G.entries), len(state.A.entries)
+        if mode == "genseg":
+            assert [k[1].size for k in kept] == [state.A.size] * 2
+            assert requested.count(n_g + n_a) == 2
+        else:
+            assert kept == ([None] if mode == "separate" else [])
+            assert n_g + n_a not in requested
 
     def test_val_record_equals_evaluate_segmenter(self, monkeypatch):
         trainer, _, val = small_setup(seed=2, n_val=4)
@@ -790,6 +834,29 @@ class TestAbort:
                            match="gradient of segmentation loss became non-finite at iteration 1"):
             trainer.train()
 
+    def test_non_finite_hypergradient_names_stage_three(self):
+        # eta_g * eta_s overflows, so stage III's hypergradient is non-finite
+        # at iteration 1
+        trainer, _, _ = tiny_instance(0)
+        trainer.config.eta_g = trainer.config.eta_s = 1e160
+        trainer.config.iters = 4
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingAborted,
+                match="^architecture hypergradient became non-finite at iteration 1$"):
+            trainer.train()
+
+    def test_non_finite_hypergradient_leaves_moments_and_logits(self):
+        trainer, _, _ = small_setup()
+        state = trainer.init_state()
+        state.iteration = 3
+        before = (state.adam_m.copy(), state.adam_v.copy(), state.adam_t, group_blob(state.A))
+        hyper = np.zeros(state.A.size)
+        hyper[-1] = np.inf
+        with pytest.raises(TrainingAborted, match="at iteration 3"):
+            trainer.outer_update_A(state, hyper)
+        assert np.array_equal(state.adam_m, before[0]) and np.array_equal(state.adam_v, before[1])
+        assert (state.adam_t, group_blob(state.A)) == before[2:]
+
     # label -> (group whose step it guards, the stage that takes the step)
     DESCENTS = {
         "discriminator loss": ("H", lambda tr, st, m, i: tr.stage1_update(st, m, i)),
@@ -808,7 +875,19 @@ class TestAbort:
         state = trainer.init_state()
         state.iteration = 7
         masks, images = train.masks(), train.images()
-        if poisoned == "gradient":
+        if poisoned == "gradient" and label == "generator loss":
+            # genseg's stage I takes G's gradients and A's in one backward,
+            # G's leaves first, before the discriminator's backward
+            real_backward = ad.backward
+
+            def poison_first(loss, wrt, create_graph=False):
+                grads = real_backward(loss, wrt, create_graph)
+                grads[0] = np.full_like(grads[0], np.inf)
+                return grads
+
+            monkeypatch.setattr(ad, "backward", poison_first)
+            pattern = f"gradient of {label} became non-finite at iteration 7"
+        elif poisoned == "gradient":
             real_group_backward = ad.group_backward
 
             def poison(loss, binding, group, create_graph=False):
