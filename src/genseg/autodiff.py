@@ -481,12 +481,6 @@ class ParamGroup:
     def copy(self) -> "ParamGroup":
         return ParamGroup(self.name, [(lbl, arr.copy()) for lbl, arr in self.entries])
 
-    def get(self, label: str) -> np.ndarray:
-        for lbl, arr in self.entries:
-            if lbl == label:
-                return arr
-        raise KeyError(label)
-
 
 def bind(group: ParamGroup) -> dict[str, Node]:
     """Fresh leaf nodes for every entry, keyed by label."""

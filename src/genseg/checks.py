@@ -255,34 +255,18 @@ def tiny_instance(seed: int = 0):
     return trainer, train, val
 
 
-def measured_iteration(trainer, state, rng, train, val):
-    """Run stages I-III once without the architecture update; returns the chain
-    hypergradient plus everything the brute-force oracle needs to replay."""
-    masks, images = train.masks(), train.images()
-    val_masks, val_images = val.masks(), val.images()
-    G_pre, H_pre, S_pre = state.G, state.H, state.S
-    trainer.stage1_update(state, masks, images)
-    ops = trainer._sample_ops(rng, len(masks))
-    m_hats, synth = trainer.synth_batch(state.G, state.A, masks, ops)
-    trainer.stage2_update(state, m_hats, synth, masks, images)
-    chain = trainer.stage3_hypergrad(G_pre, H_pre, S_pre, state, masks, images,
-                                     m_hats, val_masks, val_images)
-    return chain, (G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images)
-
-
 def check_hypergrad(seed: int = 0, warmup: int = 20, h: float = 1e-4) -> float:
     """Cosine of the training hypergradient chain against the pipeline oracle,
     after ``warmup`` iterations of the tiny instance."""
-    trainer, train, val = tiny_instance(seed)
+    trainer, train, _ = tiny_instance(seed)
     state = trainer.init_state()
     rng = trainer.loop_rng()
+    masks, images = train.masks(), train.images()
     for it in range(1, warmup + 1):
         state.iteration = it
-        chain, _ = measured_iteration(trainer, state, rng, train, val)
+        chain, _ = trainer.search_step(state, masks, images, rng)
         trainer.outer_update_A(state, chain)
     state.iteration = warmup + 1
-    chain, saved = measured_iteration(trainer, state, rng, train, val)
-    G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images = saved
-    oracle = eng.hypergrad_fd_oracle(trainer, G_pre, H_pre, S_pre, state.A,
-                                     masks, images, m_hats, val_masks, val_images, h=h)
+    chain, args = trainer.search_step(state, masks, images, rng)
+    oracle = eng.hypergrad_fd_oracle(trainer, *args[:3], state.A, *args[4:], h=h)
     return cosine(chain, oracle)

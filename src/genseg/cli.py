@@ -150,13 +150,16 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     if _refuse_overwrite(metrics_path, args.force):
         return 1
+    try:  # before training, so an unusable output path costs no run
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as e:
+        return _fail(str(e))
     try:
         train_ds, val_ds, test_ds = _load_splits(cfg.data_dir, cfg.seed)
         trainer = engine.Trainer(cfg, train_ds, val_ds, test_ds)
         records, state = trainer.train()
     except (ValueError, engine.TrainingAborted, FileNotFoundError) as e:
         return _fail(str(e))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     digest = engine.config_digest(cfg)
     with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w", encoding="utf-8") as f:
         f.write(engine.resolved_config_text(cfg))

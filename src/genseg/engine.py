@@ -6,7 +6,8 @@ mask/image pairs), a single descent step of the segmenter on synthetic plus
 real pairs, and an architecture update whose gradient is chained backwards
 through both one-step updates via mixed second-derivative products. Plain
 one-step gradient updates are used for the inner variables on purpose: the
-architecture chain differentiates exactly those steps.
+architecture chain differentiates exactly those steps. ``Trainer.search_step``
+is the one place the three stages are sequenced.
 
 Each mixed second-derivative product in that chain is a finite difference
 (``autodiff.default_eps`` sets the step). The segmentation product is a
@@ -326,26 +327,30 @@ class Trainer:
 
     # -- stage I ------------------------------------------------------------
 
-    def generator_loss(self, fake: Node, d_fake: Node, images: Node) -> Node:
-        """The loss stage I trains G on and stage III differentiates in (A, G):
-        the discriminator's verdict on the fakes plus ``lambda_l1`` times
-        their mean L1 distance to the real images."""
+    def generator_loss(self, gb: dict[str, Node], ab: dict[str, Node], hb: dict[str, Node],
+                       masks: Node, images: Node) -> tuple[Node, Node]:
+        """Render ``masks``; return the loss stage I trains G on and stage III
+        differentiates in (A, G), the discriminator's verdict on the fakes plus
+        ``lambda_l1`` times their mean L1 distance to ``images``, and that
+        verdict's logits. Stage III's forward difference subtracts stage I's
+        gradient in A, so it is right only while both build this graph."""
+        fake = self.gen.forward(gb, ab, masks)
+        d_fake = self.disc.forward(hb, masks, fake)
         loss = bce_with_logits(d_fake, 1.0)
         if self.config.lambda_l1 > 0:
             loss = ad.add(loss, ad.scale(l1_mean(fake, images), self.config.lambda_l1))
-        return loss
+        return loss, d_fake
 
     def _gan_graph(self, G: ParamGroup, H: ParamGroup, A: ParamGroup,
                    masks: np.ndarray, images: np.ndarray):
         gb, hb, ab = bind(G), bind(H), bind(A)
         m, i = constant(masks), constant(images)
-        fake = self.gen.forward(gb, ab, m)
-        d_real = self.disc.forward(hb, m, i)
-        d_fake = self.disc.forward(hb, m, fake)
+        l_gen, d_fake = self.generator_loss(gb, ab, hb, m, i)
         # one discriminator pass on the fakes serves both losses: the H-gradient
         # of l_disc is taken by itself, so it never flows into G
-        l_disc = ad.add(bce_with_logits(d_real, 1.0), bce_with_logits(d_fake, 0.0))
-        return l_disc, self.generator_loss(fake, d_fake, i), gb, hb, ab
+        l_disc = ad.add(bce_with_logits(self.disc.forward(hb, m, i), 1.0),
+                        bce_with_logits(d_fake, 0.0))
+        return l_disc, l_gen, gb, hb, ab
 
     def stage1_update(self, state: TrainState, masks: np.ndarray, images: np.ndarray):
         """One plain descent step on G (generator loss) and H (discriminator loss),
@@ -476,9 +481,8 @@ class Trainer:
             del kept, images, gb, logits
 
             def gen_loss(a_binding, g_binding):
-                m, i = constant(gan_masks), constant(gan_images)
-                fake = self.gen.forward(g_binding, a_binding, m)
-                return self.generator_loss(fake, self.disc.forward(bind(H_pre), m, fake), i)
+                return self.generator_loss(g_binding, a_binding, bind(H_pre),
+                                           constant(gan_masks), constant(gan_images))[0]
 
             grad_a = None
             if base is not None and _same_objects(
@@ -536,6 +540,21 @@ class Trainer:
         flat = flat - self.config.eta_a * (m_hat / (np.sqrt(v_hat) + ARCH_EPS) + weight_decay * flat)
         state.A = state.A.unflatten(flat)
 
+    def search_step(self, state: TrainState, masks: np.ndarray, images: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, tuple]:
+        """Stages I, synth, II and III of one ``genseg`` iteration, validated on
+        the whole split; returns the hypergradient and stage III's nine
+        arguments, which :func:`hypergrad_fd_oracle` replays with ``state.A``
+        in place of ``state``."""
+        G_pre, H_pre, S_pre = state.G, state.H, state.S
+        self.stage1_update(state, masks, images)
+        ops = self._sample_ops(rng, len(masks))
+        m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
+        self.stage2_update(state, m_hats, synth_images, masks, images)
+        args = (G_pre, H_pre, S_pre, state, masks, images, m_hats,
+                self.val_ds.masks(), self.val_ds.images())
+        return self.stage3_hypergrad(*args), args
+
     # -- evaluation and the loop ---------------------------------------------
 
     def _record(self, state: TrainState, split: str, d: float, j: float) -> met.EvalRecord:
@@ -545,9 +564,10 @@ class Trainer:
     def train(self) -> tuple[list[met.EvalRecord], TrainState]:
         """Run the configured mode for ``iters`` iterations.
 
-        Validation runs after every epoch-equivalent (one pass over the
-        training set); the best-validation segmenter snapshot is kept and
-        evaluated on the test split at the end.
+        A ``genseg`` iteration is :meth:`search_step`, the one place its stages
+        are sequenced, then the architecture step. Validation runs after every
+        epoch-equivalent (one pass over the training set); the best-validation
+        segmenter snapshot is kept and evaluated on the test split at the end.
 
         Each graph is freed as soon as it is dropped, many megabytes at a
         time, several times an iteration. Without :func:`retain_heap`, glibc
@@ -582,15 +602,7 @@ class Trainer:
                     m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
                     self.stage2_update(state, m_hats, synth_images, masks, images)
             else:
-                G_pre, H_pre, S_pre = state.G, state.H, state.S
-                self.stage1_update(state, masks, images)
-                ops = self._sample_ops(rng, len(masks))
-                m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
-                self.stage2_update(state, m_hats, synth_images, masks, images)
-                val_masks = self.val_ds.masks()
-                val_images = self.val_ds.images()
-                hyper = self.stage3_hypergrad(G_pre, H_pre, S_pre, state, masks, images,
-                                              m_hats, val_masks, val_images)
+                hyper, (*_, val_images) = self.search_step(state, masks, images, rng)
                 self.outer_update_A(state, hyper)
 
             if it % ipe == 0:
@@ -684,10 +696,9 @@ def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: Param
 
     def pipeline(avec: np.ndarray) -> float:
         A_pert = A.unflatten(avec)
-        gb, ab = bind(G), bind(A_pert)
-        m, i = constant(gan_masks), constant(gan_images)
-        fake = trainer.gen.forward(gb, ab, m)
-        l_gen = trainer.generator_loss(fake, trainer.disc.forward(bind(H), m, fake), i)
+        gb = bind(G)
+        l_gen, _ = trainer.generator_loss(gb, bind(A_pert), bind(H), constant(gan_masks),
+                                          constant(gan_images))
         G_prime = _gd_step(G, ad.group_backward(l_gen, gb, G), cfg.eta_g)
 
         A_gen = A_pert if arch_live_in_generation else A

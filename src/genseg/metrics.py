@@ -64,18 +64,34 @@ def write_csv(records, path):
         f.write(records_to_csv(records))
 
 
+# the type of each CSV column, in header order
+_CSV_TYPES = (int, str, float, float, float, float, float)
+
+
 def read_csv(path) -> list[EvalRecord]:
+    """Records from a metrics CSV; a malformed row raises a ``ValueError``
+    naming the file, the line and, for an unreadable value, the field."""
+    names = CSV_HEADER.split(",")
     out = []
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in f:
+            raise ValueError(f"{path}: unexpected CSV header: {header!r}")
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            it, split, d, j, ls, lg, ld = line.strip().split(",")
-            out.append(EvalRecord(int(it), split, float(d), float(j),
-                                  float(ls), float(lg), float(ld)))
+            values = line.strip().split(",")
+            if len(values) != len(names):
+                raise ValueError(f"{path}: line {lineno}: expected {len(names)} fields, "
+                                 f"got {len(values)}")
+            row = []
+            for name, kind, raw in zip(names, _CSV_TYPES, values):
+                try:
+                    row.append(kind(raw))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: field '{name}': "
+                                     f"cannot read {raw!r} as {kind.__name__}") from None
+            out.append(EvalRecord(*row))
     return out
 
 

@@ -155,6 +155,19 @@ class TestTrain:
         assert main(["train", "--config", str(cfgp)]) == 1
         assert main(["train", "--config", str(cfgp), "--force"]) == 0
 
+    def test_out_path_that_is_a_file_fails_before_training(self, tmp_path, dataset_dir,
+                                                           capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        trained = []
+        monkeypatch.setattr(engine.Trainer, "train", lambda self: trained.append(1))
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfgp), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert trained == []
+        assert out.read_text() == "not a directory\n"
+
     def test_tensor_cut_inside_fixed_header(self, tmp_path, dataset_dir, capsys):
         img = dataset_dir / "train" / "img_00000.gstn"
         img.write_bytes(img.read_bytes()[:5])
@@ -326,6 +339,18 @@ class TestPlot:
         p = self.csv(tmp_path, "a.csv", [(1, 0.5)])
         assert main(["plot", "--metrics", str(p), "--fields", "auc",
                      "--out", str(tmp_path / "o.svg")]) == 1
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,val,0.5,0.4", "line 2: expected 7 fields, got 4"),
+        ("1,val,abc,0.4,0.1,0.2,0.3", "line 2: field 'dice': cannot read 'abc' as float"),
+    ], ids=["short", "bad-number"])
+    def test_malformed_row_named(self, tmp_path, capsys, row, message):
+        p = tmp_path / "a.csv"
+        p.write_text("iter,split,dice,jaccard,loss_seg,loss_g,loss_d\n" + row + "\n")
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--metrics", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+        assert not out.exists()
 
     def test_refuses_overwrite(self, tmp_path):
         p = self.csv(tmp_path, "a.csv", [(1, 0.5)])

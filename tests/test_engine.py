@@ -10,7 +10,7 @@ from genseg import autodiff as ad
 from genseg import engine as eng
 from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
-from genseg.checks import cosine, measured_iteration, rel_error, tiny_instance
+from genseg.checks import cosine, rel_error, tiny_instance
 from genseg.autodiff import Node
 from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, TrainingAborted,
                            bce_with_logits, config_digest, parse_config,
@@ -296,24 +296,24 @@ class TestStage2:
 
 
 class TestStage3:
-    def _run_stages(self, trainer, train, val, state):
+    def _run_stages(self, trainer, train, state):
         rng = trainer.loop_rng()
         state.iteration = 1
-        return measured_iteration(trainer, state, rng, train, val)
+        return trainer.search_step(state, train.masks(), train.images(), rng)
 
     def test_zero_inner_rates_give_exact_zero(self):
         for zero in ("eta_g", "eta_s"):
-            trainer, train, val = small_setup(**{zero: 0.0})
+            trainer, train, _ = small_setup(**{zero: 0.0})
             state = trainer.init_state()
-            chain, _ = self._run_stages(trainer, train, val, state)
+            chain, _ = self._run_stages(trainer, train, state)
             assert np.array_equal(chain, np.zeros_like(chain))
 
     def test_linearity_in_validation_loss_exact_backend(self):
-        trainer, train, val = tiny_instance(0)
+        trainer, train, _ = tiny_instance(0)
         state = trainer.init_state()
         rng = trainer.loop_rng()
         state.iteration = 1
-        _, saved = measured_iteration(trainer, state, rng, train, val)
+        _, saved = trainer.search_step(state, train.masks(), train.images(), rng)
         # doubling the validation loss doubles v, and the chain is linear in v
         v = validation_grad(trainer, state, saved)
         np.testing.assert_allclose(exact_chain(trainer, state, saved, 2 * v),
@@ -337,8 +337,52 @@ class TestStage3:
         assert np.array_equal(out, np.zeros(state.A.size))
 
 
+def counted_calls(monkeypatch, attr: str) -> list:
+    """The argument tuples of every ``Trainer.<attr>`` call from now on."""
+    calls = []
+    real = getattr(Trainer, attr)
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Trainer, attr, counted)
+    return calls
+
+
+class TestSearchStep:
+    @pytest.mark.parametrize("mode, steps", [("genseg", 3), ("separate", 0), ("baseline", 0)])
+    def test_train_runs_it_once_per_genseg_iteration(self, monkeypatch, mode, steps):
+        trainer, _, _ = small_setup(mode=mode)
+        trainer.config.iters = 3
+        calls = counted_calls(monkeypatch, "search_step")
+        trainer.train()
+        assert len(calls) == steps
+
+    def test_returns_what_stage3_was_given(self, monkeypatch):
+        trainer, train, _ = small_setup()
+        state = trainer.init_state()
+        state.iteration = 1
+        calls = counted_calls(monkeypatch, "stage3_hypergrad")
+        hyper, args = trainer.search_step(state, train.masks(), train.images(),
+                                          trainer.loop_rng())
+        assert len(calls) == 1 and len(args) == 9
+        assert all(a is b for a, b in zip(args, calls[0], strict=True))
+        assert args[3] is state and hyper.shape == (state.A.size,)
+
+    def test_one_iteration_builds_the_generator_loss_twice(self, monkeypatch):
+        # stage I at the base point and stage III at the perturbed generator
+        # weights: the forward difference subtracts the first's gradient in A
+        # from the second's, so both come from this one graph
+        trainer, _, _ = small_setup()
+        trainer.config.iters = 1
+        calls = counted_calls(monkeypatch, "generator_loss")
+        trainer.train()
+        assert len(calls) == 2
+
+
 def validation_grad(trainer, state, saved):
-    """Validation-loss gradient at the updated segmenter of a measured iteration."""
+    """Validation-loss gradient at the updated segmenter of a search step."""
     *_, val_masks, val_images = saved
     sb = bind(state.S)
     val_loss = seg_cross_entropy(trainer.seg.forward(sb, constant(val_images)), val_masks)
@@ -347,26 +391,20 @@ def validation_grad(trainer, state, saved):
 
 def exact_chain(trainer, state, saved, v):
     """The stage-III chain for validation gradient ``v`` with both mixed
-    products taken exactly by double backward, at the inputs that
-    ``measured_iteration`` saved (``state`` as it left it, before the
-    architecture step)."""
-    G_pre, H_pre, S_pre, masks, images, m_hats, _, _ = saved
+    products taken exactly by double backward, at stage III's arguments as
+    ``Trainer.search_step`` returned them (``state`` as it left it, before
+    the architecture step)."""
+    G_pre, H_pre, S_pre, _, masks, images, m_hats, _, _ = saved
     u = ad.mixed_hvp_exact(
         lambda gb, sb: seg_cross_entropy(
             trainer.seg.forward(sb, trainer.gen.forward(gb, bind(state.A), constant(m_hats))),
             m_hats),
         state.G, S_pre, v)
     w = ad.mixed_hvp_exact(
-        lambda ab, gb: trainer_gen_loss(trainer, ab, gb, H_pre, masks, images),
+        lambda ab, gb: trainer.generator_loss(gb, ab, bind(H_pre), constant(masks),
+                                              constant(images))[0],
         state.A, G_pre, u)
     return trainer.config.eta_g * trainer.config.eta_s * w
-
-
-def trainer_gen_loss(trainer, ab, gb, H_pre, masks, images):
-    m = constant(masks)
-    fake = trainer.gen.forward(gb, ab, m)
-    return trainer.generator_loss(fake, trainer.disc.forward(bind(H_pre), m, fake),
-                                  constant(images))
 
 
 def count_forwards(monkeypatch) -> dict[str, int]:
@@ -672,9 +710,9 @@ class TestGraphsFreedPromptly:
                 trainer.config.iters = 3
                 _, state = trainer.train()
             G, H, A = state.G, state.H, state.A
-            ad.mixed_hvp_exact(
-                lambda ab, gb: trainer_gen_loss(trainer, ab, gb, H, train.masks(), train.images()),
-                A, G, np.ones(G.size))
+            m, i = constant(train.masks()), constant(train.images())
+            ad.mixed_hvp_exact(lambda ab, gb: trainer.generator_loss(gb, ab, bind(H), m, i)[0],
+                               A, G, np.ones(G.size))
             eng.evaluate_segmenter(trainer.seg, state.S, val)
             assert gc.collect() == 0
         finally:
@@ -751,61 +789,55 @@ class TestHypergradOracle:
     def test_fd_vs_exact_chain_agreement(self):
         # the engine's finite-difference chain after 8 iterations against the
         # chain with exact mixed products at the same saved inputs
-        trainer, train, val = tiny_instance(3)
+        trainer, train, _ = tiny_instance(3)
         state = trainer.init_state()
         rng = trainer.loop_rng()
         for it in range(1, 9):
             state.iteration = it
-            chain, saved = measured_iteration(trainer, state, rng, train, val)
+            chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
             if it < 8:
                 trainer.outer_update_A(state, chain)
         exact = exact_chain(trainer, state, saved, validation_grad(trainer, state, saved))
         assert cosine(chain, exact) >= 0.95
 
     def test_direct_path_adds_term(self):
-        trainer, train, val = tiny_instance(1)
+        trainer, train, _ = tiny_instance(1)
         state = trainer.init_state()
         rng = trainer.loop_rng()
         state.iteration = 1
-        chain_default, saved = measured_iteration(trainer, state, rng, train, val)
+        chain_default, saved = trainer.search_step(state, train.masks(), train.images(), rng)
         trainer.config.direct_path = True
-        G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images = saved
-        chain_direct = trainer.stage3_hypergrad(G_pre, H_pre, S_pre, state, masks, images,
-                                                m_hats, val_masks, val_images)
+        chain_direct = trainer.stage3_hypergrad(*saved)
         assert not np.allclose(chain_default, chain_direct)
 
     def test_direct_path_matches_arch_live_oracle(self):
-        trainer, train, val = tiny_instance(2)
+        trainer, train, _ = tiny_instance(2)
         trainer.config.direct_path = True
         state = trainer.init_state()
         rng = trainer.loop_rng()
         for it in range(1, 13):
             state.iteration = it
-            chain, saved = measured_iteration(trainer, state, rng, train, val)
+            chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
             if it < 12:
                 trainer.outer_update_A(state, chain)
-        G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images = saved
-        oracle = eng.hypergrad_fd_oracle(trainer, G_pre, H_pre, S_pre, state.A,
-                                         masks, images, m_hats, val_masks, val_images,
+        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:],
                                          arch_live_in_generation=True)
         assert cosine(chain, oracle) >= 0.99
 
 
     def test_direct_path_without_generator_step_matches_oracle(self):
         # with eta_g = 0 the chain term vanishes but the direct term does not
-        trainer, train, val = tiny_instance(2)
+        trainer, train, _ = tiny_instance(2)
         trainer.config.direct_path = True
         trainer.config.eta_g = 0.0
         state = trainer.init_state()
         rng = trainer.loop_rng()
         for it in range(1, 6):
             state.iteration = it
-            chain, saved = measured_iteration(trainer, state, rng, train, val)
+            chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
             if it < 5:
                 trainer.outer_update_A(state, chain)
-        G_pre, H_pre, S_pre, masks, images, m_hats, val_masks, val_images = saved
-        oracle = eng.hypergrad_fd_oracle(trainer, G_pre, H_pre, S_pre, state.A,
-                                         masks, images, m_hats, val_masks, val_images,
+        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:],
                                          arch_live_in_generation=True)
         assert cosine(chain, oracle) >= 0.99
 
@@ -903,8 +935,12 @@ class TestAbort:
             if label == "generator loss":
                 # NaN images would trip the discriminator loss's check first
                 real_loss = Trainer.generator_loss
-                monkeypatch.setattr(Trainer, "generator_loss",
-                                    lambda self, *a: ad.scale(real_loss(self, *a), np.nan))
+
+                def poisoned_loss(self, *a):
+                    loss, d_fake = real_loss(self, *a)
+                    return ad.scale(loss, np.nan), d_fake
+
+                monkeypatch.setattr(Trainer, "generator_loss", poisoned_loss)
             else:
                 images = np.full_like(images, np.nan)
         with pytest.raises(TrainingAborted, match=pattern):
