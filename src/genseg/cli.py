@@ -2,7 +2,8 @@
 gradient checking, and SVG loss/metric curves.
 
 Commands never overwrite existing outputs unless ``--force`` is given, and
-exit nonzero whenever their contract is not fully met.
+exit nonzero whenever their contract is not fully met. A bad input or an
+unusable path is reported as one ``error:`` line, never a traceback.
 """
 from __future__ import annotations
 
@@ -103,10 +104,7 @@ def _refuse_overwrite(path: str, force: bool) -> bool:
 def cmd_gen_data(args) -> int:
     if _refuse_overwrite(os.path.join(args.out, "manifest.txt"), args.force):
         return 1
-    try:
-        ds = synthdata.gen_task(args.seed, args.n, args.size, args.difficulty)
-    except ValueError as e:
-        return _fail(str(e))
+    ds = synthdata.gen_task(args.seed, args.n, args.size, args.difficulty)
     save_dataset(args.out, ds)
     print(f"wrote {len(ds)} pairs ({args.size}x{args.size}, difficulty {args.difficulty}, "
           f"seed {args.seed}) to {args.out}")
@@ -136,13 +134,8 @@ def cmd_train(args) -> int:
         overrides["mode"] = args.mode
     if args.out:
         overrides["out_dir"] = args.out
-    try:
-        with open(args.config, encoding="utf-8") as f:
-            cfg = engine.parse_config(f.read(), overrides)
-    except engine.ConfigError as e:
-        return _fail(str(e))
-    except OSError as e:
-        return _fail(str(e))
+    with open(args.config, encoding="utf-8") as f:
+        cfg = engine.parse_config(f.read(), overrides)
     if not cfg.out_dir:
         return _fail("no output directory (set out_dir in the config or pass --out)")
     if not cfg.data_dir:
@@ -150,16 +143,10 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     if _refuse_overwrite(metrics_path, args.force):
         return 1
-    try:  # before training, so an unusable output path costs no run
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as e:
-        return _fail(str(e))
-    try:
-        train_ds, val_ds, test_ds = _load_splits(cfg.data_dir, cfg.seed)
-        trainer = engine.Trainer(cfg, train_ds, val_ds, test_ds)
-        records, state = trainer.train()
-    except (ValueError, engine.TrainingAborted, FileNotFoundError) as e:
-        return _fail(str(e))
+    # before training, so an unusable output path costs no run
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    train_ds, val_ds, test_ds = _load_splits(cfg.data_dir, cfg.seed)
+    records, state = engine.Trainer(cfg, train_ds, val_ds, test_ds).train()
     digest = engine.config_digest(cfg)
     with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w", encoding="utf-8") as f:
         f.write(engine.resolved_config_text(cfg))
@@ -177,14 +164,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        groups, _ = load_checkpoint(args.ckpt)
-        ds = load_dataset(args.data)
-        if len(ds) == 0:
-            return _fail(f"dataset at {args.data} is empty")
-        d, j = engine.evaluate_segmenter(SegNet.from_params(groups["S"]), groups["S"], ds)
-    except (ValueError, FileNotFoundError) as e:
-        return _fail(str(e))
+    groups, _ = load_checkpoint(args.ckpt)
+    ds = load_dataset(args.data)
+    if len(ds) == 0:
+        return _fail(f"dataset at {args.data} is empty")
+    d, j = engine.evaluate_segmenter(SegNet.from_params(groups["S"]), groups["S"], ds)
     print(f"dice={d:.9f} jaccard={j:.9f} n={len(ds)}")
     return 0
 
@@ -224,10 +208,7 @@ def cmd_plot(args) -> int:
             return _fail(f"unknown field '{f}' (choose from {sorted(valid)})")
     series = []
     for path in args.metrics:
-        try:
-            records = metrics.read_csv(path)
-        except (ValueError, FileNotFoundError) as e:
-            return _fail(str(e))
+        records = metrics.read_csv(path)
         stem = os.path.splitext(os.path.basename(path))[0]
         for f in fields:
             label = f"{stem}:{f}" if len(fields) > 1 else stem
@@ -289,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError, engine.TrainingAborted) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

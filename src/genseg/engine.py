@@ -241,14 +241,12 @@ def _descend(group: ParamGroup, loss: Node, binding: dict[str, Node], eta: float
     gradient in ``also``'s group, which is not checked.
     """
     _check_loss(loss, what, iteration)
-    if also is None:
-        grads = ad.group_backward(loss, binding, group)
-    else:
+    leaves = [binding[lbl] for lbl in group.labels()]
+    if also is not None:
         also_binding, also_group = also
-        n = len(group.entries)
-        grads = ad.backward(loss, [binding[lbl] for lbl in group.labels()]
-                            + [also_binding[lbl] for lbl in also_group.labels()])
-        grads, also_grads = grads[:n], grads[n:]
+        leaves += [also_binding[lbl] for lbl in also_group.labels()]
+    grads = ad.backward(loss, leaves)
+    grads, also_grads = grads[:len(group.entries)], grads[len(group.entries):]
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise TrainingAborted(f"gradient of {what} became non-finite at iteration {iteration}")
     stepped = _gd_step(group, grads, eta)
@@ -304,14 +302,16 @@ class Trainer:
                           depth=2, base_channels=config.base_channels)
         self.aug_kinds = aug.enabled_kinds(config.augment_rotate, config.augment_flip,
                                            config.augment_translate)
-        # passes handed on within one iteration, each with the objects it was
-        # computed from: stage I's generator-loss gradient in A, the base point
-        # of stage III's generator product; synth_batch's generator graph,
-        # which stage III differentiates in G; and stage III's validation
-        # logits, which the epoch validation scores
-        self._gen_grad_a = None   # ((G, H, A, masks, images), flat gradient)
-        self._synth_graph = None  # ((G, A, m_hats), images node, G binding)
-        self._val_logits = None   # ((S, val_images), logits array)
+        self.val_masks, self.val_images = val_ds.masks(), val_ds.images()
+        # passes handed on within one iteration, by name: (the objects a pass
+        # was computed from, its value); see _take
+        #   "grad_a": (G, H, A, masks, images) -> stage I's generator-loss
+        #     gradient in A, the base point of stage III's generator product
+        #   "synth": (G, A, m_hats) -> synth_batch's graph (images node, G and
+        #     A bindings), which stage III differentiates in G and in A
+        #   "val_logits": (S, val_images) -> stage III's validation logits,
+        #     which the epoch validation scores
+        self._kept: dict[str, tuple[tuple, object]] = {}
 
     def init_state(self) -> TrainState:
         ss = np.random.SeedSequence(self.config.seed)
@@ -324,6 +324,14 @@ class Trainer:
 
     def loop_rng(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.config.seed).spawn(4)[3])
+
+    def _take(self, name: str, *objects):
+        """Drop the pass kept under ``name``; return its value if it was
+        computed from these very objects, else None."""
+        key, value = self._kept.pop(name, (None, None))
+        if key is not None and all(a is b for a, b in zip(key, objects, strict=True)):
+            return value
+        return None
 
     # -- stage I ------------------------------------------------------------
 
@@ -370,7 +378,7 @@ class Trainer:
             key = (state.G, state.H, state.A, masks, images)
             state.G, grad_a = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it,
                                        (ab, state.A))
-            self._gen_grad_a = (key, grad_a)
+            self._kept["grad_a"] = (key, grad_a)
         else:
             state.G = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it)
         state.H = _descend(state.H, l_disc, hb, cfg.eta_h, "discriminator loss", it)
@@ -383,16 +391,16 @@ class Trainer:
                     ops_per_mask) -> tuple[np.ndarray, np.ndarray]:
         """Augment each real mask and render its image with the generator.
 
-        The architecture enters this forward pass as a frozen constant; the
-        chain in stage III tracks its influence through the stage-I update
-        (plus the direct term when ``direct_path`` is set). The generator
-        weights enter as leaves, and the graph is kept for stage III, which
-        differentiates it in G instead of running the generator again.
+        Stage II trains on the rendered values, so the chain in stage III
+        tracks the architecture's influence through the stage-I update (plus
+        the direct term when ``direct_path`` is set). The forward binds G and A
+        as leaves and is kept for stage III, which differentiates it in G, and
+        in A for the direct term, instead of running the generator again.
         """
         m_hats = np.stack([aug.apply_sequence(ops, m) for ops, m in zip(ops_per_mask, masks)])
-        gb = bind(G)
-        images = self.gen.forward(gb, bind(A), constant(m_hats))
-        self._synth_graph = ((G, A, m_hats), images, gb)
+        gb, ab = bind(G), bind(A)
+        images = self.gen.forward(gb, ab, constant(m_hats))
+        self._kept["synth"] = ((G, A, m_hats), (images, gb, ab))
         return m_hats, images.value
 
     def stage2_objective(self, sb: dict[str, Node], synth_masks, synth_images: Node,
@@ -445,57 +453,52 @@ class Trainer:
         ``eta_s``. Either way the result is exactly zero when ``eta_s`` is
         zero or the validation loss is stationary.
 
-        The segmentation product is a central difference and the generator
-        product a forward one. Reuses the generator graph of the last
-        ``synth_batch`` when it was computed from ``state.G``, ``state.A`` and
-        ``m_hats`` themselves, and the last stage I's generator-loss gradient
-        in A, the generator product's base point, when it was computed from
-        ``G_pre``, ``H_pre``, ``state.A``, ``gan_masks`` and ``gan_images``.
-        Keeps its validation logits for the epoch validation at ``state.S``.
+        The segmentation products are central differences and the generator
+        product a forward one. The products that need the synthetic generator
+        graph, the chain's in G and the direct term's in A, differentiate the
+        one ``synth_batch`` kept when it was computed from ``state.G``,
+        ``state.A`` and ``m_hats`` themselves, and a fresh one otherwise. The
+        generator product's base point is stage I's generator-loss gradient in
+        A when that was taken at ``G_pre``, ``H_pre``, ``state.A``,
+        ``gan_masks`` and ``gan_images``. Keeps its validation logits for the
+        epoch validation at ``state.S``.
         """
         cfg = self.config
-        kept, self._synth_graph = self._synth_graph, None
-        base, self._gen_grad_a = self._gen_grad_a, None
+        kept = self._take("synth", state.G, state.A, m_hats)
+        grad_a = self._take("grad_a", G_pre, H_pre, state.A, gan_masks, gan_images)
+        hyper = np.zeros(state.A.size)
         if cfg.eta_s == 0.0:
-            return np.zeros(state.A.size)
+            return hyper
 
         sb = bind(state.S)
         logits = self.seg.forward(sb, constant(val_images))
-        self._val_logits = ((state.S, val_images), logits.value)
+        self._kept["val_logits"] = ((state.S, val_images), logits.value)
         v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb, state.S)
-        if not np.any(v):
-            return np.zeros(state.A.size)
+        if not np.any(v) or (cfg.eta_g == 0.0 and not cfg.direct_path):
+            return hyper
 
-        hyper = np.zeros(state.A.size)
+        if kept is None:
+            gb, ab = bind(state.G), bind(state.A)
+            kept = (self.gen.forward(gb, ab, constant(m_hats)), gb, ab)
+        images, gb, ab = kept
+        if cfg.direct_path:
+            # architecture also enters generation inside stage II directly
+            direct = self._seg_hvp_fd(images, ab, state.A, S_pre, v, m_hats)
         if cfg.eta_g != 0.0:
             # only the synthetic term depends on the generator; the gamma
             # real-data term has no generator dependence and contributes zero
-            if kept is not None and _same_objects(kept[0], (state.G, state.A, m_hats)):
-                _, images, gb = kept
-            else:
-                gb = bind(state.G)
-                images = self.gen.forward(gb, bind(state.A), constant(m_hats))
             u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
             # free the synthetic and validation graphs now, before the
             # generator product below builds another
-            del kept, images, gb, logits
+            del kept, images, gb, ab, logits
 
             def gen_loss(a_binding, g_binding):
                 return self.generator_loss(g_binding, a_binding, bind(H_pre),
                                            constant(gan_masks), constant(gan_images))[0]
 
-            grad_a = None
-            if base is not None and _same_objects(
-                    base[0], (G_pre, H_pre, state.A, gan_masks, gan_images)):
-                grad_a = base[1]
             w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u, grad_a)
             hyper = cfg.eta_g * cfg.eta_s * w
-
         if cfg.direct_path:
-            # architecture also enters generation inside stage II directly
-            ab = bind(state.A)
-            images = self.gen.forward(bind(state.G), ab, constant(m_hats))
-            direct = self._seg_hvp_fd(images, ab, state.A, S_pre, v, m_hats)
             hyper = hyper - cfg.eta_s * direct
         return hyper
 
@@ -552,7 +555,7 @@ class Trainer:
         m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
         self.stage2_update(state, m_hats, synth_images, masks, images)
         args = (G_pre, H_pre, S_pre, state, masks, images, m_hats,
-                self.val_ds.masks(), self.val_ds.images())
+                self.val_masks, self.val_images)
         return self.stage3_hypergrad(*args), args
 
     # -- evaluation and the loop ---------------------------------------------
@@ -587,7 +590,6 @@ class Trainer:
 
         for it in range(1, cfg.iters + 1):
             state.iteration = it
-            val_images = None  # what stage III validated on, if it ran
             idx = np.arange(n) if batch == n else rng.choice(n, size=batch, replace=False)
             masks = self.train_ds.masks(idx)
             images = self.train_ds.images(idx)
@@ -602,18 +604,18 @@ class Trainer:
                     m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
                     self.stage2_update(state, m_hats, synth_images, masks, images)
             else:
-                hyper, (*_, val_images) = self.search_step(state, masks, images, rng)
+                hyper, _ = self.search_step(state, masks, images, rng)
                 self.outer_update_A(state, hyper)
 
             if it % ipe == 0:
-                d, j = self._validate(state, val_images)
+                d, j = self._validate(state)
                 records.append(self._record(state, "val", d, j))
                 if d > state.best_metric:
                     state.best_metric = d
                     state.best_iteration = it
                     state.best_params = {k: v.copy() for k, v in state.groups().items()}
             # no graph outlives its iteration (stage III never runs in `separate`)
-            self._gen_grad_a = self._synth_graph = self._val_logits = None
+            self._kept.clear()
 
         if state.best_params is None and cfg.iters > 0:
             state.best_params = {k: v.copy() for k, v in state.groups().items()}
@@ -623,17 +625,16 @@ class Trainer:
             records.append(self._record(state, "test", d, j))
         return records, state
 
-    def _validate(self, state: TrainState, val_images: np.ndarray | None) -> tuple[float, float]:
+    def _validate(self, state: TrainState) -> tuple[float, float]:
         """Validation dice and jaccard of ``state.S``.
 
         Scores the logits stage III computed at this same S over the whole
         split when the split fits one evaluation chunk: that is the very
         forward ``evaluate_segmenter`` would run.
         """
-        kept = self._val_logits
-        if (kept is not None and _same_objects(kept[0], (state.S, val_images))
-                and len(val_images) <= EVAL_CHUNK):
-            dices, jacs = _scores(kept[1], self.val_ds.masks())
+        logits = self._take("val_logits", state.S, self.val_images)
+        if logits is not None and len(self.val_images) <= EVAL_CHUNK:
+            dices, jacs = _scores(logits, self.val_masks)
             return float(np.mean(dices)), float(np.mean(jacs))
         return evaluate_segmenter(self.seg, state.S, self.val_ds)
 
@@ -642,10 +643,6 @@ class Trainer:
             return [[] for _ in range(count)]
         return [aug.random_sequence(rng, self.aug_kinds, AUGMENT_MAX_LEN, self.config.img_size)
                 for _ in range(count)]
-
-
-def _same_objects(a: tuple, b: tuple) -> bool:
-    return all(x is y for x, y in zip(a, b, strict=True))
 
 
 def _scores(logits: np.ndarray, masks: np.ndarray) -> tuple[list[float], list[float]]:

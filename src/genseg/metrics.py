@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ _CSV_TYPES = (int, str, float, float, float, float, float)
 
 def read_csv(path) -> list[EvalRecord]:
     """Records from a metrics CSV; a malformed row raises a ``ValueError``
-    naming the file, the line and, for an unreadable value, the field."""
+    naming the file, the line and, for an unreadable or non-finite value, the
+    field. Training writes only finite values."""
     names = CSV_HEADER.split(",")
     out = []
     with open(path, encoding="utf-8") as f:
@@ -91,6 +93,9 @@ def read_csv(path) -> list[EvalRecord]:
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: field '{name}': "
                                      f"cannot read {raw!r} as {kind.__name__}") from None
+                if kind is float and not math.isfinite(row[-1]):
+                    raise ValueError(f"{path}: line {lineno}: field '{name}': "
+                                     f"{raw!r} is not finite")
             out.append(EvalRecord(*row))
     return out
 

@@ -114,8 +114,8 @@ def gen_task(seed: int, n: int, size: int, difficulty: float = 1.0) -> Dataset:
         raise ValueError(f"size must be a power of two >= 8, got {size}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if difficulty < 0:
-        raise ValueError(f"difficulty must be >= 0, got {difficulty}")
+    if not 0 <= difficulty < math.inf:
+        raise ValueError(f"difficulty must be >= 0 and finite, got {difficulty}")
     rng = np.random.default_rng(seed)
     sigma = NOISE_SIGMA * difficulty
     max_shapes = 1 + round(2 * difficulty)

@@ -67,7 +67,9 @@ class TestGenData:
         ("--size", "31", "power of two"),
         ("--n", "0", "n must be >= 1"),
         ("--difficulty", "-1", "difficulty must be >= 0"),
-    ], ids=["size-31", "n-0", "difficulty-neg"])
+        ("--difficulty", "inf", "difficulty must be >= 0"),
+        ("--difficulty", "nan", "difficulty must be >= 0"),
+    ], ids=["size-31", "n-0", "difficulty-neg", "difficulty-inf", "difficulty-nan"])
     def test_bad_size_nonzero_exit(self, tmp_path, capsys, flag, value, message):
         args = ["gen-data", "--n", "2", "--size", "8", flag, value, "--out", str(tmp_path / "x")]
         assert main(args) == 1
@@ -277,6 +279,26 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
                      "--data", str(dataset_dir / "val")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "2", "--size", "8", "--out", "{file}"],
+    ["eval", "--ckpt", "{dir}", "--data", "{data}/val"],
+    ["plot", "--metrics", "{dir}", "--out", "{dir}/p.svg"],
+    ["plot", "--metrics", "{csv}", "--out", "{dir}/nodir/p.svg"],
+], ids=["gen-data-out-file", "eval-ckpt-dir", "plot-metrics-dir", "plot-out-no-dir"])
+def test_unusable_path_is_one_error_line(tmp_path, dataset_dir, capsys, argv):
+    # a path naming the wrong kind of file, or no parent directory
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    csv = tmp_path / "m.csv"
+    csv.write_text("iter,split,dice,jaccard,loss_seg,loss_g,loss_d\n")
+    paths = {"file": taken, "dir": tmp_path, "data": dataset_dir, "csv": csv}
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestGradcheckCommand:

@@ -454,7 +454,7 @@ class TestForwardReuse:
         m_hats, synth = trainer.synth_batch(state.G, state.A, masks, ops)
         trainer.stage2_update(state, m_hats, synth, masks, images)
         args = (G_pre, H_pre, S_pre, state, masks, images, m_hats, val.masks(), val.images())
-        assert trainer._gen_grad_a is not None
+        assert set(trainer._kept) == {"grad_a", "synth"}
         calls = count_forwards(monkeypatch)
         reused = trainer.stage3_hypergrad(*args)
         # only the perturbed generator-loss point runs the generator
@@ -484,11 +484,11 @@ class TestForwardReuse:
         # at these very objects: plant a NaN one under each key with one
         # entry swapped for an equal copy
         key = (state.G, state.H, state.A, masks, images)
-        trainer._gen_grad_a = (key, np.full(state.A.size, np.nan))
+        trainer._kept["grad_a"] = (key, np.full(state.A.size, np.nan))
         assert np.all(np.isnan(trainer.stage3_hypergrad(*args)))
         for i, obj in enumerate(key):
             other = key[:i] + (obj.copy(),) + key[i + 1:]
-            trainer._gen_grad_a = (other, np.full(state.A.size, np.nan))
+            trainer._kept["grad_a"] = (other, np.full(state.A.size, np.nan))
             assert np.array_equal(trainer.stage3_hypergrad(*args), fresh)
 
     @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
@@ -502,7 +502,7 @@ class TestForwardReuse:
 
         def spied_stage1(self, *args):
             stage1(self, *args)
-            kept.append(self._gen_grad_a)
+            kept.append(self._kept.get("grad_a"))
 
         def spied_backward(loss, wrt, create_graph=False):
             requested.append(len(wrt))
@@ -518,6 +518,32 @@ class TestForwardReuse:
         else:
             assert kept == ([None] if mode == "separate" else [])
             assert n_g + n_a not in requested
+
+    def test_direct_path_differentiates_the_kept_graph(self, monkeypatch):
+        # stage I, synth and the perturbed generator-loss point: the direct
+        # term differentiates synth's graph in A instead of running the
+        # generator again
+        trainer, train, _ = small_setup(direct_path=True)
+        state = trainer.init_state()
+        state.iteration = 1
+        calls = count_forwards(monkeypatch)
+        reused, args = trainer.search_step(state, train.masks(), train.images(),
+                                           trainer.loop_rng())
+        assert calls["gen"] == 3
+        trainer._kept.clear()
+        recomputed = trainer.stage3_hypergrad(*args)
+        assert calls["gen"] == 3 + 3
+        assert np.any(reused)
+        assert np.array_equal(reused, recomputed)
+
+    @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
+    def test_store_empty_after_train(self, mode):
+        # two iterations per validation, so an odd last iteration leaves stage
+        # III's logits unscored, and `separate` keeps graphs no stage III takes
+        trainer, _, _ = small_setup(mode=mode, batch=2)
+        trainer.config.iters = 3
+        trainer.train()
+        assert trainer._kept == {}
 
     def test_val_record_equals_evaluate_segmenter(self, monkeypatch):
         trainer, _, val = small_setup(seed=2, n_val=4)
@@ -854,14 +880,14 @@ class TestAbort:
     def test_non_finite_baseline_gradient_aborts(self, monkeypatch):
         trainer, _, _ = small_setup(mode="baseline")
         trainer.config.iters = 3
-        real_group_backward = ad.group_backward
+        real_backward = ad.backward
 
-        def poisoned(loss, binding, group, create_graph=False):
-            grads = real_group_backward(loss, binding, group, create_graph)
+        def poisoned(loss, wrt, create_graph=False):
+            grads = real_backward(loss, wrt, create_graph)
             grads[0] = np.full_like(grads[0], np.inf)
             return grads
 
-        monkeypatch.setattr(ad, "group_backward", poisoned)
+        monkeypatch.setattr(ad, "backward", poisoned)
         with pytest.raises(TrainingAborted,
                            match="gradient of segmentation loss became non-finite at iteration 1"):
             trainer.train()
@@ -907,28 +933,19 @@ class TestAbort:
         state = trainer.init_state()
         state.iteration = 7
         masks, images = train.masks(), train.images()
-        if poisoned == "gradient" and label == "generator loss":
-            # genseg's stage I takes G's gradients and A's in one backward,
-            # G's leaves first, before the discriminator's backward
+        if poisoned == "gradient":
+            # every descent takes its group's gradients in one backward, the
+            # group's leaves first (genseg's stage I adds A's after G's)
             real_backward = ad.backward
+            first_leaf = getattr(state, group_name).entries[0][1]
 
-            def poison_first(loss, wrt, create_graph=False):
+            def poison(loss, wrt, create_graph=False):
                 grads = real_backward(loss, wrt, create_graph)
-                grads[0] = np.full_like(grads[0], np.inf)
+                if wrt[0].value is first_leaf:
+                    grads[0] = np.full_like(grads[0], np.inf)
                 return grads
 
-            monkeypatch.setattr(ad, "backward", poison_first)
-            pattern = f"gradient of {label} became non-finite at iteration 7"
-        elif poisoned == "gradient":
-            real_group_backward = ad.group_backward
-
-            def poison(loss, binding, group, create_graph=False):
-                grads = real_group_backward(loss, binding, group, create_graph)
-                if group.name == group_name:
-                    grads[-1] = np.full_like(grads[-1], np.inf)
-                return grads
-
-            monkeypatch.setattr(ad, "group_backward", poison)
+            monkeypatch.setattr(ad, "backward", poison)
             pattern = f"gradient of {label} became non-finite at iteration 7"
         else:
             pattern = rf"{label} became non-finite \(nan\) at iteration 7"

@@ -121,7 +121,8 @@ class TestCsv:
         ("1,val,0.5,0.4,0.1,0.2,0.3,9", "line 3: expected 7 fields, got 8"),
         ("1,val,abc,0.4,0.1,0.2,0.3", "line 3: field 'dice': cannot read 'abc' as float"),
         ("x,val,0.5,0.4,0.1,0.2,0.3", "line 3: field 'iter': cannot read 'x' as int"),
-    ], ids=["short", "long", "bad-float", "bad-int"])
+        ("1,val,nan,0.4,0.1,0.2,0.3", "line 3: field 'dice': 'nan' is not finite"),
+    ], ids=["short", "long", "bad-float", "bad-int", "non-finite"])
     def test_malformed_row_names_file_line_and_field(self, tmp_path, row, message):
         p = tmp_path / "m.csv"
         p.write_text(CSV_HEADER + "\n2,val,0.5,0.4,0.1,0.2,0.3\n" + row + "\n")
