@@ -104,6 +104,9 @@ def _refuse_overwrite(path: str, force: bool) -> bool:
 def cmd_gen_data(args) -> int:
     if _refuse_overwrite(os.path.join(args.out, "manifest.txt"), args.force):
         return 1
+    # before generating, so an unusable output path costs no dataset
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _fail(f"{args.out} exists and is not a directory")
     ds = synthdata.gen_task(args.seed, args.n, args.size, args.difficulty)
     save_dataset(args.out, ds)
     print(f"wrote {len(ds)} pairs ({args.size}x{args.size}, difficulty {args.difficulty}, "

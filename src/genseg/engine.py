@@ -9,10 +9,13 @@ one-step gradient updates are used for the inner variables on purpose: the
 architecture chain differentiates exactly those steps. ``Trainer.search_step``
 is the one place the three stages are sequenced.
 
-Each mixed second-derivative product in that chain is a finite difference
-(``autodiff.default_eps`` sets the step). The segmentation product is a
-central one: one gradient of the difference of two perturbed losses that
-share the generator graph. The generator product is a forward one: one
+The architecture reaches the validation loss two ways, through the generator
+weights' stage-I update and as the architecture of the generator that renders
+stage II's images; the hypergradient sums both. Each mixed second-derivative
+product in it is a finite difference (``autodiff.default_eps`` sets the step).
+The two segmentation products are one gradient, in the generator weights and
+the architecture at once, of the central difference of two perturbed losses
+that share the generator graph. The generator product is a forward one: one
 gradient at the perturbed generator weights less the architecture gradient
 that stage I's backward already took at the base point. The exact
 double-backward product and ``hypergrad_fd_oracle`` serve only as judges.
@@ -70,7 +73,6 @@ class TrainConfig:
     eta_a: float = 1e-4
     gamma: float = 1.0
     lambda_l1: float = 100.0
-    direct_path: bool = False
     augment_rotate: bool = True
     augment_flip: bool = True
     augment_translate: bool = True
@@ -391,11 +393,11 @@ class Trainer:
                     ops_per_mask) -> tuple[np.ndarray, np.ndarray]:
         """Augment each real mask and render its image with the generator.
 
-        Stage II trains on the rendered values, so the chain in stage III
-        tracks the architecture's influence through the stage-I update (plus
-        the direct term when ``direct_path`` is set). The forward binds G and A
-        as leaves and is kept for stage III, which differentiates it in G, and
-        in A for the direct term, instead of running the generator again.
+        Stage II trains on the rendered values. The forward binds G and A as
+        leaves and is kept for stage III, which differentiates it in both
+        instead of running the generator again: in G for the chain through
+        stage I's update, in A for the architecture's direct part in
+        generation.
         """
         m_hats = np.stack([aug.apply_sequence(ops, m) for ops, m in zip(ops_per_mask, masks)])
         gb, ab = bind(G), bind(A)
@@ -442,75 +444,68 @@ class Trainer:
                          state: TrainState, gan_masks: np.ndarray, gan_images: np.ndarray,
                          m_hats: np.ndarray, val_masks: np.ndarray,
                          val_images: np.ndarray) -> np.ndarray:
-        """Validation-loss gradient with respect to the architecture logits.
+        """Validation-loss gradient with respect to the architecture logits,
+        ``eta_g * eta_s * w - eta_s * d``.
 
-        Chains three factors: the validation-loss gradient at the updated
-        segmenter, the mixed second derivative of the stage-II objective in
-        (updated generator weights, segmenter), and the mixed second
-        derivative of the generator loss in (architecture, generator
-        weights). The product carries both step sizes, so it is zero when
-        ``eta_g`` is; the direct term (``direct_path``) carries only
-        ``eta_s``. Either way the result is exactly zero when ``eta_s`` is
-        zero or the validation loss is stationary.
+        With v the validation-loss gradient at the updated segmenter, u and d
+        are the mixed second derivatives of the synthetic segmentation loss in
+        (generator weights, segmenter) and in (architecture, segmenter) times
+        v, rendered at ``state.G`` and ``state.A``. w, the generator loss's in
+        (architecture, generator weights) times u, carries u back through
+        stage I's step. ``eta_g = 0`` skips that product. The result is exactly
+        zero when ``eta_s`` is zero or the validation loss is stationary.
 
-        The segmentation products are central differences and the generator
-        product a forward one. The products that need the synthetic generator
-        graph, the chain's in G and the direct term's in A, differentiate the
-        one ``synth_batch`` kept when it was computed from ``state.G``,
-        ``state.A`` and ``m_hats`` themselves, and a fresh one otherwise. The
-        generator product's base point is stage I's generator-loss gradient in
-        A when that was taken at ``G_pre``, ``H_pre``, ``state.A``,
-        ``gan_masks`` and ``gan_images``. Keeps its validation logits for the
-        epoch validation at ``state.S``.
+        u and d are one central difference (:meth:`_seg_hvp_fd`) of the graph
+        ``synth_batch`` kept when it was computed from ``state.G``, ``state.A``
+        and ``m_hats`` themselves, and of a fresh one otherwise. w is a forward
+        difference based at stage I's generator-loss gradient in A when that
+        was taken at ``G_pre``, ``H_pre``, ``state.A``, ``gan_masks`` and
+        ``gan_images``. Keeps its validation logits for the epoch validation at
+        ``state.S``.
         """
         cfg = self.config
         kept = self._take("synth", state.G, state.A, m_hats)
         grad_a = self._take("grad_a", G_pre, H_pre, state.A, gan_masks, gan_images)
-        hyper = np.zeros(state.A.size)
         if cfg.eta_s == 0.0:
-            return hyper
+            return np.zeros(state.A.size)
 
         sb = bind(state.S)
         logits = self.seg.forward(sb, constant(val_images))
         self._kept["val_logits"] = ((state.S, val_images), logits.value)
         v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb, state.S)
-        if not np.any(v) or (cfg.eta_g == 0.0 and not cfg.direct_path):
-            return hyper
+        if not np.any(v):
+            return np.zeros(state.A.size)
 
         if kept is None:
             gb, ab = bind(state.G), bind(state.A)
             kept = (self.gen.forward(gb, ab, constant(m_hats)), gb, ab)
-        images, gb, ab = kept
-        if cfg.direct_path:
-            # architecture also enters generation inside stage II directly
-            direct = self._seg_hvp_fd(images, ab, state.A, S_pre, v, m_hats)
+        # only the synthetic term depends on the generator; the gamma
+        # real-data term has no generator dependence and contributes zero
+        u, direct = self._seg_hvp_fd(*kept, S_pre, v, m_hats)
+        hyper = -cfg.eta_s * direct
         if cfg.eta_g != 0.0:
-            # only the synthetic term depends on the generator; the gamma
-            # real-data term has no generator dependence and contributes zero
-            u = self._seg_hvp_fd(images, gb, state.G, S_pre, v, m_hats)
             # free the synthetic and validation graphs now, before the
             # generator product below builds another
-            del kept, images, gb, ab, logits
+            del kept, logits
 
             def gen_loss(a_binding, g_binding):
                 return self.generator_loss(g_binding, a_binding, bind(H_pre),
                                            constant(gan_masks), constant(gan_images))[0]
 
             w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u, grad_a)
-            hyper = cfg.eta_g * cfg.eta_s * w
-        if cfg.direct_path:
-            hyper = hyper - cfg.eta_s * direct
+            hyper += cfg.eta_g * cfg.eta_s * w
         return hyper
 
-    def _seg_hvp_fd(self, images: Node, p_binding, p_group: ParamGroup,
-                    S_base: ParamGroup, v: np.ndarray, m_hats: np.ndarray) -> np.ndarray:
-        """Central-difference mixed HVP of the synthetic segmentation loss,
-        differentiated with respect to the binding that produced ``images``.
+    def _seg_hvp_fd(self, images: Node, gb, ab, S_base: ParamGroup, v: np.ndarray,
+                    m_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Central-difference mixed HVPs of the synthetic segmentation loss in
+        G and in A, the bindings ``gb`` and ``ab`` that produced ``images``.
 
         The gradient of a difference is the difference of the gradients, so
-        one backward of [L(S + eps v) - L(S - eps v)] / (2 eps) gives the
-        product. The two perturbed segmenter branches meet at ``images``, and
-        the generator graph below it is walked once.
+        one backward of [L(S + eps v) - L(S - eps v)] / (2 eps) over G's
+        leaves, then A's, gives both products. The two perturbed segmenter
+        branches meet at ``images``, and the generator graph below it is
+        walked once.
         """
         eps = ad.default_eps(v)
         s0 = S_base.flatten()
@@ -520,7 +515,9 @@ class Trainer:
             return seg_cross_entropy(self.seg.forward(sb, images), m_hats)
 
         diff = ad.sub(loss_at(s0 + eps * v), loss_at(s0 - eps * v))
-        return ad.flat_grad(ad.scale(diff, 1.0 / (2.0 * eps)), p_binding, p_group)
+        grads = ad.backward(ad.scale(diff, 1.0 / (2.0 * eps)), [*gb.values(), *ab.values()])
+        flat = [np.ravel(g) for g in grads]
+        return np.concatenate(flat[:len(gb)]), np.concatenate(flat[len(gb):])
 
     def outer_update_A(self, state: TrainState, hypergrad: np.ndarray,
                        weight_decay: float = ARCH_WEIGHT_DECAY):
@@ -679,14 +676,14 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[fl
 def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: ParamGroup,
                         A: ParamGroup, gan_masks: np.ndarray, gan_images: np.ndarray,
                         m_hats: np.ndarray, val_masks: np.ndarray, val_images: np.ndarray,
-                        h: float = 1e-4, arch_live_in_generation: bool = False) -> np.ndarray:
+                        h: float = 1e-4) -> np.ndarray:
     """Central finite differences of the full map: architecture to validation loss.
 
     Replays stage I and stage II from the given base parameters for each
     perturbed architecture and evaluates the validation loss at the resulting
-    segmenter. By default generation inside stage II uses the frozen base
-    architecture, matching the dependency the implemented chain tracks;
-    ``arch_live_in_generation`` matches the direct-path variant instead.
+    segmenter. The perturbed architecture enters both the generator loss of
+    stage I and the generator that renders stage II's synthetic images, the
+    two ways ``Trainer.stage3_hypergrad`` differentiates.
     """
     cfg = trainer.config
     a0 = A.flatten()
@@ -698,8 +695,7 @@ def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: Param
                                           constant(gan_images))
         G_prime = _gd_step(G, ad.group_backward(l_gen, gb, G), cfg.eta_g)
 
-        A_gen = A_pert if arch_live_in_generation else A
-        synth_images = trainer.gen.forward(bind(G_prime), bind(A_gen), constant(m_hats)).value
+        synth_images = trainer.gen.forward(bind(G_prime), bind(A_pert), constant(m_hats)).value
         sb = bind(S)
         obj = trainer.stage2_objective(sb, m_hats, constant(synth_images),
                                        gan_masks, gan_images)

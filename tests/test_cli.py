@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import genseg
-from genseg import engine
+from genseg import engine, synthdata
 from genseg.autodiff import ParamGroup
 from genseg.cli import main, render_svg
 from genseg.metrics import read_csv
@@ -22,7 +22,6 @@ def write_config(path, data_dir, out_dir, **overrides):
         "mode": "baseline", "seed": 0, "iters": 4, "batch": 0, "img_size": 8,
         "enc_cells": 1, "base_channels": 2, "eta_g": 0.002, "eta_h": 0.002,
         "eta_s": 0.2, "eta_a": 0.0001, "gamma": 1.0, "lambda_l1": 100.0,
-        "direct_path": "false",
         "augment.rotate": "true", "augment.flip": "true", "augment.translate": "true",
         "data_dir": str(data_dir), "out_dir": str(out_dir),
     }
@@ -84,6 +83,18 @@ class TestGenData:
         assert main(["gen-data", "--n", "2", "--size", "8", "--out", str(out), "--force"]) == 0
 
 
+    def test_out_file_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        calls = []
+        monkeypatch.setattr(synthdata, "gen_task", lambda *args: calls.append(args))
+        assert main(["gen-data", "--n", "3000", "--size", "32", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
+        assert taken.read_text() == "a file\n"
+
+
 class TestTrain:
     def test_baseline_smoke_outputs(self, tmp_path, dataset_dir, capsys):
         out = tmp_path / "run"
@@ -136,6 +147,17 @@ class TestTrain:
         cfgp.write_text("mode = baseline\nwibble = 3\n")
         assert main(["train", "--config", str(cfgp)]) == 1
         assert "wibble" in capsys.readouterr().err
+
+    def test_removed_direct_path_key_rejected(self, tmp_path, dataset_dir, capsys):
+        # no key selects the hypergradient: a config that still names the
+        # removed one fails before any run
+        out = tmp_path / "o"
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, direct_path="false")
+        assert main(["train", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown config key 'direct_path'" in err
+        assert not out.exists()
 
     def test_structural_override_named(self, tmp_path, dataset_dir, capsys):
         cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")

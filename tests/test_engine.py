@@ -39,7 +39,7 @@ class TestConfig:
             ("mode", "separate"), ("seed", "3"), ("iters", "17"), ("batch", "4"),
             ("img_size", "16"), ("enc_cells", "2"), ("base_channels", "4"),
             ("eta_g", "0.001"), ("eta_h", "0.002"), ("eta_s", "0.3"), ("eta_a", "0.0001"),
-            ("gamma", "2.0"), ("lambda_l1", "50"), ("direct_path", "true"),
+            ("gamma", "2.0"), ("lambda_l1", "50"),
             ("augment.rotate", "false"), ("augment.flip", "true"),
             ("augment.translate", "false"), ("data_dir", "/tmp/d"), ("out_dir", "/tmp/o"),
         ]
@@ -48,7 +48,7 @@ class TestConfig:
         assert [k.replace(".", "_") for k in CONFIG_KEYS] == [f.name for f in fields(TrainConfig)]
         cfg = parse_config("\n".join(f"{k} = {v}" for k, v in pairs))
         assert cfg.mode == "separate" and cfg.seed == 3 and cfg.iters == 17
-        assert cfg.direct_path is True and cfg.augment_rotate is False
+        assert cfg.augment_rotate is False and cfg.augment_flip is True
         assert cfg.lambda_l1 == 50.0 and cfg.gamma == 2.0
 
     def test_unknown_key_named_in_error(self):
@@ -70,7 +70,7 @@ class TestConfig:
             parse_config("mode = turbo")
 
     def test_resolved_text_round_trips(self):
-        cfg = TrainConfig(seed=5, gamma=2.5, direct_path=True)
+        cfg = TrainConfig(seed=5, gamma=2.5, augment_flip=False)
         again = parse_config(resolved_config_text(cfg))
         assert again == cfg
 
@@ -79,7 +79,7 @@ class TestConfig:
 
     def test_default_digest_pinned(self):
         # the key list and the digest text it feeds are derived from the fields
-        assert config_digest(TrainConfig()) == "ee365213301638ec"
+        assert config_digest(TrainConfig()) == "4df85166b8b81d3d"
 
     def test_digest_ignores_paths(self):
         a = TrainConfig(data_dir="/data/a", out_dir="/runs/a")
@@ -302,11 +302,11 @@ class TestStage3:
         return trainer.search_step(state, train.masks(), train.images(), rng)
 
     def test_zero_inner_rates_give_exact_zero(self):
-        for zero in ("eta_g", "eta_s"):
-            trainer, train, _ = small_setup(**{zero: 0.0})
-            state = trainer.init_state()
-            chain, _ = self._run_stages(trainer, train, state)
-            assert np.array_equal(chain, np.zeros_like(chain))
+        # eta_g = 0 leaves the direct term, so only eta_s = 0 zeroes the result
+        trainer, train, _ = small_setup(eta_s=0.0)
+        state = trainer.init_state()
+        chain, _ = self._run_stages(trainer, train, state)
+        assert np.array_equal(chain, np.zeros_like(chain))
 
     def test_linearity_in_validation_loss_exact_backend(self):
         trainer, train, _ = tiny_instance(0)
@@ -390,21 +390,25 @@ def validation_grad(trainer, state, saved):
 
 
 def exact_chain(trainer, state, saved, v):
-    """The stage-III chain for validation gradient ``v`` with both mixed
-    products taken exactly by double backward, at stage III's arguments as
-    ``Trainer.search_step`` returned them (``state`` as it left it, before
-    the architecture step)."""
+    """Stage III's hypergradient for validation gradient ``v`` with every
+    mixed product taken exactly by double backward, at stage III's arguments
+    as ``Trainer.search_step`` returned them (``state`` as it left it, before
+    the architecture step): the chain term through G's step and the direct
+    term of A in generation."""
     G_pre, H_pre, S_pre, _, masks, images, m_hats, _, _ = saved
-    u = ad.mixed_hvp_exact(
-        lambda gb, sb: seg_cross_entropy(
-            trainer.seg.forward(sb, trainer.gen.forward(gb, bind(state.A), constant(m_hats))),
-            m_hats),
-        state.G, S_pre, v)
+
+    def synth_loss(gb, ab, sb):
+        fake = trainer.gen.forward(gb, ab, constant(m_hats))
+        return seg_cross_entropy(trainer.seg.forward(sb, fake), m_hats)
+
+    u = ad.mixed_hvp_exact(lambda gb, sb: synth_loss(gb, bind(state.A), sb), state.G, S_pre, v)
+    d = ad.mixed_hvp_exact(lambda ab, sb: synth_loss(bind(state.G), ab, sb), state.A, S_pre, v)
     w = ad.mixed_hvp_exact(
         lambda ab, gb: trainer.generator_loss(gb, ab, bind(H_pre), constant(masks),
                                               constant(images))[0],
         state.A, G_pre, u)
-    return trainer.config.eta_g * trainer.config.eta_s * w
+    cfg = trainer.config
+    return cfg.eta_g * cfg.eta_s * w - cfg.eta_s * d
 
 
 def count_forwards(monkeypatch) -> dict[str, int]:
@@ -494,7 +498,9 @@ class TestForwardReuse:
     @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
     def test_arch_gradient_kept_only_in_genseg(self, monkeypatch, mode):
         # only genseg's stage III reads it, so only genseg's stage I pays for
-        # the A leaves in its generator-loss backward
+        # the A leaves in its generator-loss backward; each genseg iteration
+        # makes two G-and-A backwards: that one and stage III's segmentation
+        # products
         trainer, _, _ = small_setup(mode=mode)
         trainer.config.iters = 2  # separate: stage I, then stage II
         kept, requested = [], []
@@ -514,16 +520,16 @@ class TestForwardReuse:
         n_g, n_a = len(state.G.entries), len(state.A.entries)
         if mode == "genseg":
             assert [k[1].size for k in kept] == [state.A.size] * 2
-            assert requested.count(n_g + n_a) == 2
+            assert requested.count(n_g + n_a) == 2 * 2
         else:
             assert kept == ([None] if mode == "separate" else [])
             assert n_g + n_a not in requested
 
-    def test_direct_path_differentiates_the_kept_graph(self, monkeypatch):
-        # stage I, synth and the perturbed generator-loss point: the direct
-        # term differentiates synth's graph in A instead of running the
+    def test_stage3_differentiates_the_kept_graph(self, monkeypatch):
+        # stage I, synth and the perturbed generator-loss point: stage III
+        # differentiates synth's graph in G and in A instead of running the
         # generator again
-        trainer, train, _ = small_setup(direct_path=True)
+        trainer, train, _ = small_setup()
         state = trainer.init_state()
         state.iteration = 1
         calls = count_forwards(monkeypatch)
@@ -763,37 +769,40 @@ def two_backward_hvp(trainer, images, binding, group, S, v, m_hats):
 
 
 class TestSegHvp:
-    def _case(self, seed, binding_of):
-        # binding_of picks the leaves the product is taken in: G for the
-        # chain, A for the direct path
+    def _case(self, seed):
         trainer, train, _ = tiny_instance(seed)
         state = trainer.init_state()
         gb, ab = bind(state.G), bind(state.A)
         m_hats = train.masks()
         images = trainer.gen.forward(gb, ab, constant(m_hats))
-        binding, group = {"G": (gb, state.G), "A": (ab, state.A)}[binding_of]
         v = np.random.default_rng(seed).normal(size=state.S.size)
-        return trainer, images, binding, group, state.S, v, m_hats
+        return trainer, images, gb, ab, state, v, m_hats
 
-    @pytest.mark.parametrize("binding_of", ["G", "A"])
+    # one call returns both products: in G for the chain, in A for the direct
+    # term; `product` picks the one a case checks
+    @pytest.mark.parametrize("product", ["G", "A"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_antisymmetric_in_v_exactly(self, seed, binding_of):
-        trainer, images, binding, group, S, v, m_hats = self._case(seed, binding_of)
-        plus = trainer._seg_hvp_fd(images, binding, group, S, v, m_hats)
-        minus = trainer._seg_hvp_fd(images, binding, group, S, -v, m_hats)
+    def test_antisymmetric_in_v_exactly(self, seed, product):
+        trainer, images, gb, ab, state, v, m_hats = self._case(seed)
+        k = "GA".index(product)
+        plus = trainer._seg_hvp_fd(images, gb, ab, state.S, v, m_hats)[k]
+        minus = trainer._seg_hvp_fd(images, gb, ab, state.S, -v, m_hats)[k]
         assert np.any(plus)
         assert np.array_equal(plus, -minus)
 
-    @pytest.mark.parametrize("binding_of", ["G", "A"])
+    @pytest.mark.parametrize("product", ["G", "A"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_difference_of_two_gradients(self, seed, binding_of):
-        trainer, images, binding, group, S, v, m_hats = self._case(seed, binding_of)
-        one = trainer._seg_hvp_fd(images, binding, group, S, v, m_hats)
-        two = two_backward_hvp(trainer, images, binding, group, S, v, m_hats)
+    def test_matches_difference_of_two_gradients(self, seed, product):
+        trainer, images, gb, ab, state, v, m_hats = self._case(seed)
+        k = "GA".index(product)
+        one = trainer._seg_hvp_fd(images, gb, ab, state.S, v, m_hats)[k]
+        binding, group = ((gb, state.G), (ab, state.A))[k]
+        two = two_backward_hvp(trainer, images, binding, group, state.S, v, m_hats)
         assert rel_error(one, two) <= 1e-6
 
     def test_one_backward_per_product(self, monkeypatch):
-        trainer, images, binding, group, S, v, m_hats = self._case(0, "G")
+        # one backward over G's leaves, then A's, gives both products
+        trainer, images, gb, ab, state, v, m_hats = self._case(0)
         calls = []
         backward = ad.backward
 
@@ -802,8 +811,10 @@ class TestSegHvp:
             return backward(*args, **kwargs)
 
         monkeypatch.setattr(ad, "backward", counted)
-        trainer._seg_hvp_fd(images, binding, group, S, v, m_hats)
+        u, direct = trainer._seg_hvp_fd(images, gb, ab, state.S, v, m_hats)
         assert len(calls) == 1
+        assert u.shape == (state.G.size,) and direct.shape == (state.A.size,)
+        assert np.any(u) and np.any(direct)
 
 
 class TestHypergradOracle:
@@ -826,19 +837,8 @@ class TestHypergradOracle:
         exact = exact_chain(trainer, state, saved, validation_grad(trainer, state, saved))
         assert cosine(chain, exact) >= 0.95
 
-    def test_direct_path_adds_term(self):
-        trainer, train, _ = tiny_instance(1)
-        state = trainer.init_state()
-        rng = trainer.loop_rng()
-        state.iteration = 1
-        chain_default, saved = trainer.search_step(state, train.masks(), train.images(), rng)
-        trainer.config.direct_path = True
-        chain_direct = trainer.stage3_hypergrad(*saved)
-        assert not np.allclose(chain_default, chain_direct)
-
-    def test_direct_path_matches_arch_live_oracle(self):
+    def test_default_path_matches_pipeline_oracle(self):
         trainer, train, _ = tiny_instance(2)
-        trainer.config.direct_path = True
         state = trainer.init_state()
         rng = trainer.loop_rng()
         for it in range(1, 13):
@@ -846,15 +846,12 @@ class TestHypergradOracle:
             chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
             if it < 12:
                 trainer.outer_update_A(state, chain)
-        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:],
-                                         arch_live_in_generation=True)
+        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
         assert cosine(chain, oracle) >= 0.99
 
-
-    def test_direct_path_without_generator_step_matches_oracle(self):
+    def test_without_generator_step_matches_oracle(self):
         # with eta_g = 0 the chain term vanishes but the direct term does not
         trainer, train, _ = tiny_instance(2)
-        trainer.config.direct_path = True
         trainer.config.eta_g = 0.0
         state = trainer.init_state()
         rng = trainer.loop_rng()
@@ -863,8 +860,8 @@ class TestHypergradOracle:
             chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
             if it < 5:
                 trainer.outer_update_A(state, chain)
-        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:],
-                                         arch_live_in_generation=True)
+        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
+        assert np.any(chain)
         assert cosine(chain, oracle) >= 0.99
 
 
