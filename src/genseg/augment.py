@@ -54,14 +54,13 @@ def apply_sequence(ops, mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def random_sequence(rng, ops_enabled, max_len: int, extent: int) -> list[AugmentOp]:
-    """Sample 1..max_len ops uniformly (kind first, then parameters).
+def random_sequence(rng: np.random.Generator, ops_enabled, max_len: int,
+                    extent: int) -> list[AugmentOp]:
+    """Sample 1..max_len ops uniformly (kind first, then parameters) from ``rng``.
 
-    ``rng`` is a seed or a numpy Generator; translation offsets are drawn
-    uniformly from +-extent//4. Reproducible given the same seed.
+    Translation offsets are drawn uniformly from +-extent//4. Generators in
+    the same state draw the same sequence.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     kinds = sorted(set(ops_enabled))
     if not kinds:
         raise ValueError("ops_enabled must not be empty")

@@ -189,13 +189,9 @@ def sum_(a: Node, axes=None, keepdims: bool = False) -> Node:
     return Node(out, (a,), vjp)
 
 
-def mean_(a: Node, axes=None, keepdims: bool = False) -> Node:
-    if axes is None:
-        n = a.value.size
-    else:
-        ax = (axes,) if isinstance(axes, int) else tuple(axes)
-        n = int(np.prod([a.value.shape[i] for i in ax]))
-    return scale(sum_(a, axes, keepdims), 1.0 / n)
+def mean_(a: Node) -> Node:
+    """Mean over every element, a scalar."""
+    return scale(sum_(a), 1.0 / a.value.size)
 
 
 def broadcast_to(a: Node, shape) -> Node:
@@ -318,9 +314,9 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
     return Node(out, (a, b), vjp)
 
 
-def max_stop(a: Node, axes=None, keepdims: bool = False) -> Node:
-    """Max over axes as a gradient-free constant (for stabilized exp/softmax)."""
-    return constant(np.max(a.value, axis=axes, keepdims=keepdims))
+def max_stop(a: Node, axis: int) -> Node:
+    """Max over ``axis``, kept, as a gradient-free constant (for stabilized exp/softmax)."""
+    return constant(np.max(a.value, axis=axis, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +343,17 @@ def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
     return _conv(x, weight, bias, spec.stride, spec.padding)
 
 
-def softmax(a: Node, axis: int = -1) -> Node:
-    z = sub(a, max_stop(a, axes=axis, keepdims=True))
+def softmax(a: Node) -> Node:
+    """Softmax over the last axis."""
+    z = sub(a, max_stop(a, -1))
     e = exp(z)
-    return div(e, sum_(e, axes=axis, keepdims=True))
+    return div(e, sum_(e, axes=-1, keepdims=True))
 
 
-def logsumexp(a: Node, axis: int, keepdims: bool = False) -> Node:
-    m = max_stop(a, axes=axis, keepdims=True)
-    s = log(sum_(exp(sub(a, m)), axes=axis, keepdims=True))
-    out = add(s, m)
-    if not keepdims:
-        out = sum_(out, axes=axis)  # squeeze the singleton axis
-    return out
+def logsumexp(a: Node, axis: int) -> Node:
+    """log(sum(exp(a))) over ``axis``, kept as a singleton axis."""
+    m = max_stop(a, axis)
+    return add(log(sum_(exp(sub(a, m)), axes=axis, keepdims=True)), m)
 
 
 def dot(a: Node, b: Node) -> Node:
@@ -428,7 +422,7 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
                 continue
             thunks = node.vjp(node, g)
             for parent, thunk in zip(node.parents, thunks):
-                if thunk is None or not needed.get(parent.id, False):
+                if not needed.get(parent.id, False):
                     continue
                 pg = thunk()
                 prev = grads.get(parent.id)

@@ -16,29 +16,29 @@ from .models import SegNet
 from .synthdata import load_checkpoint, load_dataset, save_checkpoint, save_dataset
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+WIDTH, HEIGHT, TICKS = 640, 420, 5  # plot size in pixels, and ticks per axis
 
 
 # ---------------------------------------------------------------------------
 # SVG line plots (self-contained, no plotting dependency)
 # ---------------------------------------------------------------------------
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
 
 def render_svg(series: list[tuple[str, list[float], list[float]]],
-               width: int = 640, height: int = 420,
-               x_label: str = "iteration", y_label: str = "value") -> str:
-    """One polyline per (label, xs, ys) series, with axes, ticks, and legend."""
+               y_label: str = "value") -> str:
+    """One polyline per (label, xs, ys) series over iterations, with axes, ticks, and legend."""
     ml, mr, mt, mb = 62, 18, 18, 46
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-           f'<rect width="{width}" height="{height}" fill="white"/>']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     nonempty = [s for s in series if len(s[1])]
     if not nonempty:
-        out.append(f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH / 2}" y="{HEIGHT / 2}" text-anchor="middle" '
                    f'font-size="16" fill="#666">no data</text>')
         out.append("</svg>")
         return "\n".join(out)
@@ -51,7 +51,7 @@ def render_svg(series: list[tuple[str, list[float], list[float]]],
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def px(x):
         return ml + (x - x_lo) / (x_hi - x_lo) * pw
@@ -67,7 +67,7 @@ def render_svg(series: list[tuple[str, list[float], list[float]]],
     for t in _ticks(y_lo, y_hi):
         out.append(f'<line x1="{ml - 5}" y1="{py(t):.1f}" x2="{ml}" y2="{py(t):.1f}" stroke="black"/>')
         out.append(f'<text x="{ml - 8}" y="{py(t):.1f}" text-anchor="end" dominant-baseline="middle">{t:.3g}</text>')
-    out.append(f'<text x="{ml + pw / 2}" y="{height - 8}" text-anchor="middle">{x_label}</text>')
+    out.append(f'<text x="{ml + pw / 2}" y="{HEIGHT - 8}" text-anchor="middle">iteration</text>')
     out.append(f'<text x="14" y="{mt + ph / 2}" text-anchor="middle" '
                f'transform="rotate(-90 14 {mt + ph / 2})">{y_label}</text>')
 
@@ -104,9 +104,13 @@ def _refuse_overwrite(path: str, force: bool) -> bool:
 def cmd_gen_data(args) -> int:
     if _refuse_overwrite(os.path.join(args.out, "manifest.txt"), args.force):
         return 1
-    # before generating, so an unusable output path costs no dataset
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        return _fail(f"{args.out} exists and is not a directory")
+    # before generating, so an unusable output path costs no dataset; nothing is
+    # made yet, so a rejected --size or --n leaves no directory behind
+    anchor = os.path.abspath(args.out)
+    while not os.path.exists(anchor):  # up to the nearest existing ancestor
+        anchor = os.path.dirname(anchor)
+    if not os.path.isdir(anchor):
+        return _fail(f"cannot write {args.out}: {anchor} is not a directory")
     ds = synthdata.gen_task(args.seed, args.n, args.size, args.difficulty)
     save_dataset(args.out, ds)
     print(f"wrote {len(ds)} pairs ({args.size}x{args.size}, difficulty {args.difficulty}, "

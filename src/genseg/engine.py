@@ -53,6 +53,8 @@ AUGMENT_MAX_LEN = 3
 # images per segmenter forward in evaluate_segmenter
 EVAL_CHUNK = 64
 
+ORACLE_STEP = 1e-4  # hypergrad_fd_oracle's central-difference step per architecture logit
+
 
 class TrainingAborted(RuntimeError):
     """Raised when a loss or gradient turns non-finite mid-run."""
@@ -213,7 +215,7 @@ def seg_cross_entropy(logits: Node, masks: np.ndarray) -> Node:
     z0 = ad.slice_axis(logits, 1, 0, 1)
     z1 = ad.slice_axis(logits, 1, 1, 2)
     zt = ad.add(ad.mul(m, z1), ad.mul(ad.shift(ad.neg(m), 1.0), z0))
-    lse = ad.logsumexp(logits, axis=1, keepdims=True)
+    lse = ad.logsumexp(logits, axis=1)
     return ad.mean_(ad.sub(lse, zt))
 
 
@@ -295,13 +297,12 @@ class Trainer:
         if extent != config.img_size:
             raise ValueError(f"img_size {config.img_size} does not match data extent {extent}")
         img_channels = train_ds[0].image.shape[0]
-        self.gen = GeneratorNet(mask_channels=1, img_channels=img_channels,
-                                enc_cells=config.enc_cells, base_channels=config.base_channels)
+        self.gen = GeneratorNet(img_channels=img_channels, enc_cells=config.enc_cells,
+                                base_channels=config.base_channels)
         disc_depth = min(3, int(math.log2(config.img_size)) - 1)
-        self.disc = DiscriminatorNet(mask_channels=1, img_channels=img_channels,
-                                     base_channels=config.base_channels, depth=max(1, disc_depth))
-        self.seg = SegNet(img_channels=img_channels, num_classes=2,
-                          depth=2, base_channels=config.base_channels)
+        self.disc = DiscriminatorNet(img_channels=img_channels, base_channels=config.base_channels,
+                                     depth=max(1, disc_depth))
+        self.seg = SegNet(img_channels=img_channels, base_channels=config.base_channels)
         self.aug_kinds = aug.enabled_kinds(config.augment_rotate, config.augment_flip,
                                            config.augment_translate)
         self.val_masks, self.val_images = val_ds.masks(), val_ds.images()
@@ -617,8 +618,7 @@ class Trainer:
         if state.best_params is None and cfg.iters > 0:
             state.best_params = {k: v.copy() for k, v in state.groups().items()}
         if self.test_ds is not None and len(self.test_ds) and cfg.iters > 0:
-            best_S = state.best_params["S"] if state.best_params else state.S
-            d, j = evaluate_segmenter(self.seg, best_S, self.test_ds)
+            d, j = evaluate_segmenter(self.seg, state.best_params["S"], self.test_ds)
             records.append(self._record(state, "test", d, j))
         return records, state
 
@@ -675,9 +675,9 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[fl
 
 def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: ParamGroup,
                         A: ParamGroup, gan_masks: np.ndarray, gan_images: np.ndarray,
-                        m_hats: np.ndarray, val_masks: np.ndarray, val_images: np.ndarray,
-                        h: float = 1e-4) -> np.ndarray:
-    """Central finite differences of the full map: architecture to validation loss.
+                        m_hats: np.ndarray, val_masks: np.ndarray,
+                        val_images: np.ndarray) -> np.ndarray:
+    """Central differences (step ORACLE_STEP) of the full map: architecture to validation loss.
 
     Replays stage I and stage II from the given base parameters for each
     perturbed architecture and evaluates the validation loss at the resulting
@@ -708,6 +708,6 @@ def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: Param
     grad = np.zeros_like(a0)
     for k in range(a0.size):
         e = np.zeros_like(a0)
-        e[k] = h
-        grad[k] = (pipeline(a0 + e) - pipeline(a0 - e)) / (2 * h)
+        e[k] = ORACLE_STEP
+        grad[k] = (pipeline(a0 + e) - pipeline(a0 - e)) / (2 * ORACLE_STEP)
     return grad

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamGroup
+from .synthdata import MASK_CHANNELS
 from .tensor import ConvSpec
 
 # candidate pool per cell: kernel/stride/padding triples that all halve
@@ -27,6 +28,7 @@ UP_CANDIDATES = tuple(replace(spec, transposed=True) for spec in DOWN_CANDIDATES
 HALVE = ConvSpec(4, 2, 1)
 DOUBLE = replace(HALVE, transposed=True)
 HEAD = ConvSpec(1, 1, 0)
+SEG_CLASSES, SEG_DEPTH = 2, 2  # the segmenter's logits per pixel, and its U-Net's scales
 
 
 def _conv_params(rng: np.random.Generator, name: str, spec: ConvSpec,
@@ -133,11 +135,9 @@ class GeneratorNet:
     A 1x1 head with tanh maps to image channels, so outputs lie in (-1, 1).
     """
 
-    def __init__(self, mask_channels: int = 1, img_channels: int = 1,
-                 enc_cells: int = 3, base_channels: int = 8):
+    def __init__(self, img_channels: int = 1, enc_cells: int = 3, base_channels: int = 8):
         self.enc_cells = enc_cells
-        self.mask_channels = mask_channels
-        down, up = _unet_channels(mask_channels, base_channels, enc_cells)
+        down, up = _unet_channels(MASK_CHANNELS, base_channels, enc_cells)
         self.encoders = [SearchableCell(f"enc{i}", ci, co, transposed=False)
                          for i, (ci, co) in enumerate(down, start=1)]
         self.decoders = [SearchableCell(f"dec{j}", ci, co, transposed=True)
@@ -156,8 +156,8 @@ class GeneratorNet:
 
     def forward(self, g: dict[str, Node], a: dict[str, Node], mask: Node) -> Node:
         n, c, h, w = mask.value.shape
-        if c != self.mask_channels:
-            raise ValueError(f"mask has {c} channels, expected {self.mask_channels}")
+        if c != MASK_CHANNELS:
+            raise ValueError(f"mask has {c} channels, expected {MASK_CHANNELS}")
         if h != w or not _is_power_of_two(h) or h < 2 ** self.enc_cells:
             raise ValueError(f"mask extent {h}x{w} must be a square power of two >= {2 ** self.enc_cells}")
         # looked up per call, so a wrapper put on SearchableCell.forward later still runs
@@ -173,10 +173,9 @@ class DiscriminatorNet:
     map; losses consume the logits directly, there is no final sigmoid.
     """
 
-    def __init__(self, mask_channels: int = 1, img_channels: int = 1,
-                 base_channels: int = 8, depth: int = 3):
+    def __init__(self, img_channels: int = 1, base_channels: int = 8, depth: int = 3):
         self.layers = []
-        in_ch = mask_channels + img_channels
+        in_ch = MASK_CHANNELS + img_channels
         for i in range(depth):
             out_ch = base_channels * 2 ** i
             self.layers.append((f"d{i+1}", HALVE, in_ch, out_ch))
@@ -202,15 +201,12 @@ class DiscriminatorNet:
 class SegNet:
     """Small fixed-architecture U-Net emitting per-pixel two-class logits."""
 
-    def __init__(self, img_channels: int = 1, num_classes: int = 2,
-                 depth: int = 2, base_channels: int = 8):
+    def __init__(self, img_channels: int = 1, base_channels: int = 8):
         self.img_channels = img_channels
-        self.num_classes = num_classes
-        self.depth = depth
-        down, up = _unet_channels(img_channels, base_channels, depth)
+        down, up = _unet_channels(img_channels, base_channels, SEG_DEPTH)
         self.down = [(f"down{i}", HALVE, ci, co) for i, (ci, co) in enumerate(down, start=1)]
         self.up = [(f"up{j}", DOUBLE, ci, co) for j, (ci, co) in enumerate(up, start=1)]
-        self.head = ("head", HEAD, base_channels, num_classes)
+        self.head = ("head", HEAD, base_channels, SEG_CLASSES)
 
     def init_params(self, seed: int) -> ParamGroup:
         rng = np.random.default_rng(seed)
@@ -221,16 +217,14 @@ class SegNet:
 
     @classmethod
     def from_params(cls, group: ParamGroup) -> "SegNet":
-        """Reconstruct the layer structure from a saved parameter group; a
-        missing or misshapen layer parameter is a ValueError naming its label."""
+        """Rebuild from a saved parameter group, with ``down1.w``'s image channels
+        and base width; a missing or misshapen layer parameter, such as a head
+        without ``SEG_CLASSES`` outputs, is a ValueError naming its label."""
         shapes = {lbl: arr.shape for lbl, arr in group.entries}
-        for label in ("down1.w", "head.w"):
-            if len(shapes.get(label, ())) != 4:
-                raise ValueError(f"segmenter parameters lack a 4-d '{label}'")
-        depth = sum(1 for lbl in shapes if lbl.startswith("down") and lbl.endswith(".w"))
-        first, head = shapes["down1.w"], shapes["head.w"]
-        net = cls(img_channels=first[1], num_classes=head[0], depth=depth,
-                  base_channels=first[0])
+        if len(shapes.get("down1.w", ())) != 4:
+            raise ValueError("segmenter parameters lack a 4-d 'down1.w'")
+        base_channels, img_channels = shapes["down1.w"][:2]
+        net = cls(img_channels=img_channels, base_channels=base_channels)
         for name, spec, in_ch, out_ch in net.down + net.up + [net.head]:
             for label, shape in ((f"{name}.w", spec.weight_shape(in_ch, out_ch)),
                                  (f"{name}.b", (out_ch,))):
@@ -246,10 +240,10 @@ class SegNet:
         if c != self.img_channels:
             raise ValueError(f"image has {c} channels, expected {self.img_channels}")
         # each down layer halves the extent, and each skip must meet its up layer's output
-        scale = 2 ** self.depth
+        scale = 2 ** SEG_DEPTH
         if h < scale or h % scale or w < scale or w % scale:
             raise ValueError(f"image extent {h}x{w} is not a positive multiple of "
-                             f"2**depth = {scale} in both axes")
+                             f"2**SEG_DEPTH = {scale} in both axes")
         down, up = ([partial(_conv, s, layer) for layer in layers] for layers in (self.down, self.up))
         return _conv(s, self.head, _unet(down, up, image))
 

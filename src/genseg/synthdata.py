@@ -13,7 +13,6 @@ import hashlib
 import math
 import re
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +33,12 @@ BG_TOP = -0.7
 BG_BOTTOM = 0.45
 NOISE_SIGMA = 0.05
 
+MASK_CHANNELS = 1  # every mask, the generator's input and the segmenter's target
+
 
 @dataclass
 class MaskImagePair:
-    mask: np.ndarray   # (1, H, W), values in {0, 1}
+    mask: np.ndarray   # (MASK_CHANNELS, H, W), values in {0, 1}
     image: np.ndarray  # (C, H, W), values in [-1, 1]
 
 
@@ -217,7 +218,8 @@ def load_tensor(path) -> np.ndarray:
 # length-prefixed config digest, then the four parameter groups as
 # length-prefixed labels with embedded GSTN blobs. Past the 37-byte header
 # every read is bounds-checked by _take at its file offset, and bytes left
-# after the last group are rejected even when the hash matches.
+# after the last group are rejected even when the hash matches. The config
+# digest is returned as read, never compared.
 # ---------------------------------------------------------------------------
 
 def _lp_str(s: str) -> bytes:
@@ -251,9 +253,8 @@ def save_checkpoint(path, groups: dict[str, ParamGroup], config_digest: str = ""
         f.write(blob)
 
 
-def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, ParamGroup], str]:
-    """Read groups and the stored config digest; tampering raises, a digest
-    mismatch only warns."""
+def load_checkpoint(path) -> tuple[dict[str, ParamGroup], str]:
+    """Read groups and the stored config digest; tampering raises."""
     with open(path, "rb") as f:
         buf = memoryview(f.read())
     if buf[:4] != CKPT_MAGIC:
@@ -284,16 +285,14 @@ def load_checkpoint(path, expect_digest: str | None = None) -> tuple[dict[str, P
     missing = [r for r in ("G", "H", "S", "A") if r not in groups]
     if missing:
         raise ValueError(f"checkpoint missing parameter groups: {missing}")
-    if expect_digest is not None and digest != expect_digest:
-        warnings.warn(f"checkpoint config digest {digest!r} does not match expected "
-                      f"{expect_digest!r}; proceeding", stacklevel=2)
     return groups, digest
 
 
 # ---------------------------------------------------------------------------
 # dataset directory layout: manifest.txt with one 'image mask' filename pair
 # per line; GSTN tensors, or binary PGM (P5, maxval 255) for imports. Every
-# pair must have the first pair's image and mask shapes.
+# mask has MASK_CHANNELS channels, and every pair the first pair's image and
+# mask shapes.
 # ---------------------------------------------------------------------------
 
 # magic, width, height and maxval separated by whitespace or '#' comment
@@ -355,6 +354,9 @@ def load_dataset(dirpath) -> Dataset:
             image = _load_grid(os.path.join(dirpath, img_name), lambda p: p / 255.0 * 2.0 - 1.0)
             mask = _load_grid(os.path.join(dirpath, msk_name),
                               lambda p: (p >= 128.0).astype(np.float64))
+            if mask.ndim != 3 or mask.shape[0] != MASK_CHANNELS:
+                raise ValueError(f"{os.path.join(dirpath, msk_name)}: mask has shape {mask.shape}, "
+                                 f"expected ({MASK_CHANNELS}, H, W)")
             if image.shape[1:] != mask.shape[1:]:
                 raise ValueError(f"{img_name}/{msk_name}: image {image.shape} vs mask {mask.shape}")
             if pairs and (image.shape, mask.shape) != (pairs[0].image.shape, pairs[0].mask.shape):

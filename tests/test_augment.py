@@ -81,21 +81,21 @@ class TestProperties:
 
 class TestRandomSequence:
     def test_same_seed_identical(self):
-        a = random_sequence(42, set(KINDS), max_len=3, extent=16)
-        b = random_sequence(42, set(KINDS), max_len=3, extent=16)
+        a = random_sequence(np.random.default_rng(42), set(KINDS), max_len=3, extent=16)
+        b = random_sequence(np.random.default_rng(42), set(KINDS), max_len=3, extent=16)
         assert a == b
 
     def test_single_kind_forced(self):
-        ops = random_sequence(0, {"flip_h"}, max_len=1, extent=16)
+        ops = random_sequence(np.random.default_rng(0), {"flip_h"}, max_len=1, extent=16)
         assert ops == [AugmentOp("flip_h")]
 
     def test_empty_kinds_rejected(self):
         with pytest.raises(ValueError):
-            random_sequence(0, set(), max_len=3, extent=16)
+            random_sequence(np.random.default_rng(0), set(), max_len=3, extent=16)
 
     def test_bad_max_len_rejected(self):
         with pytest.raises(ValueError):
-            random_sequence(0, set(KINDS), max_len=0, extent=16)
+            random_sequence(np.random.default_rng(0), set(KINDS), max_len=0, extent=16)
 
     def test_kind_frequencies_uniform(self):
         rng = np.random.default_rng(123)
@@ -121,7 +121,7 @@ class TestRandomSequence:
                                  (dict(rotate=False, flip=False, translate=True), {"translate"})):
             kinds = enabled_kinds(**flag_set)
             assert kinds == expect
-            ops = random_sequence(3, kinds, max_len=3, extent=16)
+            ops = random_sequence(np.random.default_rng(3), kinds, max_len=3, extent=16)
             assert {op.kind for op in ops} <= expect
 
     def test_all_disabled_is_empty(self):

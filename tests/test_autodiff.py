@@ -102,7 +102,7 @@ def network_losses(seed):
     images = rng.uniform(-0.9, 0.9, size=(2, 1, 8, 8))
     gen = GeneratorNet(enc_cells=1, base_channels=2)
     disc = DiscriminatorNet(base_channels=2, depth=2)
-    seg = SegNet(depth=2, base_channels=2)
+    seg = SegNet(base_channels=2)
     G, A = gen.init_params(seed)
     gb, ab, hb = bind(G), bind(A), bind(disc.init_params(seed + 1))
     m, i = constant(masks), constant(images)

@@ -43,6 +43,14 @@ def test_stage3_takes_what_the_oracle_hook_unpacks():
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
 
 
+def test_oracle_takes_what_the_oracle_hook_passes():
+    # tracing.install_oracle calls the oracle with ten positional arguments:
+    # trainer, G_pre, H_pre, S_pre, state.A, masks, images, m_hats, val_masks,
+    # val_images
+    bound = inspect.signature(engine.hypergrad_fd_oracle).bind(*range(10))
+    assert list(bound.arguments.values()) == list(range(10))
+
+
 def test_one_genseg_iteration_runs_each_traced_product_once(monkeypatch):
     # the benchmark's autodiff.hvp span wraps these two by name; a product
     # computed inline elsewhere would silently drop out of autodiff.hvp.ms

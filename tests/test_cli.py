@@ -94,6 +94,19 @@ class TestGenData:
         assert calls == []
         assert taken.read_text() == "a file\n"
 
+    def test_out_under_file_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        calls = []
+        monkeypatch.setattr(synthdata, "gen_task", lambda *args: calls.append(args))
+        out = taken / "sub" / "data"
+        assert main(["gen-data", "--n", "3000", "--size", "32", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+        assert taken.read_text() == "a file\n"
+
 
 class TestTrain:
     def test_baseline_smoke_outputs(self, tmp_path, dataset_dir, capsys):
@@ -212,6 +225,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: img_00001.gstn/msk_00001.gstn" in err and "first pair's" in err
 
+    def test_two_channel_masks_named(self, tmp_path, dataset_dir, capsys):
+        pairs = [MaskImagePair(np.concatenate([p.mask, p.mask]), p.image)
+                 for p in load_dataset(dataset_dir / "train").pairs]
+        save_dataset(dataset_dir / "train", Dataset(pairs))
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "msk_00000.gstn" in err and "(2, 8, 8)" in err
+
     def test_flat_dataset_dir_is_split(self, tmp_path, capsys):
         flat = tmp_path / "flat"
         assert main(["gen-data", "--n", "10", "--size", "8", "--out", str(flat)]) == 0
@@ -243,7 +267,7 @@ class TestEval:
         assert main(["eval", "--ckpt", str(out / "best.ckpt"), "--data", str(empty)]) == 1
 
     def test_extent_segmenter_cannot_round_trip(self, tmp_path, capsys):
-        S = SegNet(depth=2, base_channels=2).init_params(0)
+        S = SegNet(base_channels=2).init_params(0)
         groups = {name: ParamGroup(name, S.entries if name == "S" else [])
                   for name in ("G", "H", "S", "A")}
         save_checkpoint(tmp_path / "s.ckpt", groups)
@@ -264,6 +288,22 @@ class TestEval:
                      "--data", str(tmp_path / "d8")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'down1.w'" in err
+
+    def test_three_class_head_rejected(self, tmp_path, capsys):
+        # a head with a third output would otherwise score argmax over two of them
+        rng = np.random.default_rng(0)
+        S = SegNet(base_channels=2).init_params(0)
+        S.entries = [(lbl, rng.normal(size=(3, *arr.shape[1:])) if lbl.startswith("head.") else arr)
+                     for lbl, arr in S.entries]
+        groups = {name: S if name == "S" else ParamGroup(name, []) for name in ("G", "H", "S", "A")}
+        save_checkpoint(tmp_path / "c3.ckpt", groups)
+        save_dataset(tmp_path / "d8", gen_task(seed=1, n=2, size=8))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "c3.ckpt"),
+                     "--data", str(tmp_path / "d8")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'head.w'" in err
 
     def test_truncated_checkpoint_header(self, tmp_path, dataset_dir, capsys):
         (tmp_path / "short.ckpt").write_bytes(b"GSCK")

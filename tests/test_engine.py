@@ -227,7 +227,7 @@ class TestSynthBatch:
         trainer, train, _ = small_setup()
         state = trainer.init_state()
         from genseg.augment import random_sequence, KINDS
-        ops = [random_sequence(7, set(KINDS), 3, 8) for _ in range(len(train))]
+        ops = [random_sequence(np.random.default_rng(7), set(KINDS), 3, 8) for _ in range(len(train))]
         a = trainer.synth_batch(state.G, state.A, train.masks(), ops)
         b = trainer.synth_batch(state.G, state.A, train.masks(), ops)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -821,7 +821,7 @@ class TestHypergradOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_backend_matches_pipeline_fd(self, seed):
         from genseg.checks import check_hypergrad
-        assert check_hypergrad(seed=seed, warmup=20) >= 0.99
+        assert check_hypergrad(seed=seed) >= 0.99
 
     def test_fd_vs_exact_chain_agreement(self):
         # the engine's finite-difference chain after 8 iterations against the

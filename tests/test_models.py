@@ -190,13 +190,13 @@ class TestDiscriminator:
 
 class TestSegNet:
     def test_logit_shape(self):
-        seg = SegNet(depth=2, base_channels=4)
+        seg = SegNet(base_channels=4)
         S = seg.init_params(0)
         out = seg.forward(bind(S), constant(np.zeros((3, 1, 16, 16))))
         assert out.value.shape == (3, 2, 16, 16)
 
     def test_argmax_shift_invariance(self):
-        seg = SegNet(depth=2, base_channels=4)
+        seg = SegNet(base_channels=4)
         S = seg.init_params(1)
         img = np.random.default_rng(2).normal(size=(1, 1, 16, 16))
         logits = seg.forward(bind(S), constant(img)).value
@@ -209,7 +209,7 @@ class TestSegNet:
         from genseg.synthdata import gen_task
         ds = gen_task(seed=9, n=1, size=16)
         image, mask = ds[0].image[None], ds[0].mask[None]
-        seg = SegNet(depth=2, base_channels=8)
+        seg = SegNet(base_channels=8)
         S = seg.init_params(3)
         for _ in range(500):
             b = bind(S)
@@ -224,30 +224,31 @@ class TestSegNet:
         assert dice(pred[0], mask[0]) >= 0.99
 
     def test_from_params_round_trip(self):
-        seg = SegNet(img_channels=1, num_classes=2, depth=2, base_channels=4)
+        seg = SegNet(img_channels=1, base_channels=4)
         S = seg.init_params(0)
         rebuilt = SegNet.from_params(S)
-        assert (rebuilt.depth, rebuilt.img_channels, rebuilt.num_classes) == (2, 1, 2)
+        assert rebuilt.img_channels == 1
+        assert (rebuilt.down, rebuilt.up, rebuilt.head) == (seg.down, seg.up, seg.head)
         img = constant(np.random.default_rng(1).normal(size=(1, 1, 16, 16)))
         np.testing.assert_array_equal(seg.forward(bind(S), img).value,
                                       rebuilt.forward(bind(S), img).value)
 
     @pytest.mark.parametrize("label", ["down1.w", "head.w", "down2.b", "up1.w", "up2.b"])
     def test_from_params_names_missing_layer(self, label):
-        S = SegNet(depth=2, base_channels=2).init_params(0)
+        S = SegNet(base_channels=2).init_params(0)
         S.entries = [(lbl, arr) for lbl, arr in S.entries if lbl != label]
         with pytest.raises(ValueError, match=f"'{label}'"):
             SegNet.from_params(S)
 
     def test_from_params_names_misshapen_layer(self):
-        S = SegNet(depth=2, base_channels=2).init_params(0)
+        S = SegNet(base_channels=2).init_params(0)
         S.entries = [(lbl, arr[:1] if lbl == "up1.b" else arr) for lbl, arr in S.entries]
         with pytest.raises(ValueError, match=r"'up1.b' has shape \(1,\)"):
             SegNet.from_params(S)
 
     def test_extent_must_be_multiple_of_two_to_the_depth(self):
         # at 10, the down layers give 5 then 2, and 2 doubles back to 4, not 5
-        seg = SegNet(depth=2, base_channels=2)
+        seg = SegNet(base_channels=2)
         S = seg.init_params(0)
         with pytest.raises(ValueError, match="10x10"):
             seg.forward(bind(S), constant(np.zeros((2, 1, 10, 10))))
@@ -268,7 +269,7 @@ def params_hash(*groups) -> str:
 @pytest.mark.parametrize("groups, want", [
     (lambda: GeneratorNet(enc_cells=3, base_channels=8).init_params(0), "f357f36cc2bf77ee"),
     (lambda: [DiscriminatorNet(base_channels=8, depth=3).init_params(0)], "7a4d00078b9474a4"),
-    (lambda: [SegNet(depth=2, base_channels=8).init_params(0)], "454b6f03ee256381"),
+    (lambda: [SegNet(base_channels=8).init_params(0)], "454b6f03ee256381"),
 ], ids=["generator", "discriminator", "segmenter"])
 def test_initial_parameters_pinned(groups, want):
     # labels, shapes, values and draw order of every init_params, byte for byte

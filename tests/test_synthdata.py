@@ -228,13 +228,6 @@ class TestCheckpoint:
             for (_, a), (_, b) in zip(g.entries, back[name].entries):
                 assert np.array_equal(a, b)
 
-    def test_digest_mismatch_warns_but_loads(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(path, make_groups(), "aaaa")
-        with pytest.warns(UserWarning, match="digest"):
-            back, _ = load_checkpoint(path, expect_digest="bbbb")
-        assert set(back) == {"G", "H", "S", "A"}
-
     def test_tampered_payload_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, make_groups(), "aaaa")
@@ -394,4 +387,14 @@ class TestDatasetDir:
         save_dataset(tmp_path, ds)
         with pytest.raises(ValueError, match="img_00001.gstn/msk_00001.gstn: .* differ from "
                                              "the first pair's"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (8,), (1, 1, 8, 8)],
+                             ids=["two-channels", "rank-1", "rank-4"])
+    def test_mask_not_one_channel_named(self, tmp_path, shape):
+        ds = gen_task(seed=2, n=2, size=8)
+        save_dataset(tmp_path, ds)
+        save_tensor(tmp_path / "msk_00001.gstn", np.zeros(shape))
+        with pytest.raises(ValueError, match=r"msk_00001.gstn: mask has shape \(.*\), "
+                                             r"expected \(1, H, W\)"):
             load_dataset(tmp_path)
