@@ -13,9 +13,11 @@ paths that reach a requested leaf, so gradients into constants or
 unrequested parameters cost nothing. Backward rules are themselves built
 from these ops. Under ``backward(create_graph=True)`` gradients are ordinary
 nodes, and a second ``backward`` through them yields exact second-order
-products. Every other backward only needs gradient values: while it runs,
-recording is off and each op builds a node with no parents and no
-vector-Jacobian rule, so no gradient tape is kept. Training uses the cheaper
+products. Every other backward only needs gradient values, and runs its
+rules inside :func:`no_tape`, the one switch for recording: there each op
+builds a node with no parents and no vector-Jacobian rule, so no tape is
+kept and every intermediate array is freed as soon as it is consumed. A
+forward-only evaluation runs inside it too. Training uses the cheaper
 forward-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
 from :func:`default_eps`), whose base gradient the caller may already hold;
 the exact double-backward product (:func:`mixed_hvp_exact`) is kept as its
@@ -23,13 +25,15 @@ oracle.
 
 Three nodes make up the convolution family: a convolution, a transposed
 convolution and a kernel gradient, each an im2col gather and one matrix
-product (see :mod:`genseg.tensor`). The family is closed under
+product (see :mod:`genseg.tensor`, which also adds a bias in the product's
+own layout). The family is closed under
 differentiation: each node's gradients are built from the other two, so
 second-order products need no separate patch gather or scatter on the tape.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,7 +43,7 @@ from . import tensor as T
 
 _next_id = 0
 
-# off only while a value-only backward runs its rules (see :func:`backward`)
+# off only inside :func:`no_tape`
 _recording = True
 
 
@@ -47,6 +51,19 @@ def _new_id() -> int:
     global _next_id
     _next_id += 1
     return _next_id
+
+
+@contextmanager
+def no_tape():
+    """Build nodes without parents or backward rules while the block runs:
+    values only, nothing kept for a gradient. Restores the previous state on
+    exit, also when the block raises or is nested."""
+    global _recording
+    recording, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = recording
 
 
 class Node:
@@ -260,9 +277,7 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     k = w.value.shape[2]
     if cols is None:
         cols = T.im2col(x.value, k, stride, padding)
-    out = T.conv(x.value, w.value, stride, padding, cols)
-    if b is not None:
-        out += b.value.reshape(1, -1, 1, 1)
+    out = T.conv(x.value, w.value, None if b is None else b.value, stride, padding, cols)
 
     def vjp(_, g):
         return (lambda: _conv_transpose(g, w, None, stride, padding, x.value.shape[2:]),
@@ -282,9 +297,8 @@ def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     ``g``'s patch columns.
     """
     k = w.value.shape[2]
-    out = T.conv_transpose(x.value, w.value, stride, padding, extent)
-    if b is not None:
-        out += b.value.reshape(1, -1, 1, 1)
+    out = T.conv_transpose(x.value, w.value, None if b is None else b.value, stride, padding,
+                           extent)
 
     def vjp(_, g):
         g_cols = T.im2col(g.value, k, stride, padding)
@@ -393,12 +407,11 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     leaf.
 
     Only ``create_graph=True`` builds a differentiable graph of the
-    gradients. Otherwise recording is off while the backward rules run, so
+    gradients. Otherwise the backward rules run under :func:`no_tape`, so
     every gradient node has no parents, and each intermediate gradient is
     dropped once its rule has run: the arrays are freed during the pass,
     and the values are the same to the bit.
     """
-    global _recording
     if loss.value.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     order = _toposort(loss)
@@ -410,8 +423,7 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     wanted = {w.id for w in wrt}
     done: dict[int, Node] = {}
     grads: dict[int, Node] = {loss.id: constant(np.ones((), dtype=np.float64))}
-    recording, _recording = _recording, create_graph
-    try:
+    with nullcontext() if create_graph else no_tape():
         for node in reversed(order):
             g = grads.pop(node.id, None)
             if g is None:
@@ -427,8 +439,6 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
                 pg = thunk()
                 prev = grads.get(parent.id)
                 grads[parent.id] = pg if prev is None else add(prev, pg)
-    finally:
-        _recording = recording
 
     out = []
     for w in wrt:

@@ -16,24 +16,37 @@ def _check_pair(pred: np.ndarray, truth: np.ndarray):
     return pred, truth
 
 
+def _overlap(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row dice 2|A∩B| / (|A|+|B|) and jaccard |A∩B| / |A∪B| of two
+    same-shaped batches, each row one image; 1.0 where both masks are empty."""
+    shape = (len(pred), math.prod(pred.shape[1:]))
+    pred, truth = pred.reshape(shape), truth.reshape(shape)
+    inter = np.sum(pred * truth, axis=1)
+    total = np.sum(pred, axis=1) + np.sum(truth, axis=1)
+    union = total - inter
+    d, j = np.ones(len(pred)), np.ones(len(pred))
+    np.divide(2.0 * inter, total, out=d, where=total != 0.0)
+    np.divide(inter, union, out=j, where=union != 0.0)
+    return d, j
+
+
+def overlap_scores(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dice and jaccard of each image of a batch (leading axis), from
+    per-image sums taken over the whole batch at once; each equals
+    :func:`dice` and :func:`jaccard` of that image's pair."""
+    return _overlap(*_check_pair(pred, truth))
+
+
 def dice(pred: np.ndarray, truth: np.ndarray) -> float:
     """2|A∩B| / (|A|+|B|); returns 1.0 when both masks are empty."""
     pred, truth = _check_pair(pred, truth)
-    inter = float(np.sum(pred * truth))
-    total = float(np.sum(pred) + np.sum(truth))
-    if total == 0.0:
-        return 1.0
-    return 2.0 * inter / total
+    return float(_overlap(pred[None], truth[None])[0][0])
 
 
 def jaccard(pred: np.ndarray, truth: np.ndarray) -> float:
     """|A∩B| / |A∪B|; returns 1.0 when both masks are empty."""
     pred, truth = _check_pair(pred, truth)
-    inter = float(np.sum(pred * truth))
-    union = float(np.sum(pred) + np.sum(truth) - inter)
-    if union == 0.0:
-        return 1.0
-    return inter / union
+    return float(_overlap(pred[None], truth[None])[1][0])
 
 
 @dataclass

@@ -317,10 +317,17 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).astype(np.float64)
 
 
-def _load_grid(path, from_pgm) -> np.ndarray:
-    """A (C, H, W) array from a GSTN file, or from a PGM through ``from_pgm``."""
+def _load_grid(path, from_pgm, what: str, channels: int | None = None) -> np.ndarray:
+    """A (C, H, W) array from a GSTN file, or from a PGM through ``from_pgm``;
+    a 2-d (H, W) grid is one channel. Any other rank, or a channel count other
+    than ``channels`` when that is given, is a ValueError naming the file,
+    ``what`` it holds and the shape it has on disk."""
     t = from_pgm(read_pgm(path)) if str(path).endswith(".pgm") else load_tensor(path)
-    return t if t.ndim == 3 else t[None]
+    grid = t[None] if t.ndim == 2 else t
+    if grid.ndim != 3 or (channels is not None and grid.shape[0] != channels):
+        raise ValueError(f"{path}: {what} has shape {t.shape}, "
+                         f"expected ({'C' if channels is None else channels}, H, W)")
+    return grid
 
 
 def save_dataset(dirpath, dataset: Dataset):
@@ -351,12 +358,10 @@ def load_dataset(dirpath) -> Dataset:
                 raise ValueError(f"{manifest} line {lineno}: expected 'image mask', "
                                  f"got {len(names)} names")
             img_name, msk_name = names
-            image = _load_grid(os.path.join(dirpath, img_name), lambda p: p / 255.0 * 2.0 - 1.0)
+            image = _load_grid(os.path.join(dirpath, img_name), lambda p: p / 255.0 * 2.0 - 1.0,
+                               "image")
             mask = _load_grid(os.path.join(dirpath, msk_name),
-                              lambda p: (p >= 128.0).astype(np.float64))
-            if mask.ndim != 3 or mask.shape[0] != MASK_CHANNELS:
-                raise ValueError(f"{os.path.join(dirpath, msk_name)}: mask has shape {mask.shape}, "
-                                 f"expected ({MASK_CHANNELS}, H, W)")
+                              lambda p: (p >= 128.0).astype(np.float64), "mask", MASK_CHANNELS)
             if image.shape[1:] != mask.shape[1:]:
                 raise ValueError(f"{img_name}/{msk_name}: image {image.shape} vs mask {mask.shape}")
             if pairs and (image.shape, mask.shape) != (pairs[0].image.shape, pairs[0].mask.shape):

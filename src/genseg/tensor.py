@@ -12,9 +12,12 @@ scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint reference.
 
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW indexing
 for image-shaped data). Convolution outputs are NCHW views of channels-last
-memory, which the next :func:`im2col` reads in place or copies once. Every
-operation here is pure: inputs are never mutated, and finite inputs produce
-finite outputs.
+memory, which the next :func:`im2col` reads in place or copies once. A
+convolution's bias is added to the contiguous product, one value per output
+channel along its last axis, before the NCHW view or the phase interleave;
+each output element gets the same one addition as a broadcast over the NCHW
+view, so the values are the same to the bit. Every operation here is pure:
+inputs are never mutated, and finite inputs produce finite outputs.
 """
 from __future__ import annotations
 
@@ -127,8 +130,10 @@ def col2im(cols: Tensor, x_shape, kernel: int, stride: int, padding: int) -> Ten
     return out
 
 
-def conv(x: Tensor, w: Tensor, stride: int, padding: int, cols: Tensor) -> Tensor:
-    """Strided convolution of NCHW ``x`` with an (out, in, k, k) kernel, no bias.
+def conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
+         cols: Tensor) -> Tensor:
+    """Strided convolution of NCHW ``x`` with an (out, in, k, k) kernel and,
+    unless ``b`` is None, a bias of one entry per output channel.
 
     ``cols`` is ``im2col(x, k, stride, padding)``, which the caller keeps for
     the kernel gradient. The result is an NCHW view of channels-last memory.
@@ -138,6 +143,8 @@ def conv(x: Tensor, w: Tensor, stride: int, padding: int, cols: Tensor) -> Tenso
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
     y = cols @ w.transpose(0, 2, 3, 1).reshape(co, -1).T
+    if b is not None:
+        y += b
     return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
 
@@ -149,9 +156,11 @@ def kernel_grad(a: Tensor, cols: Tensor, kernel: int) -> Tensor:
     return (flat.T @ cols).reshape(ch, kernel, kernel, -1).transpose(0, 3, 1, 2)
 
 
-def conv_transpose(x: Tensor, w: Tensor, stride: int, padding: int, extent) -> Tensor:
-    """Transposed convolution of NCHW ``x`` with an (in, out, k, k) kernel,
-    no bias, cropped to the spatial ``extent`` (oh, ow).
+def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
+                   extent) -> Tensor:
+    """Transposed convolution of NCHW ``x`` with an (in, out, k, k) kernel
+    and, unless ``b`` is None, a bias of one entry per output channel,
+    cropped to the spatial ``extent`` (oh, ow).
 
     The adjoint of :func:`conv` with the same kernel: ``extent`` is the
     convolution input's, which may exceed the natural output extent
@@ -174,5 +183,7 @@ def conv_transpose(x: Tensor, w: Tensor, stride: int, padding: int, extent) -> T
     phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
     phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)
     y = (cols @ phases).reshape(n, qh, qw, s, s, co)
+    if b is not None:
+        y += b
     y = y.transpose(0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, co)
     return y[:, crop:crop + oh, crop:crop + ow].transpose(0, 3, 1, 2)

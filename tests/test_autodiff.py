@@ -126,6 +126,42 @@ def identity_keeping_rule_output(rule_output: list):
     return op
 
 
+class TestNoTape:
+    def test_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_tape():
+                assert not ad._recording
+                raise RuntimeError("inside")
+        assert ad._recording
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        with ad.no_tape():
+            with ad.no_tape():
+                assert not ad._recording
+            assert not ad._recording
+            with pytest.raises(ValueError):
+                with ad.no_tape():
+                    raise ValueError
+            assert not ad._recording
+        assert ad._recording
+
+    def test_nodes_have_no_parents_and_no_rule(self):
+        # the same segmenter forward, taped and tape-free: equal values, and
+        # no tape-free node links to anything
+        seg = SegNet()
+        s = seg.init_params(0)
+        image = np.random.default_rng(0).normal(size=(2, 1, 8, 8))
+        taped = seg.forward(bind(s), constant(image))
+        with ad.no_tape():
+            sb = bind(s)
+            logits = seg.forward(sb, constant(image))
+            built = [ad.tanh(logits), ad.concat([logits, logits], axis=1), ad.sum_(logits)]
+        assert taped.parents and taped.vjp is not None
+        assert logits.value.tobytes() == taped.value.tobytes()
+        for node in [logits, *built, *sb.values()]:
+            assert node.parents == () and node.vjp is None
+
+
 class TestValueOnlyBackward:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_bytes_as_differentiable_backward(self, seed):

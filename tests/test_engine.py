@@ -8,6 +8,7 @@ import pytest
 
 from genseg import autodiff as ad
 from genseg import engine as eng
+from genseg import metrics as met
 from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.checks import cosine, rel_error, tiny_instance
@@ -16,8 +17,8 @@ from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, Train
                            bce_with_logits, config_digest, parse_config,
                            resolved_config_text, seg_cross_entropy)
 from genseg.metrics import records_to_csv
-from genseg.models import DiscriminatorNet, GeneratorNet, SegNet
-from genseg.synthdata import Dataset, gen_task
+from genseg.models import DiscriminatorNet, GeneratorNet, SegNet, predict_mask
+from genseg.synthdata import Dataset, MaskImagePair, gen_task
 
 
 def small_setup(seed=0, n_train=4, n_val=2, size=8, mode="genseg", **kw):
@@ -600,6 +601,45 @@ class TestCol2imOffTrainingPath:
         ad.mixed_hvp_exact(lambda xb, sb: seg_cross_entropy(
             trainer.seg.forward(sb, xb["x"]), val.masks()), images, state.S, np.ones(state.S.size))
         assert calls == []
+
+
+class TestTapeFreeEvaluation:
+    def test_equals_taped_forward_scored_pair_by_pair(self, monkeypatch):
+        # 70 pairs, so one chunk of EVAL_CHUNK = 64 images and one of 6; one
+        # truth mask is empty and one is not binary
+        rng = np.random.default_rng(7)
+        pairs = gen_task(seed=7, n=70, size=8).pairs
+        pairs[3] = MaskImagePair(np.zeros_like(pairs[3].mask), pairs[3].image)
+        pairs[66] = MaskImagePair(rng.uniform(size=pairs[66].mask.shape), pairs[66].image)
+        ds = Dataset(pairs)
+        seg = SegNet()
+        # random weights predict some foreground, so the scores are not trivial
+        S = seg.init_params(0)
+        S = S.unflatten(rng.normal(size=S.size))
+
+        sb = bind(S)
+        dices, jacs = [], []
+        for chunk in (range(0, 64), range(64, 70)):
+            logits = seg.forward(sb, constant(ds.images(chunk)))
+            assert logits.parents
+            for pred, truth in zip(predict_mask(logits.value), ds.masks(chunk)):
+                dices.append(met.dice(pred, truth))
+                jacs.append(met.jaccard(pred, truth))
+        taped = (float(np.mean(dices)), float(np.mean(jacs)))
+        assert 0.0 < taped[0] < 1.0
+
+        recording = []
+        forward = SegNet.forward
+
+        def watched(net, params, image):
+            recording.append(ad._recording)
+            return forward(net, params, image)
+
+        monkeypatch.setattr(SegNet, "forward", watched)
+        assert eng.EVAL_CHUNK == 64
+        assert eng.evaluate_segmenter(seg, S, ds) == taped
+        assert recording == [False, False]
+        assert ad._recording
 
 
 class TestOuterUpdate:

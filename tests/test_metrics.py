@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genseg.metrics import (CSV_HEADER, EvalRecord, aggregate, dice, jaccard,
+from genseg.metrics import (CSV_HEADER, EvalRecord, aggregate, dice, jaccard, overlap_scores,
                             read_csv, records_to_csv, write_csv)
 
 
@@ -69,6 +69,29 @@ class TestDiceJaccard:
             better = pred.copy()
             better[y, x] = 1.0
             assert dice(better, truth) >= dice(pred, truth)
+
+
+class TestOverlapScores:
+    def test_batch_equals_per_image_sums(self):
+        # each image's scores equal, bit for bit, the per-image sums; one
+        # truth is empty (with an empty and a non-empty prediction) and one
+        # is not binary, so its sums are not whole numbers
+        rng = np.random.default_rng(3)
+        pred = (rng.uniform(size=(6, 1, 16, 16)) < 0.4).astype(float)
+        truth = (rng.uniform(size=(6, 1, 16, 16)) < 0.4).astype(float)
+        truth[0] = truth[1] = pred[0] = 0.0
+        truth[2] = rng.uniform(size=(1, 16, 16))
+        d, j = overlap_scores(pred, truth)
+        for i, (p, t) in enumerate(zip(pred, truth)):
+            inter, total = float(np.sum(p * t)), float(np.sum(p) + np.sum(t))
+            assert d[i] == (1.0 if total == 0.0 else 2.0 * inter / total)
+            assert j[i] == (1.0 if total - inter == 0.0 else inter / (total - inter))
+            assert (d[i], j[i]) == (dice(p, t), jaccard(p, t))
+        assert d[0] == 1.0 and d[1] == 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            overlap_scores(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 4, 3)))
 
 
 class TestAggregate:

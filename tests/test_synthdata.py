@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -392,9 +393,28 @@ class TestDatasetDir:
     @pytest.mark.parametrize("shape", [(2, 8, 8), (8,), (1, 1, 8, 8)],
                              ids=["two-channels", "rank-1", "rank-4"])
     def test_mask_not_one_channel_named(self, tmp_path, shape):
+        # the error names the file's own shape, not a promoted one
         ds = gen_task(seed=2, n=2, size=8)
         save_dataset(tmp_path, ds)
         save_tensor(tmp_path / "msk_00001.gstn", np.zeros(shape))
-        with pytest.raises(ValueError, match=r"msk_00001.gstn: mask has shape \(.*\), "
-                                             r"expected \(1, H, W\)"):
+        with pytest.raises(ValueError, match=re.escape(f"msk_00001.gstn: mask has shape {shape}, "
+                                                       f"expected (1, H, W)")):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 1, 8, 8)], ids=["rank-1", "rank-4"])
+    def test_image_of_wrong_rank_named(self, tmp_path, shape):
+        ds = gen_task(seed=2, n=2, size=8)
+        save_dataset(tmp_path, ds)
+        save_tensor(tmp_path / "img_00001.gstn", np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(f"img_00001.gstn: image has shape {shape}, "
+                                                       f"expected (C, H, W)")):
+            load_dataset(tmp_path)
+
+    def test_two_d_grids_are_one_channel(self, tmp_path):
+        ds = gen_task(seed=2, n=2, size=8)
+        save_dataset(tmp_path, ds)
+        save_tensor(tmp_path / "img_00001.gstn", ds.pairs[1].image[0])
+        save_tensor(tmp_path / "msk_00001.gstn", ds.pairs[1].mask[0])
+        loaded = load_dataset(tmp_path)
+        np.testing.assert_array_equal(loaded.images(), ds.images())
+        np.testing.assert_array_equal(loaded.masks(), ds.masks())

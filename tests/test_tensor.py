@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genseg import autodiff as ad
+from genseg import tensor
 from genseg.autodiff import constant
+from genseg.models import DOUBLE, DOWN_CANDIDATES, HALVE, HEAD, UP_CANDIDATES
 from genseg.tensor import ConvSpec, im2col, col2im
 
 DOWN_SPECS = [ConvSpec(4, 2, 1), ConvSpec(6, 2, 2), ConvSpec(8, 2, 3)]
@@ -220,3 +222,45 @@ class TestIm2col:
         lhs = np.sum(im2col(x, k, s, p) * c)
         rhs = np.sum(x * col2im(c, x.shape, k, s, p))
         assert abs(lhs - rhs) < 1e-9
+
+
+class TestBiasInGemmLayout:
+    # every spec the models run, at its natural extent, plus the strided
+    # specs at 7x7, where (7 + 2p - k) mod 2 != 0 and the transposed
+    # convolution crops past its natural extent (as in checks.check_op_grads)
+    CASES = ([pytest.param(spec, 8, False, id=f"{tag}-{spec.name}")
+              for tag, specs in (("cell", DOWN_CANDIDATES + UP_CANDIDATES),
+                                 ("fixed", (HALVE, DOUBLE, HEAD)))
+              for spec in specs]
+             + [pytest.param(spec, 7, True, id=f"7x7-{spec.name}")
+                for spec in (ConvSpec(4, 2, 1), ConvSpec(8, 2, 3))])
+
+    @pytest.mark.parametrize("spec, extent, adjoint", CASES)
+    def test_bias_added_in_product_equals_nchw_broadcast(self, spec, extent, adjoint):
+        # the bias added to the GEMM output gives, bit for bit, the bias-free
+        # result plus a broadcast add over its NCHW view
+        rng = np.random.default_rng(spec.kernel + extent)
+        k, s, p = spec.kernel, spec.stride, spec.padding
+        b = rng.normal(size=5)
+        x = rng.normal(size=(3, 4, extent, extent))
+        w = rng.normal(size=spec.weight_shape(4, 5))
+        if spec.transposed:
+            ext = (spec.out_extent(extent),) * 2
+            got = tensor.conv_transpose(x, w, b, s, p, ext)
+            want = tensor.conv_transpose(x, w, None, s, p, ext)
+        else:
+            cols = im2col(x, k, s, p)
+            got = tensor.conv(x, w, b, s, p, cols)
+            want = tensor.conv(x, w, None, s, p, cols)
+        want += b.reshape(1, -1, 1, 1)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        if adjoint:
+            # the transposed convolution back to the strided one's input extent
+            w = rng.normal(size=(4, 5, k, k))
+            g = rng.normal(size=(3, 4, spec.out_extent(extent), spec.out_extent(extent)))
+            got = tensor.conv_transpose(g, w, b, s, p, (extent, extent))
+            want = tensor.conv_transpose(g, w, None, s, p, (extent, extent))
+            want += b.reshape(1, -1, 1, 1)
+            assert got.shape == (3, 5, extent, extent)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
