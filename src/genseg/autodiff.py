@@ -328,11 +328,6 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
     return Node(out, (a, b), vjp)
 
 
-def max_stop(a: Node, axis: int) -> Node:
-    """Max over ``axis``, kept, as a gradient-free constant (for stabilized exp/softmax)."""
-    return constant(np.max(a.value, axis=axis, keepdims=True))
-
-
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
@@ -358,16 +353,10 @@ def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
 
 
 def softmax(a: Node) -> Node:
-    """Softmax over the last axis."""
-    z = sub(a, max_stop(a, -1))
+    """Softmax over the last axis, shifted by its max as a gradient-free constant."""
+    z = sub(a, constant(np.max(a.value, axis=-1, keepdims=True)))
     e = exp(z)
     return div(e, sum_(e, axes=-1, keepdims=True))
-
-
-def logsumexp(a: Node, axis: int) -> Node:
-    """log(sum(exp(a))) over ``axis``, kept as a singleton axis."""
-    m = max_stop(a, axis)
-    return add(log(sum_(exp(sub(a, m)), axes=axis, keepdims=True)), m)
 
 
 def dot(a: Node, b: Node) -> Node:

@@ -210,12 +210,20 @@ def bce_with_logits(logits: Node, target: float) -> Node:
 
 
 def seg_cross_entropy(logits: Node, masks: np.ndarray) -> Node:
-    """Mean pixel-wise two-class cross-entropy against binary masks."""
+    """Mean pixel-wise two-class cross-entropy against binary masks.
+
+    The log-sum-exp is taken from the two (N, 1, H, W) class planes, shifted
+    by their gradient-free elementwise max. Each entry is the same float
+    operation as a reduction along the length-2 class axis (the max of two
+    values, then ``e0 + e1``), without numpy's per-pixel inner loop over
+    that axis.
+    """
     m = constant(np.asarray(masks, dtype=np.float64))
     z0 = ad.slice_axis(logits, 1, 0, 1)
     z1 = ad.slice_axis(logits, 1, 1, 2)
     zt = ad.add(ad.mul(m, z1), ad.mul(ad.shift(ad.neg(m), 1.0), z0))
-    lse = ad.logsumexp(logits, axis=1)
+    top = constant(np.maximum(z0.value, z1.value))
+    lse = ad.add(ad.log(ad.add(ad.exp(ad.sub(z0, top)), ad.exp(ad.sub(z1, top)))), top)
     return ad.mean_(ad.sub(lse, zt))
 
 
@@ -296,6 +304,16 @@ class Trainer:
         extent = train_ds[0].image.shape[-1]
         if extent != config.img_size:
             raise ValueError(f"img_size {config.img_size} does not match data extent {extent}")
+        # load_dataset makes each split uniform, so the first pairs stand for all
+        for split, ds in (("val", val_ds), ("test", test_ds)):
+            if not ds:
+                continue
+            for what in ("image", "mask"):
+                shape = getattr(ds[0], what).shape
+                want = getattr(train_ds[0], what).shape
+                if shape != want:
+                    raise ValueError(f"{split} split {what} shape {shape} differs from "
+                                     f"train's {want}")
         img_channels = train_ds[0].image.shape[0]
         self.gen = GeneratorNet(img_channels=img_channels, enc_cells=config.enc_cells,
                                 base_channels=config.base_channels)

@@ -225,6 +225,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: img_00001.gstn/msk_00001.gstn" in err and "first pair's" in err
 
+    @pytest.mark.parametrize("mode", ["genseg", "baseline"])
+    def test_split_of_another_extent_fails_before_training(self, tmp_path, dataset_dir,
+                                                           capsys, monkeypatch, mode):
+        assert main(["gen-data", "--seed", "3", "--n", "4", "--size", "16",
+                     "--out", str(dataset_dir / "test"), "--force"]) == 0
+        steps = []
+        monkeypatch.setattr(engine.Trainer, "train", lambda self: steps.append(1))
+        out = tmp_path / "o"
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, mode=mode)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: test split image shape (1, 16, 16) differs from "
+                       "train's (1, 8, 8)\n")
+        assert steps == [] and not (out / "metrics.csv").exists()
+
     def test_two_channel_masks_named(self, tmp_path, dataset_dir, capsys):
         pairs = [MaskImagePair(np.concatenate([p.mask, p.mask]), p.image)
                  for p in load_dataset(dataset_dir / "train").pairs]

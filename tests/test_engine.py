@@ -132,6 +132,71 @@ class TestLosses:
         assert float(seg_cross_entropy(constant(logits), masks).value) < 1e-9
 
 
+def reduced_seg_cross_entropy(logits, masks):
+    """The segmentation loss with its log-sum-exp reduced along the class axis."""
+    m = constant(np.asarray(masks, dtype=np.float64))
+    z0 = ad.slice_axis(logits, 1, 0, 1)
+    z1 = ad.slice_axis(logits, 1, 1, 2)
+    zt = ad.add(ad.mul(m, z1), ad.mul(ad.shift(ad.neg(m), 1.0), z0))
+    top = constant(np.max(logits.value, axis=1, keepdims=True))
+    lse = ad.add(ad.log(ad.sum_(ad.exp(ad.sub(logits, top)), axes=1, keepdims=True)), top)
+    return ad.mean_(ad.sub(lse, zt))
+
+
+class TestLossFromClassPlanes:
+    """The two-plane log-sum-exp equals the class-axis reduction bit for bit."""
+
+    @staticmethod
+    def make_logits(kind, rng):
+        if kind == "segnet":
+            # what training passes in: an NCHW view of channels-last memory
+            seg = SegNet(base_channels=2)
+            images = constant(rng.uniform(-1, 1, size=(3, 1, 8, 8)))
+            logits = seg.forward(bind(seg.init_params(5)), images).value
+            assert not logits.flags["C_CONTIGUOUS"]
+            return logits
+        if kind == "ties":
+            z = rng.normal(0, 3, size=(3, 1, 8, 8))
+            z[0, 0, :4] = 0.0
+            return np.concatenate([z, z], axis=1)
+        return rng.choice([-800.0, 800.0], size=(3, 2, 8, 8))
+
+    @staticmethod
+    def make_masks(kind, rng):
+        if kind == "zeros":
+            return np.zeros((3, 1, 8, 8))
+        if kind == "ones":
+            return np.ones((3, 1, 8, 8))
+        return (rng.uniform(size=(3, 1, 8, 8)) < 0.4).astype(np.float64)
+
+    @pytest.mark.parametrize("mask_kind", ["random", "zeros", "ones"])
+    @pytest.mark.parametrize("logit_kind", ["segnet", "ties", "wide"])
+    def test_value_gradient_and_second_order_equal(self, logit_kind, mask_kind):
+        rng = np.random.default_rng(7)
+        logits = self.make_logits(logit_kind, rng)
+        masks = self.make_masks(mask_kind, rng)
+        probe = constant(rng.normal(0, 1, size=logits.shape))
+        results = []
+        for loss_fn in (seg_cross_entropy, reduced_seg_cross_entropy):
+            leaf = constant(logits)
+            loss = loss_fn(leaf, masks)
+            (grad,) = ad.backward(loss, [leaf])
+            leaf = constant(logits)
+            (g_node,) = ad.backward(loss_fn(leaf, masks), [leaf], create_graph=True)
+            (second,) = ad.backward(ad.dot(g_node, probe), [leaf])
+            results.append((loss.value, grad, g_node.value, second))
+        for new, old in zip(*results):
+            assert np.isfinite(new).all()
+            assert np.array_equal(new, old)
+
+    def test_nan_logit_gives_nan_loss(self):
+        logits = np.zeros((1, 2, 2, 2))
+        logits[0, 1, 1, 0] = np.nan
+        loss = seg_cross_entropy(constant(logits), np.ones((1, 1, 2, 2)))
+        with pytest.raises(TrainingAborted, match="seg loss became non-finite"):
+            eng._check_loss(loss, "seg loss", 3)
+
+
 def gan_losses(trainer, G, A, H, masks, images) -> tuple[float, float]:
     """Discriminator and generator loss values of the stage-I graph."""
     l_disc, l_gen, *_ = trainer._gan_graph(G, H, A, masks, images)
@@ -676,6 +741,41 @@ class TestOuterUpdate:
         state = trainer.init_state()
         with pytest.raises(ValueError):
             trainer.outer_update_A(state, np.zeros(state.A.size + 1))
+
+
+class TestSplitShapes:
+    CONFIG = TrainConfig(mode="baseline", iters=1, img_size=8, enc_cells=1, base_channels=2)
+
+    @staticmethod
+    def reshaped(pairs, kind):
+        if kind == "extent":  # a 16 px split for an 8 px run
+            return [MaskImagePair(np.kron(p.mask, np.ones((1, 2, 2))),
+                                  np.kron(p.image, np.ones((1, 2, 2)))) for p in pairs]
+        return [MaskImagePair(p.mask, np.concatenate([p.image, p.image])) for p in pairs]
+
+    @pytest.mark.parametrize("kind, shape", [("extent", (1, 16, 16)), ("channels", (2, 8, 8))])
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_split_of_another_shape_named(self, split, kind, shape):
+        data = gen_task(seed=50, n=8, size=8)
+        train = Dataset(data.pairs[:4], split="train")
+        other = Dataset(self.reshaped(data.pairs[4:], kind), split=split)
+        val, test = (other, None) if split == "val" else (Dataset(data.pairs[4:6]), other)
+        with pytest.raises(ValueError) as info:
+            Trainer(self.CONFIG, train, val, test)
+        assert str(info.value) == (f"{split} split image shape {shape} differs from "
+                                   f"train's (1, 8, 8)")
+
+    def test_mask_of_another_extent_named(self):
+        data = gen_task(seed=50, n=6, size=8)
+        small = [MaskImagePair(p.mask[:, :4, :4], p.image) for p in data.pairs[4:]]
+        with pytest.raises(ValueError, match=r"^val split mask shape \(1, 4, 4\) differs"):
+            Trainer(self.CONFIG, Dataset(data.pairs[:4]), Dataset(small))
+
+    def test_matching_and_empty_test_splits_accepted(self):
+        data = gen_task(seed=50, n=8, size=8)
+        train, val = Dataset(data.pairs[:4]), Dataset(data.pairs[4:6])
+        Trainer(self.CONFIG, train, val, Dataset(data.pairs[6:]))
+        Trainer(self.CONFIG, train, val, Dataset([]))
 
 
 class TestTrainLoop:
