@@ -17,11 +17,14 @@ products. Every other backward only needs gradient values, and runs its
 rules inside :func:`no_tape`, the one switch for recording: there each op
 builds a node with no parents and no vector-Jacobian rule, so no tape is
 kept and every intermediate array is freed as soon as it is consumed. A
-forward-only evaluation runs inside it too. Training uses the cheaper
-forward-difference mixed Hessian-vector product (:func:`mixed_hvp_fd`, step
-from :func:`default_eps`), whose base gradient the caller may already hold;
-the exact double-backward product (:func:`mixed_hvp_exact`) is kept as its
-oracle.
+forward-only evaluation runs inside it too. In both kinds of backward, a
+rule's thunks, with the arrays their closures hold (a transposed
+convolution's gathered gradient patches, say), are dropped as soon as the
+rule has run, before the next rule allocates its own. Training uses the
+cheaper forward-difference mixed Hessian-vector product
+(:func:`mixed_hvp_fd`, step from :func:`default_eps`), whose base gradient
+the caller may already hold; the exact double-backward product
+(:func:`mixed_hvp_exact`) is kept as its oracle.
 
 Three nodes make up the convolution family: a convolution, a transposed
 convolution and a kernel gradient, each an im2col gather and one matrix
@@ -29,6 +32,8 @@ product (see :mod:`genseg.tensor`, which also adds a bias in the product's
 own layout). The family is closed under
 differentiation: each node's gradients are built from the other two, so
 second-order products need no separate patch gather or scatter on the tape.
+A searchable cell's softmax-weighted sums of candidate kernels and of
+candidate biases are one :func:`mixture` node each.
 """
 from __future__ import annotations
 
@@ -266,6 +271,75 @@ def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
     return Node(out, (a,), lambda _, g: (lambda: slice_axis(g, axis, start, stop),))
 
 
+def mixture(weights: Node, parts: Sequence[Node], shape, starts) -> Node:
+    """Sum over k of ``weights[k]`` times ``parts[k]`` embedded into zeros of
+    ``shape`` with its first element at index ``starts[k]``, added up in
+    part order.
+
+    One node for what would otherwise be, per part, a slice of ``weights``, a
+    :func:`pad_insert` per widened axis, a :func:`mul` and an :func:`add`;
+    its value and gradients equal those ops' to the bit. Under
+    ``backward(create_graph=True)`` the rule builds the gradients those ops'
+    rules would, from the same ops, so they can be differentiated again.
+    Otherwise it repeats their numpy arithmetic directly, each weight's
+    gradient being :func:`_unbroadcast`'s sum of ``g`` times the embedded
+    part over the leading axes, then over the last.
+    """
+    shape = tuple(shape)
+    regions = [tuple(slice(s, s + n) for s, n in zip(start, p.value.shape))
+               for start, p in zip(starts, parts)]
+    out = np.zeros(shape, dtype=np.float64)
+    for k, (part, region) in enumerate(zip(parts, regions)):
+        out[region] += weights.value[k:k + 1] * part.value
+
+    def embedded(k: int) -> np.ndarray:
+        value = parts[k].value
+        if value.shape == shape:
+            return value
+        full = np.zeros(shape, dtype=np.float64)
+        full[regions[k]] = value
+        return full
+
+    def vjp(_, g):
+        if _recording:
+            return _mixture_graph_rule(weights, parts, shape, starts, g)
+        lead = tuple(range(g.value.ndim - 1))
+
+        def d_weights():
+            dw = np.empty(len(parts), dtype=np.float64)
+            for k in range(len(parts)):
+                prod = g.value * embedded(k)
+                dw[k] = np.sum(np.sum(prod, axis=lead) if lead else prod, axis=0)
+            return Node(dw)
+
+        return (d_weights, *(lambda k=k: Node((g.value * weights.value[k:k + 1])[regions[k]])
+                             for k in range(len(parts))))
+
+    return Node(out, (weights, *parts), vjp)
+
+
+def _mixture_graph_rule(weights: Node, parts: Sequence[Node], shape, starts, g: Node):
+    """:func:`mixture`'s thunks built from the ops it stands for."""
+
+    def embed(k: int) -> Node:
+        node = parts[k]
+        for axis, start in enumerate(starts[k]):
+            if node.value.shape[axis] != shape[axis]:
+                node = pad_insert(node, (*shape[:axis + 1], *node.value.shape[axis + 1:]),
+                                  axis, start)
+        return node
+
+    def d_part(k: int) -> Node:
+        gk = mul(g, slice_axis(weights, 0, k, k + 1))
+        for axis, (start, n) in enumerate(zip(starts[k], parts[k].value.shape)):
+            if n != shape[axis]:
+                gk = slice_axis(gk, axis, start, start + n)
+        return gk
+
+    return (lambda: concat([_unbroadcast(mul(g, embed(k)), (1,)) for k in range(len(parts))], 0),
+            *(lambda k=k: d_part(k) for k in range(len(parts))))
+
+
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
           cols: np.ndarray | None = None) -> Node:
     """Strided convolution with an (out, in, k, k) kernel and optional bias.
@@ -387,6 +461,18 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
+def _run_rule(node: Node, g: Node, needed: dict[int, bool], grads: dict[int, Node]):
+    """Run ``node``'s rule on its gradient ``g``, adding each needed parent's
+    share into ``grads``. The thunks, with the arrays their closures hold,
+    and the shares go when this returns, before the next rule allocates."""
+    thunks = node.vjp(node, g)
+    for parent, thunk in zip(node.parents, thunks):
+        if needed.get(parent.id, False):
+            pg = thunk()
+            prev = grads.get(parent.id)
+            grads[parent.id] = pg if prev is None else add(prev, pg)
+
+
 def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     """Accumulated gradients of a scalar loss with respect to leaf nodes.
 
@@ -419,15 +505,8 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
                 continue
             if node.id in wanted:
                 done[node.id] = g
-            if node.vjp is None:
-                continue
-            thunks = node.vjp(node, g)
-            for parent, thunk in zip(node.parents, thunks):
-                if not needed.get(parent.id, False):
-                    continue
-                pg = thunk()
-                prev = grads.get(parent.id)
-                grads[parent.id] = pg if prev is None else add(prev, pg)
+            if node.vjp is not None:
+                _run_rule(node, g, needed, grads)
 
     out = []
     for w in wrt:

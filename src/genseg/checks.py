@@ -167,6 +167,16 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
             return ad.dot(ad._kernel_grad(bi["a"], bi["b"], cols, k, s, p), constant(w_k))
 
         out[tag] = _param_rel_error(kg_loss, group)
+
+    # the searchable cells' mixture: the weights and every part, each part
+    # embedded at its own offset, one of them unwidened
+    shape, starts = (2, 3, 4, 4), ((0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0))
+    group = ParamGroup("G", [("alpha", x((3,))), ("p0", x((2, 3, 2, 2))),
+                             ("p1", x((2, 3, 3, 2))), ("p2", x(shape))])
+    w_mix = rng.normal(0, 1, size=shape)
+    out["mixture"] = _param_rel_error(
+        lambda bi: ad.dot(ad.mixture(bi["alpha"], [bi["p0"], bi["p1"], bi["p2"]], shape, starts),
+                          constant(w_mix)), group)
     return out
 
 

@@ -178,9 +178,12 @@ def config_digest(cfg: TrainConfig) -> str:
     return hashlib.sha256(resolved_config_text(cfg, keys).encode("utf-8")).hexdigest()[:16]
 
 
-# glibc's mallopt parameter number for M_TOP_PAD, and the pad Trainer.train asks for
+# glibc's mallopt parameter numbers for M_TOP_PAD and M_MMAP_THRESHOLD, the pad
+# Trainer.train asks for, and the threshold pinned with it (glibc's largest)
 _M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
 _HEAP_TOP_PAD = 256 << 20
+_MMAP_THRESHOLD = 32 << 20
 
 try:  # looked up once: loading the C library builds ctypes objects that form cycles
     _mallopt = ctypes.CDLL(None).mallopt
@@ -192,8 +195,16 @@ except (OSError, TypeError, AttributeError):  # no C library to load, or no mall
 def retain_heap() -> bool:
     """Ask glibc's allocator to keep 256 MB of freed heap instead of handing
     it back to the system; True if it applied, False where there is no glibc
-    ``mallopt``."""
-    return _mallopt is not None and _mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+    ``mallopt``.
+
+    Setting the pad also stops glibc from raising its mmap threshold as
+    mapped blocks are freed, which would leave the threshold wherever the
+    allocation history had put it: arrays above it are mapped and unmapped,
+    and faulted in afresh, on every allocation. So the threshold is pinned
+    too, at 32 MB, and only arrays larger than that are mapped.
+    """
+    return (_mallopt is not None and _mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+            and _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +490,9 @@ class Trainer:
         and ``m_hats`` themselves, and of a fresh one otherwise. w is a forward
         difference based at stage I's generator-loss gradient in A when that
         was taken at ``G_pre``, ``H_pre``, ``state.A``, ``gan_masks`` and
-        ``gan_images``. Keeps its validation logits for the epoch validation at
-        ``state.S``.
+        ``gan_images``. Keeps the value of its validation logits for the epoch
+        validation at ``state.S``; their graph is freed once v is taken, and
+        the synthetic graph once u and d are.
         """
         cfg = self.config
         kept = self._take("synth", state.G, state.A, m_hats)
@@ -492,6 +504,9 @@ class Trainer:
         logits = self.seg.forward(sb, constant(val_images))
         self._kept["val_logits"] = ((state.S, val_images), logits.value)
         v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb, state.S)
+        # the validation graph is spent: free it before the products below
+        # build theirs on the kept generator graph
+        del logits
         if not np.any(v):
             return np.zeros(state.A.size)
 
@@ -503,9 +518,9 @@ class Trainer:
         u, direct = self._seg_hvp_fd(*kept, S_pre, v, m_hats)
         hyper = -cfg.eta_s * direct
         if cfg.eta_g != 0.0:
-            # free the synthetic and validation graphs now, before the
-            # generator product below builds another
-            del kept, logits
+            # free the synthetic graph now, before the generator product
+            # below builds another
+            del kept
 
             def gen_loss(a_binding, g_binding):
                 return self.generator_loss(g_binding, a_binding, bind(H_pre),

@@ -86,7 +86,8 @@ class SearchableCell:
     kernel (zero borders, offset = padding difference), so the mixture runs
     as a single convolution of the softmax-weighted kernel sum; this equals
     the weighted sum of per-candidate outputs because convolution is linear
-    in its kernel.
+    in its kernel. The weighted kernel sum is one :func:`autodiff.mixture`
+    node, and so is the weighted bias sum.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, transposed: bool):
@@ -100,6 +101,9 @@ class SearchableCell:
                     or c.kernel + big.padding - c.padding > big.kernel:
                 raise ValueError(f"candidate {c} does not embed into {big}")
         self.fused_spec = big
+        # where each candidate's kernel starts inside the fused one
+        self.kernel_starts = [(0, 0, big.padding - c.padding, big.padding - c.padding)
+                              for c in self.candidates]
 
     def param_entries(self, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
         return [entry for spec in self.candidates
@@ -111,19 +115,11 @@ class SearchableCell:
     def forward(self, params: dict[str, Node], logits: Node, x: Node) -> Node:
         weights = ad.softmax(logits)
         big = self.fused_spec
-        w_eff = b_eff = None
-        for idx, spec in enumerate(self.candidates):
-            wk = params[f"{self.name}.{spec.name}.w"]
-            bk = params[f"{self.name}.{spec.name}.b"]
-            off = big.padding - spec.padding
-            if spec.kernel != big.kernel:
-                channels = wk.value.shape[:2]
-                wk = ad.pad_insert(wk, (*channels, big.kernel, spec.kernel), 2, off)
-                wk = ad.pad_insert(wk, (*channels, big.kernel, big.kernel), 3, off)
-            alpha = ad.slice_axis(weights, 0, idx, idx + 1)
-            w_term, b_term = ad.mul(alpha, wk), ad.mul(alpha, bk)
-            w_eff = w_term if w_eff is None else ad.add(w_eff, w_term)
-            b_eff = b_term if b_eff is None else ad.add(b_eff, b_term)
+        names = [f"{self.name}.{spec.name}" for spec in self.candidates]
+        w_eff = ad.mixture(weights, [params[f"{n}.w"] for n in names],
+                           big.weight_shape(self.in_ch, self.out_ch), self.kernel_starts)
+        b_eff = ad.mixture(weights, [params[f"{n}.b"] for n in names], (self.out_ch,),
+                           [(0,)] * len(names))
         return ad.conv2d(x, w_eff, b_eff, big)
 
 

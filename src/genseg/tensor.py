@@ -16,8 +16,11 @@ memory, which the next :func:`im2col` reads in place or copies once. A
 convolution's bias is added to the contiguous product, one value per output
 channel along its last axis, before the NCHW view or the phase interleave;
 each output element gets the same one addition as a broadcast over the NCHW
-view, so the values are the same to the bit. Every operation here is pure:
-inputs are never mutated, and finite inputs produce finite outputs.
+view, so the values are the same to the bit. :func:`conv_transpose` frees
+its padded channels-last copy once :func:`im2col` has read it, and its patch
+matrix once the product has, before the phase interleave copies the result.
+Every operation here is pure: inputs are never mutated, and finite inputs
+produce finite outputs.
 """
 from __future__ import annotations
 
@@ -177,12 +180,14 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     oh, ow = extent
     qh, qw = -(-(crop + oh) // s), -(-(crop + ow) // s)  # phase rows and columns kept
     lo = kk - 1 - shift
-    rows = _pad_channels_last(x, lo, qh + kk - 1 - lo - h, qw + kk - 1 - lo - wd)
-    cols = im2col(rows.transpose(0, 3, 1, 2), kk, 1, 0)
+    # the padded channels-last copy is freed once im2col has read it
+    cols = im2col(_pad_channels_last(x, lo, qh + kk - 1 - lo - h, qw + kk - 1 - lo - wd)
+                  .transpose(0, 3, 1, 2), kk, 1, 0)
     # tap r + m * s of w -> row (kk-1-m) of phase r; columns ordered (rh, rw, out)
     phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
     phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)
     y = (cols @ phases).reshape(n, qh, qw, s, s, co)
+    del cols  # spent: free the patch matrix before the interleave copies y
     if b is not None:
         y += b
     y = y.transpose(0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, co)

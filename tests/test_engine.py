@@ -11,7 +11,8 @@ from genseg import engine as eng
 from genseg import metrics as met
 from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
-from genseg.checks import cosine, rel_error, tiny_instance
+from genseg.checks import (HVP_COSINE_TOL, HVP_RATIO_RANGE, cosine, rel_error,
+                           tiny_instance)
 from genseg.autodiff import Node
 from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, TrainingAborted,
                            bce_with_logits, config_digest, parse_config,
@@ -955,6 +956,60 @@ class TestSegHvp:
         assert len(calls) == 1
         assert u.shape == (state.G.size,) and direct.shape == (state.A.size,)
         assert np.any(u) and np.any(direct)
+
+
+class TestGeneratorProduct:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_product_matches_central_difference(self, seed):
+        # stage III's w, the generator loss's mixed product in (A, G) with u,
+        # checked on its own: in the hypergradient eta_g = 2e-3 scales it, so
+        # an error in the cells' second-order rules would hide there
+        trainer, train, _ = small_setup(seed=seed)
+        state = trainer.init_state()
+        rng = np.random.default_rng(seed)
+        A = state.A.unflatten(rng.normal(size=state.A.size))
+        G, H = state.G, state.H
+        m, i = constant(train.masks()), constant(train.images())
+
+        def gen_loss(ab, gb):
+            return trainer.generator_loss(gb, ab, bind(H), m, i)[0]
+
+        def grad_a(gvec):
+            ab = bind(A)
+            return ad.flat_grad(gen_loss(ab, bind(G.unflatten(gvec))), ab, A)
+
+        u = rng.normal(size=G.size)
+        exact = ad.mixed_hvp_exact(gen_loss, A, G, u)
+        eps = ad.default_eps(u)
+        fd = (grad_a(G.flatten() + eps * u) - grad_a(G.flatten() - eps * u)) / (2.0 * eps)
+        assert cosine(fd, exact) >= HVP_COSINE_TOL
+        ratio = float(np.linalg.norm(fd) / np.linalg.norm(exact))
+        assert HVP_RATIO_RANGE[0] <= ratio <= HVP_RATIO_RANGE[1]
+
+
+class TestValidationGraphFreed:
+    def test_gone_when_the_segmentation_products_start(self, monkeypatch):
+        # Node has __slots__ and no weak reference, so the live nodes are
+        # counted through the collector: none may hold a validation-batch
+        # array, while the kept generator graph (a training-batch one) lives
+        n_train, n_val = 4, 5
+        trainer, _, _ = small_setup(n_train=n_train, n_val=n_val)
+        trainer.config.iters = 1
+        counts = []
+        seg_hvp = Trainer._seg_hvp_fd
+
+        def probe(self, *args):
+            batches = [o.value.shape[0] for o in gc.get_objects()
+                       if isinstance(o, Node) and o.value.ndim == 4]
+            counts.append((batches.count(n_val), batches.count(n_train)))
+            return seg_hvp(self, *args)
+
+        monkeypatch.setattr(Trainer, "_seg_hvp_fd", probe)
+        trainer.train()
+        assert len(counts) == 1
+        val_nodes, train_nodes = counts[0]
+        assert train_nodes > 0
+        assert val_nodes == 0
 
 
 class TestHypergradOracle:

@@ -83,6 +83,114 @@ class TestSearchableCell:
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
 
+def chain_forward(cell, params, logits, x):
+    """The cell's forward with its mixture as separate ops: per candidate a
+    slice of the softmax, a pad_insert per widened kernel axis, a mul and an
+    add, for the kernel and for the bias (reference for the mixture node)."""
+    weights = ad.softmax(logits)
+    big = cell.fused_spec
+    w_eff = b_eff = None
+    for idx, spec in enumerate(cell.candidates):
+        wk = params[f"{cell.name}.{spec.name}.w"]
+        bk = params[f"{cell.name}.{spec.name}.b"]
+        off = big.padding - spec.padding
+        if spec.kernel != big.kernel:
+            channels = wk.value.shape[:2]
+            wk = ad.pad_insert(wk, (*channels, big.kernel, spec.kernel), 2, off)
+            wk = ad.pad_insert(wk, (*channels, big.kernel, big.kernel), 3, off)
+        alpha = ad.slice_axis(weights, 0, idx, idx + 1)
+        w_term, b_term = ad.mul(alpha, wk), ad.mul(alpha, bk)
+        w_eff = w_term if w_eff is None else ad.add(w_eff, w_term)
+        b_eff = b_term if b_eff is None else ad.add(b_eff, b_term)
+    return ad.conv2d(x, w_eff, b_eff, big)
+
+
+class TestMixtureNodeEqualsChain:
+    """``SearchableCell.forward``'s mixture nodes against the chain of ops they
+    replace, compared with ``==``: values, value-only gradients, and a
+    create_graph gradient differentiated again."""
+
+    @staticmethod
+    def case(transposed, seed, squash=True):
+        cell = SearchableCell("enc1", 2, 3, transposed)
+        rng = np.random.default_rng(seed)
+        # nonzero biases, so the bias mixture's gradient in the weights is too
+        G = ParamGroup("G", [(lbl, arr + rng.normal(0, 0.1, arr.shape) if lbl.endswith(".b")
+                              else arr) for lbl, arr in cell.param_entries(rng)])
+        A = ParamGroup("A", [(cell.logit_label(), rng.normal(size=len(cell.candidates)))])
+        x = rng.normal(size=(2, 2, 6, 6))
+        probe = rng.normal(size=cell.forward(bind(G), bind(A)["enc1.logits"],
+                                             constant(x)).value.shape)
+
+        def loss_fn(forward):
+            def loss(ab, gb):
+                y = forward(cell, gb, ab["enc1.logits"], constant(x))
+                return ad.dot(ad.tanh(y) if squash else y, constant(probe))
+            return loss
+
+        return cell, G, A, loss_fn
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["down", "up"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_value_and_value_only_gradients(self, transposed, seed):
+        cell, G, A, loss_fn = self.case(transposed, seed)
+        results = []
+        for forward in (chain_forward, SearchableCell.forward):
+            ab, gb = bind(A), bind(G)
+            loss = loss_fn(forward)(ab, gb)
+            grads = ad.backward(loss, [ab["enc1.logits"], *gb.values()])
+            results.append((loss.value, grads))
+        (chain_loss, chain_grads), (mix_loss, mix_grads) = results
+        assert np.array_equal(mix_loss, chain_loss)
+        assert len(mix_grads) == 1 + 2 * len(cell.candidates)
+        for got, want in zip(mix_grads, chain_grads):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def second_order(loss_fn, A, G, seed):
+        """The two mixed products of a cell loss: the architecture's with
+        the generator weights' gradient (what stage III's exact oracle takes
+        through a cell) and the reverse block."""
+        v = np.random.default_rng(seed + 10).normal(size=G.size)
+        va = np.random.default_rng(seed + 20).normal(size=A.size)
+        return (ad.mixed_hvp_exact(loss_fn, A, G, v),
+                ad.mixed_hvp_exact(lambda gb, ab: loss_fn(ab, gb), G, A, va))
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["down", "up"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_graph_gradient_differentiated_again(self, transposed, seed):
+        # a loss linear in the cell output: the second backward reaches the
+        # softmax weights only through the gradient graph, two terms per weight
+        cell, G, A, loss_fn = self.case(transposed, seed, squash=False)
+        chain = self.second_order(loss_fn(chain_forward), A, G, seed)
+        mixed = self.second_order(loss_fn(SearchableCell.forward), A, G, seed)
+        for got, want in zip(mixed, chain):
+            assert np.any(got)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["down", "up"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_graph_gradient_through_a_nonlinear_loss(self, transposed, seed):
+        # through tanh the second backward also reaches each softmax weight
+        # through both forward mixtures; the four terms add up in the order
+        # the graph walk meets them, which the chain's shared weight slices
+        # set differently, so the sums may differ in the last bit
+        cell, G, A, loss_fn = self.case(transposed, seed)
+        chain = self.second_order(loss_fn(chain_forward), A, G, seed)
+        mixed = self.second_order(loss_fn(SearchableCell.forward), A, G, seed)
+        for got, want in zip(mixed, chain):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_one_node_per_mixture(self):
+        # softmax (its max constant, sub, exp, sum, div), the two mixtures and
+        # the convolution
+        cell, G, A, _ = self.case(False, 0)
+        args = bind(G), constant(A.flatten()), constant(np.zeros((1, 2, 6, 6)))
+        before = ad._next_id
+        cell.forward(*args)
+        assert ad._next_id - before == 8
+
+
 class TestGenerator:
     def test_output_shape_and_range(self):
         gen = GeneratorNet(enc_cells=2, base_channels=4)
