@@ -278,48 +278,15 @@ def mixture(weights: Node, parts: Sequence[Node], shape, starts) -> Node:
 
     One node for what would otherwise be, per part, a slice of ``weights``, a
     :func:`pad_insert` per widened axis, a :func:`mul` and an :func:`add`;
-    its value and gradients equal those ops' to the bit. Under
-    ``backward(create_graph=True)`` the rule builds the gradients those ops'
-    rules would, from the same ops, so they can be differentiated again.
-    Otherwise it repeats their numpy arithmetic directly, each weight's
-    gradient being :func:`_unbroadcast`'s sum of ``g`` times the embedded
-    part over the leading axes, then over the last.
+    its value and gradients equal those ops' to the bit. Its rule builds the
+    gradients those ops' rules would, from the same ops, so under
+    ``backward(create_graph=True)`` they can be differentiated again.
     """
     shape = tuple(shape)
-    regions = [tuple(slice(s, s + n) for s, n in zip(start, p.value.shape))
-               for start, p in zip(starts, parts)]
     out = np.zeros(shape, dtype=np.float64)
-    for k, (part, region) in enumerate(zip(parts, regions)):
+    for k, (start, part) in enumerate(zip(starts, parts)):
+        region = tuple(slice(s, s + n) for s, n in zip(start, part.value.shape))
         out[region] += weights.value[k:k + 1] * part.value
-
-    def embedded(k: int) -> np.ndarray:
-        value = parts[k].value
-        if value.shape == shape:
-            return value
-        full = np.zeros(shape, dtype=np.float64)
-        full[regions[k]] = value
-        return full
-
-    def vjp(_, g):
-        if _recording:
-            return _mixture_graph_rule(weights, parts, shape, starts, g)
-        lead = tuple(range(g.value.ndim - 1))
-
-        def d_weights():
-            dw = np.empty(len(parts), dtype=np.float64)
-            for k in range(len(parts)):
-                prod = g.value * embedded(k)
-                dw[k] = np.sum(np.sum(prod, axis=lead) if lead else prod, axis=0)
-            return Node(dw)
-
-        return (d_weights, *(lambda k=k: Node((g.value * weights.value[k:k + 1])[regions[k]])
-                             for k in range(len(parts))))
-
-    return Node(out, (weights, *parts), vjp)
-
-
-def _mixture_graph_rule(weights: Node, parts: Sequence[Node], shape, starts, g: Node):
-    """:func:`mixture`'s thunks built from the ops it stands for."""
 
     def embed(k: int) -> Node:
         node = parts[k]
@@ -329,15 +296,19 @@ def _mixture_graph_rule(weights: Node, parts: Sequence[Node], shape, starts, g: 
                                   axis, start)
         return node
 
-    def d_part(k: int) -> Node:
+    def d_part(g: Node, k: int) -> Node:
         gk = mul(g, slice_axis(weights, 0, k, k + 1))
         for axis, (start, n) in enumerate(zip(starts[k], parts[k].value.shape)):
             if n != shape[axis]:
                 gk = slice_axis(gk, axis, start, start + n)
         return gk
 
-    return (lambda: concat([_unbroadcast(mul(g, embed(k)), (1,)) for k in range(len(parts))], 0),
-            *(lambda k=k: d_part(k) for k in range(len(parts))))
+    def vjp(_, g):
+        return (lambda: concat([_unbroadcast(mul(g, embed(k)), (1,))
+                                for k in range(len(parts))], 0),
+                *(lambda k=k: d_part(g, k) for k in range(len(parts))))
+
+    return Node(out, (weights, *parts), vjp)
 
 
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,

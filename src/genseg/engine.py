@@ -178,12 +178,9 @@ def config_digest(cfg: TrainConfig) -> str:
     return hashlib.sha256(resolved_config_text(cfg, keys).encode("utf-8")).hexdigest()[:16]
 
 
-# glibc's mallopt parameter numbers for M_TOP_PAD and M_MMAP_THRESHOLD, the pad
-# Trainer.train asks for, and the threshold pinned with it (glibc's largest)
+# glibc's mallopt parameter number for M_TOP_PAD, and the pad Trainer.train asks for
 _M_TOP_PAD = -2
-_M_MMAP_THRESHOLD = -3
 _HEAP_TOP_PAD = 256 << 20
-_MMAP_THRESHOLD = 32 << 20
 
 try:  # looked up once: loading the C library builds ctypes objects that form cycles
     _mallopt = ctypes.CDLL(None).mallopt
@@ -195,16 +192,8 @@ except (OSError, TypeError, AttributeError):  # no C library to load, or no mall
 def retain_heap() -> bool:
     """Ask glibc's allocator to keep 256 MB of freed heap instead of handing
     it back to the system; True if it applied, False where there is no glibc
-    ``mallopt``.
-
-    Setting the pad also stops glibc from raising its mmap threshold as
-    mapped blocks are freed, which would leave the threshold wherever the
-    allocation history had put it: arrays above it are mapped and unmapped,
-    and faulted in afresh, on every allocation. So the threshold is pinned
-    too, at 32 MB, and only arrays larger than that are mapped.
-    """
-    return (_mallopt is not None and _mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
-            and _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1)
+    ``mallopt``."""
+    return _mallopt is not None and _mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
 
 
 # ---------------------------------------------------------------------------
