@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("rotate90", "flip_h", "flip_v", "translate")
+MAX_OPS = 3  # the longest sequence random_sequence draws
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,8 @@ def apply_sequence(ops, mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def random_sequence(rng: np.random.Generator, ops_enabled, max_len: int,
-                    extent: int) -> list[AugmentOp]:
-    """Sample 1..max_len ops uniformly (kind first, then parameters) from ``rng``.
+def random_sequence(rng: np.random.Generator, ops_enabled, extent: int) -> list[AugmentOp]:
+    """Sample 1..MAX_OPS ops uniformly (kind first, then parameters) from ``rng``.
 
     Translation offsets are drawn uniformly from +-extent//4. Generators in
     the same state draw the same sequence.
@@ -67,9 +67,7 @@ def random_sequence(rng: np.random.Generator, ops_enabled, max_len: int,
     for k in kinds:
         if k not in KINDS:
             raise ValueError(f"unknown augment kind '{k}'")
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    length = int(rng.integers(1, max_len + 1))
+    length = int(rng.integers(1, MAX_OPS + 1))
     ops = []
     for _ in range(length):
         kind = kinds[int(rng.integers(len(kinds)))]

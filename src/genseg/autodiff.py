@@ -34,6 +34,12 @@ differentiation: each node's gradients are built from the other two, so
 second-order products need no separate patch gather or scatter on the tape.
 A searchable cell's softmax-weighted sums of candidate kernels and of
 candidate biases are one :func:`mixture` node each.
+
+Parameters come in named groups (G, H, S and A), each an ordered list of
+labelled arrays (:class:`ParamGroup`). :func:`bind` makes one leaf per entry,
+keyed by label, in entry order, and every gradient call takes its leaves from
+that binding, so ``backward(loss, list(binding.values()))`` and
+:func:`flat_grad` line up with the group's entries.
 """
 from __future__ import annotations
 
@@ -86,10 +92,6 @@ class Node:
         else:
             self.parents, self.vjp = (), None
         self.id = _new_id()
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, id={self.id})"
@@ -499,9 +501,6 @@ class ParamGroup:
     name: str
     entries: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
-    def labels(self) -> list[str]:
-        return [lbl for lbl, _ in self.entries]
-
     @property
     def size(self) -> int:
         return sum(arr.size for _, arr in self.entries)
@@ -526,19 +525,16 @@ class ParamGroup:
 
 
 def bind(group: ParamGroup) -> dict[str, Node]:
-    """Fresh leaf nodes for every entry, keyed by label."""
+    """Fresh leaf nodes for every entry, keyed by label, in entry order: the
+    binding's values are the group's leaves, so a gradient taken over
+    ``list(binding.values())`` lines up with ``group.entries``."""
     return {lbl: Node(arr) for lbl, arr in group.entries}
 
 
-def group_backward(loss: Node, binding: dict[str, Node], group: ParamGroup,
-                   create_graph: bool = False):
-    """Gradients in group entry order; shapes mirror the parameters."""
-    leaves = [binding[lbl] for lbl, _ in group.entries]
-    return backward(loss, leaves, create_graph=create_graph)
-
-
-def flat_grad(loss: Node, binding: dict[str, Node], group: ParamGroup) -> np.ndarray:
-    gs = group_backward(loss, binding, group)
+def flat_grad(loss: Node, binding: dict[str, Node]) -> np.ndarray:
+    """The loss's gradient in the binding's leaves, raveled and concatenated
+    in entry order."""
+    gs = backward(loss, list(binding.values()))
     if not gs:
         return np.zeros(0, dtype=np.float64)
     return np.concatenate([np.ravel(g) for g in gs])
@@ -587,7 +583,7 @@ def mixed_hvp_fd(loss_fn: Callable[[Binding, Binding], Node],
 
     def grad_at(q):
         pb = bind(p_group)
-        return flat_grad(loss_fn(pb, bind(q)), pb, p_group)
+        return flat_grad(loss_fn(pb, bind(q)), pb)
 
     if grad_p is None:
         grad_p = grad_at(q_group)
@@ -606,11 +602,11 @@ def mixed_hvp_exact(loss_fn: Callable[[Binding, Binding], Node],
     if v.shape != (q_group.size,):
         raise ValueError(f"vector length {v.shape} != perturbed group size ({q_group.size},)")
     pb, qb = bind(p_group), bind(q_group)
-    gq = group_backward(loss_fn(pb, qb), qb, q_group, create_graph=True)
+    gq = backward(loss_fn(pb, qb), list(qb.values()), create_graph=True)
     s, off = None, 0
     for g in gq:
         vv = constant(v[off:off + g.value.size].reshape(g.value.shape))
         term = dot(g, vv)
         s = term if s is None else add(s, term)
         off += g.value.size
-    return flat_grad(s, pb, p_group)
+    return flat_grad(s, pb)

@@ -51,7 +51,7 @@ def rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
 def _param_rel_error(loss_fn, group: ParamGroup) -> float:
     """Analytic vs finite-difference gradient over a flat parameter vector."""
     binding = bind(group)
-    analytic = ad.flat_grad(loss_fn(binding), binding, group)
+    analytic = ad.flat_grad(loss_fn(binding), binding)
 
     def value(vec):
         b = bind(group.unflatten(vec))

@@ -158,8 +158,7 @@ def cmd_train(args) -> int:
     with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w", encoding="utf-8") as f:
         f.write(engine.resolved_config_text(cfg))
     metrics.write_csv(records, metrics_path)
-    best = state.best_params or state.groups()
-    save_checkpoint(os.path.join(cfg.out_dir, "best.ckpt"), best, digest)
+    save_checkpoint(os.path.join(cfg.out_dir, "best.ckpt"), state.best_params, digest)
     save_checkpoint(os.path.join(cfg.out_dir, "final.ckpt"), state.groups(), digest)
     save_dataset(os.path.join(cfg.out_dir, "val"), val_ds)
     test_rows = [r for r in records if r.split == "test"]
@@ -209,7 +208,7 @@ def cmd_plot(args) -> int:
     if _refuse_overwrite(args.out, args.force):
         return 1
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
-    valid = {"dice", "jaccard", "loss_seg", "loss_g", "loss_d"}
+    valid = metrics.CSV_HEADER.split(",")[2:]  # the columns after iter and split
     for f in fields:
         if f not in valid:
             return _fail(f"unknown field '{f}' (choose from {sorted(valid)})")
@@ -217,9 +216,9 @@ def cmd_plot(args) -> int:
     for path in args.metrics:
         records = metrics.read_csv(path)
         stem = os.path.splitext(os.path.basename(path))[0]
+        xs = [float(r.iteration) for r in records]
         for f in fields:
             label = f"{stem}:{f}" if len(fields) > 1 else stem
-            xs = [float(r.iteration) for r in records]
             ys = [float(getattr(r, f)) for r in records]
             series.append((label, xs, ys))
     svg = render_svg(series, y_label=",".join(fields))

@@ -48,8 +48,6 @@ ARCH_BETA2 = 0.999
 ARCH_WEIGHT_DECAY = 1e-5
 ARCH_EPS = 1e-8
 
-AUGMENT_MAX_LEN = 3
-
 # images per segmenter forward in evaluate_segmenter
 EVAL_CHUNK = 64
 
@@ -232,7 +230,7 @@ def l1_mean(a: Node, b: Node) -> Node:
 
 
 def _gd_step(group: ParamGroup, grads, eta: float) -> ParamGroup:
-    entries = [(lbl, arr - eta * g) for (lbl, arr), g in zip(group.entries, grads)]
+    entries = [(lbl, arr - eta * g) for (lbl, arr), g in zip(group.entries, grads, strict=True)]
     return ParamGroup(group.name, entries)
 
 
@@ -248,17 +246,13 @@ def _descend(group: ParamGroup, loss: Node, binding: dict[str, Node], eta: float
     a non-finite loss or gradient aborts the run, naming ``what`` and the
     iteration.
 
-    ``also``, a (binding, group) pair, is differentiated in the same
-    backward; then the result is the stepped group and the loss's flat
-    gradient in ``also``'s group, which is not checked.
+    ``also``, a second binding, is differentiated in the same backward; then
+    the result is the stepped group and the loss's flat gradient in
+    ``also``'s leaves, which is not checked.
     """
     _check_loss(loss, what, iteration)
-    leaves = [binding[lbl] for lbl in group.labels()]
-    if also is not None:
-        also_binding, also_group = also
-        leaves += [also_binding[lbl] for lbl in also_group.labels()]
-    grads = ad.backward(loss, leaves)
-    grads, also_grads = grads[:len(group.entries)], grads[len(group.entries):]
+    grads = ad.backward(loss, [*binding.values(), *(also or {}).values()])
+    grads, also_grads = grads[:len(binding)], grads[len(binding):]
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise TrainingAborted(f"gradient of {what} became non-finite at iteration {iteration}")
     stepped = _gd_step(group, grads, eta)
@@ -278,7 +272,6 @@ class TrainState:
     adam_t: int = 0
     iteration: int = 0
     best_metric: float = -1.0
-    best_iteration: int = -1
     best_params: dict[str, ParamGroup] | None = None
     last_loss_seg: float = 0.0
     last_loss_g: float = 0.0
@@ -397,8 +390,7 @@ class Trainer:
         _check_loss(l_disc, "discriminator loss", it)
         if cfg.mode == "genseg":
             key = (state.G, state.H, state.A, masks, images)
-            state.G, grad_a = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it,
-                                       (ab, state.A))
+            state.G, grad_a = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it, ab)
             self._kept["grad_a"] = (key, grad_a)
         else:
             state.G = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it)
@@ -492,7 +484,7 @@ class Trainer:
         sb = bind(state.S)
         logits = self.seg.forward(sb, constant(val_images))
         self._kept["val_logits"] = ((state.S, val_images), logits.value)
-        v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb, state.S)
+        v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb)
         # the validation graph is spent: free it before the products below
         # build theirs on the kept generator graph
         del logits
@@ -542,8 +534,7 @@ class Trainer:
         flat = [np.ravel(g) for g in grads]
         return np.concatenate(flat[:len(gb)]), np.concatenate(flat[len(gb):])
 
-    def outer_update_A(self, state: TrainState, hypergrad: np.ndarray,
-                       weight_decay: float = ARCH_WEIGHT_DECAY):
+    def outer_update_A(self, state: TrainState, hypergrad: np.ndarray):
         """Adaptive-moment step on the architecture logits with decoupled decay.
 
         A non-finite hypergradient aborts the run before the moments or the
@@ -560,7 +551,8 @@ class Trainer:
         m_hat = state.adam_m / (1 - ARCH_BETA1 ** t)
         v_hat = state.adam_v / (1 - ARCH_BETA2 ** t)
         flat = state.A.flatten()
-        flat = flat - self.config.eta_a * (m_hat / (np.sqrt(v_hat) + ARCH_EPS) + weight_decay * flat)
+        flat = flat - self.config.eta_a * (m_hat / (np.sqrt(v_hat) + ARCH_EPS)
+                                           + ARCH_WEIGHT_DECAY * flat)
         state.A = state.A.unflatten(flat)
 
     def search_step(self, state: TrainState, masks: np.ndarray, images: np.ndarray,
@@ -589,8 +581,10 @@ class Trainer:
 
         A ``genseg`` iteration is :meth:`search_step`, the one place its stages
         are sequenced, then the architecture step. Validation runs after every
-        epoch-equivalent (one pass over the training set); the best-validation
-        segmenter snapshot is kept and evaluated on the test split at the end.
+        epoch-equivalent (one pass over the training set). The parameters at
+        the best validation, or the final ones if no validation ran, are kept
+        as ``state.best_params``, and their segmenter is evaluated on the test
+        split at the end.
 
         Each graph is freed as soon as it is dropped, many megabytes at a
         time, several times an iteration. Without :func:`retain_heap`, glibc
@@ -632,12 +626,11 @@ class Trainer:
                 records.append(self._record(state, "val", d, j))
                 if d > state.best_metric:
                     state.best_metric = d
-                    state.best_iteration = it
                     state.best_params = {k: v.copy() for k, v in state.groups().items()}
             # no graph outlives its iteration (stage III never runs in `separate`)
             self._kept.clear()
 
-        if state.best_params is None and cfg.iters > 0:
+        if state.best_params is None:
             state.best_params = {k: v.copy() for k, v in state.groups().items()}
         if self.test_ds is not None and len(self.test_ds) and cfg.iters > 0:
             d, j = evaluate_segmenter(self.seg, state.best_params["S"], self.test_ds)
@@ -661,7 +654,7 @@ class Trainer:
     def _sample_ops(self, rng: np.random.Generator, count: int) -> list:
         if not self.aug_kinds:
             return [[] for _ in range(count)]
-        return [aug.random_sequence(rng, self.aug_kinds, AUGMENT_MAX_LEN, self.config.img_size)
+        return [aug.random_sequence(rng, self.aug_kinds, self.config.img_size)
                 for _ in range(count)]
 
 
@@ -718,13 +711,13 @@ def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: Param
         gb = bind(G)
         l_gen, _ = trainer.generator_loss(gb, bind(A_pert), bind(H), constant(gan_masks),
                                           constant(gan_images))
-        G_prime = _gd_step(G, ad.group_backward(l_gen, gb, G), cfg.eta_g)
+        G_prime = _gd_step(G, ad.backward(l_gen, list(gb.values())), cfg.eta_g)
 
         synth_images = trainer.gen.forward(bind(G_prime), bind(A_pert), constant(m_hats)).value
         sb = bind(S)
         obj = trainer.stage2_objective(sb, m_hats, constant(synth_images),
                                        gan_masks, gan_images)
-        S_prime = _gd_step(S, ad.group_backward(obj, sb, S), cfg.eta_s)
+        S_prime = _gd_step(S, ad.backward(obj, list(sb.values())), cfg.eta_s)
 
         sb2 = bind(S_prime)
         val_loss = seg_cross_entropy(trainer.seg.forward(sb2, constant(val_images)), val_masks)

@@ -8,17 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_pair(pred: np.ndarray, truth: np.ndarray):
+def overlap_scores(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dice 2|A∩B| / (|A|+|B|) and jaccard |A∩B| / |A∪B| of each image of two
+    same-shaped batches (leading axis), from per-image sums taken over the
+    whole batch at once; 1.0 where both masks are empty."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    return pred, truth
-
-
-def _overlap(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row dice 2|A∩B| / (|A|+|B|) and jaccard |A∩B| / |A∪B| of two
-    same-shaped batches, each row one image; 1.0 where both masks are empty."""
     shape = (len(pred), math.prod(pred.shape[1:]))
     pred, truth = pred.reshape(shape), truth.reshape(shape)
     inter = np.sum(pred * truth, axis=1)
@@ -28,25 +25,6 @@ def _overlap(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarra
     np.divide(2.0 * inter, total, out=d, where=total != 0.0)
     np.divide(inter, union, out=j, where=union != 0.0)
     return d, j
-
-
-def overlap_scores(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dice and jaccard of each image of a batch (leading axis), from
-    per-image sums taken over the whole batch at once; each equals
-    :func:`dice` and :func:`jaccard` of that image's pair."""
-    return _overlap(*_check_pair(pred, truth))
-
-
-def dice(pred: np.ndarray, truth: np.ndarray) -> float:
-    """2|A∩B| / (|A|+|B|); returns 1.0 when both masks are empty."""
-    pred, truth = _check_pair(pred, truth)
-    return float(_overlap(pred[None], truth[None])[0][0])
-
-
-def jaccard(pred: np.ndarray, truth: np.ndarray) -> float:
-    """|A∩B| / |A∪B|; returns 1.0 when both masks are empty."""
-    pred, truth = _check_pair(pred, truth)
-    return float(_overlap(pred[None], truth[None])[1][0])
 
 
 @dataclass

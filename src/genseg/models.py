@@ -140,7 +140,7 @@ class GeneratorNet:
                          for j, (ci, co) in enumerate(up, start=1)]
         self.head = ("head", HEAD, base_channels, img_channels)
 
-    def init_params(self, seed: int) -> tuple[ParamGroup, ParamGroup]:
+    def init_params(self, seed: int | np.random.SeedSequence) -> tuple[ParamGroup, ParamGroup]:
         rng = np.random.default_rng(seed)
         g = ParamGroup("G")
         a = ParamGroup("A")
@@ -178,7 +178,7 @@ class DiscriminatorNet:
             in_ch = out_ch
         self.head = ("head", HEAD, in_ch, 1)
 
-    def init_params(self, seed: int) -> ParamGroup:
+    def init_params(self, seed: int | np.random.SeedSequence) -> ParamGroup:
         rng = np.random.default_rng(seed)
         h = ParamGroup("H")
         for layer in self.layers + [self.head]:
@@ -204,7 +204,7 @@ class SegNet:
         self.up = [(f"up{j}", DOUBLE, ci, co) for j, (ci, co) in enumerate(up, start=1)]
         self.head = ("head", HEAD, base_channels, SEG_CLASSES)
 
-    def init_params(self, seed: int) -> ParamGroup:
+    def init_params(self, seed: int | np.random.SeedSequence) -> ParamGroup:
         rng = np.random.default_rng(seed)
         s = ParamGroup("S")
         for layer in self.down + self.up + [self.head]:

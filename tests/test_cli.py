@@ -11,7 +11,7 @@ import genseg
 from genseg import engine, synthdata
 from genseg.autodiff import ParamGroup
 from genseg.cli import main, render_svg
-from genseg.metrics import read_csv
+from genseg.metrics import CSV_HEADER, read_csv
 from genseg.models import SegNet
 from genseg.synthdata import (Dataset, MaskImagePair, gen_task, load_checkpoint, load_dataset,
                               save_checkpoint, save_dataset)
@@ -154,6 +154,25 @@ class TestTrain:
                            env=env, check=True, capture_output=True)
             blobs.append((out / "final.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_zero_iterations_writes_initial_checkpoints(self, tmp_path, dataset_dir, mode):
+        # the benchmark's set-up probe: no iteration, no validation and no test
+        # score, so both checkpoints hold the initial parameters
+        out = tmp_path / "run"
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, mode=mode, iters=0)
+        assert main(["train", "--config", str(cfgp)]) == 0
+        assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
+        cfg = engine.parse_config(cfgp.read_text())
+        train, val = (load_dataset(dataset_dir / name) for name in ("train", "val"))
+        init = engine.Trainer(cfg, train, val).init_state().groups()
+
+        def tensors(groups):
+            return {k: [(lbl, arr.shape, arr.tobytes()) for lbl, arr in g.entries]
+                    for k, g in groups.items()}
+
+        for name in ("best.ckpt", "final.ckpt"):
+            assert tensors(load_checkpoint(out / name)[0]) == tensors(init)
 
     def test_unknown_config_key_named(self, tmp_path, dataset_dir, capsys):
         cfgp = tmp_path / "bad.cfg"
@@ -439,6 +458,13 @@ class TestPlot:
         p = self.csv(tmp_path, "a.csv", [(1, 0.5)])
         assert main(["plot", "--metrics", str(p), "--fields", "auc",
                      "--out", str(tmp_path / "o.svg")]) == 1
+
+    def test_unknown_field_lists_metric_columns(self, tmp_path, capsys):
+        p = self.csv(tmp_path, "a.csv", [(1, 0.5)])
+        assert main(["plot", "--metrics", str(p), "--fields", "dice,auc",
+                     "--out", str(tmp_path / "o.svg")]) == 1
+        assert ("unknown field 'auc' (choose from ['dice', 'jaccard', 'loss_d', 'loss_g', "
+                "'loss_seg'])") in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, message", [
         ("1,val,0.5,0.4", "line 2: expected 7 fields, got 4"),

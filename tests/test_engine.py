@@ -238,6 +238,15 @@ class TestGanLosses:
             trainer.stage1_update(state, np.zeros((0, 1, 8, 8)), np.zeros((0, 1, 8, 8)))
 
 
+class TestGdStep:
+    def test_gradient_list_must_match_the_group(self):
+        group = ParamGroup("S", [("a", np.ones(2)), ("b", np.ones(3))])
+        stepped = eng._gd_step(group, [np.ones(2), np.ones(3)], 0.5)
+        assert [arr.tolist() for _, arr in stepped.entries] == [[0.5] * 2, [0.5] * 3]
+        with pytest.raises(ValueError):
+            eng._gd_step(group, [np.ones(2)], 0.5)
+
+
 class TestStage1:
     def test_zero_rate_leaves_g_bitwise(self):
         trainer, train, _ = small_setup(eta_g=0.0, eta_h=1e-3)
@@ -252,7 +261,7 @@ class TestStage1:
         state = trainer.init_state()
         masks, images = train.masks(), train.images()
         _, l_gen, gb, _, _ = trainer._gan_graph(state.G, state.H, state.A, masks, images)
-        grads = ad.group_backward(l_gen, gb, state.G)
+        grads = ad.backward(l_gen, list(gb.values()))
         expect = state.G.entries[0][1] - 1e-3 * grads[0]
         trainer.stage1_update(state, masks, images)
         np.testing.assert_allclose(state.G.entries[0][1], expect, atol=1e-15)
@@ -263,8 +272,7 @@ class TestStage1:
         masks, images = train.masks(), train.images()
         G_before = state.G.flatten()
         _, l_gen, gb, _, _ = trainer._gan_graph(state.G, state.H, state.A, masks, images)
-        gnorm = np.linalg.norm(np.concatenate(
-            [g.ravel() for g in ad.group_backward(l_gen, gb, state.G)]))
+        gnorm = np.linalg.norm(ad.flat_grad(l_gen, gb))
         trainer.stage1_update(state, masks, images)
         step = np.linalg.norm(state.G.flatten() - G_before)
         assert step == pytest.approx(2e-3 * gnorm, rel=1e-12)
@@ -284,7 +292,7 @@ class TestSynthBatch:
         state = trainer.init_state()
         rng = np.random.default_rng(0)
         from genseg.augment import random_sequence, KINDS
-        ops = [random_sequence(rng, set(KINDS), 3, 8) for _ in range(len(train))]
+        ops = [random_sequence(rng, set(KINDS), 8) for _ in range(len(train))]
         m_hats, images = trainer.synth_batch(state.G, state.A, train.masks(), ops)
         assert set(np.unique(m_hats)) <= {0.0, 1.0}
         assert np.all(images > -1) and np.all(images < 1)
@@ -294,7 +302,7 @@ class TestSynthBatch:
         trainer, train, _ = small_setup()
         state = trainer.init_state()
         from genseg.augment import random_sequence, KINDS
-        ops = [random_sequence(np.random.default_rng(7), set(KINDS), 3, 8) for _ in range(len(train))]
+        ops = [random_sequence(np.random.default_rng(7), set(KINDS), 8) for _ in range(len(train))]
         a = trainer.synth_batch(state.G, state.A, train.masks(), ops)
         b = trainer.synth_batch(state.G, state.A, train.masks(), ops)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -309,7 +317,7 @@ class TestStage2:
 
         sb = bind(state.S)
         loss = seg_cross_entropy(trainer.seg.forward(sb, constant(synth)), m_hats)
-        grads = ad.group_backward(loss, sb, state.S)
+        grads = ad.backward(loss, list(sb.values()))
         expect = [(lbl, arr - 0.1 * g) for (lbl, arr), g in zip(state.S.entries, grads)]
         trainer.stage2_update(state, m_hats, synth, np.zeros((0, 1, 8, 8)), np.zeros((0, 1, 8, 8)))
         for (_, got), (_, want) in zip(state.S.entries, expect):
@@ -323,7 +331,7 @@ class TestStage2:
 
         sb = bind(state.S)
         real_only = seg_cross_entropy(trainer.seg.forward(sb, constant(images)), masks)
-        g_real = np.concatenate([g.ravel() for g in ad.group_backward(real_only, sb, state.S)])
+        g_real = ad.flat_grad(real_only, sb)
 
         S_before = state.S.flatten()
         trainer.stage2_update(state, m_hats, synth, masks, images)
@@ -453,7 +461,7 @@ def validation_grad(trainer, state, saved):
     *_, val_masks, val_images = saved
     sb = bind(state.S)
     val_loss = seg_cross_entropy(trainer.seg.forward(sb, constant(val_images)), val_masks)
-    return ad.flat_grad(val_loss, sb, state.S)
+    return ad.flat_grad(val_loss, sb)
 
 
 def exact_chain(trainer, state, saved, v):
@@ -689,8 +697,9 @@ class TestTapeFreeEvaluation:
             logits = seg.forward(sb, constant(ds.images(chunk)))
             assert logits.parents
             for pred, truth in zip(predict_mask(logits.value), ds.masks(chunk)):
-                dices.append(met.dice(pred, truth))
-                jacs.append(met.jaccard(pred, truth))
+                d, j = met.overlap_scores(pred[None], truth[None])
+                dices.append(float(d[0]))
+                jacs.append(float(j[0]))
         taped = (float(np.mean(dices)), float(np.mean(jacs)))
         assert 0.0 < taped[0] < 1.0
 
@@ -710,10 +719,11 @@ class TestTapeFreeEvaluation:
 
 class TestOuterUpdate:
     def test_zero_grad_zero_decay_identity(self):
+        # the logits start at zero, so the decoupled decay moves them by zero too
         trainer, _, _ = small_setup()
         state = trainer.init_state()
         before = group_blob(state.A)
-        trainer.outer_update_A(state, np.zeros(state.A.size), weight_decay=0.0)
+        trainer.outer_update_A(state, np.zeros(state.A.size))
         assert group_blob(state.A) == before
 
     def test_first_step_magnitude_is_learning_rate(self):
@@ -721,7 +731,7 @@ class TestOuterUpdate:
         state = trainer.init_state()
         g = np.full(state.A.size, 0.5)
         before = state.A.flatten()
-        trainer.outer_update_A(state, g, weight_decay=0.0)
+        trainer.outer_update_A(state, g)
         delta = state.A.flatten() - before
         np.testing.assert_allclose(np.abs(delta), 1e-4, rtol=1e-6)
         assert np.all(np.sign(delta) == -np.sign(g))
@@ -821,7 +831,6 @@ class TestTrainLoop:
         records, state = trainer.train()
         assert [r.dice for r in records] == [0.2, 0.1, 0.6, 0.3, 0.6, 0.5]
         assert state.best_metric == 0.6
-        assert state.best_iteration == 3
         assert group_blob(state.best_params["S"]) == group_blob(seen[2])
         assert group_blob(state.best_params["S"]) != group_blob(state.S)
 
@@ -896,7 +905,7 @@ class TestGraphsFreedPromptly:
         assert eng.retain_heap()
 
 
-def two_backward_hvp(trainer, images, binding, group, S, v, m_hats):
+def two_backward_hvp(trainer, images, binding, S, v, m_hats):
     """``Trainer._seg_hvp_fd`` as the difference of two separate gradients."""
     eps = ad.default_eps(v)
     s0 = S.flatten()
@@ -904,7 +913,7 @@ def two_backward_hvp(trainer, images, binding, group, S, v, m_hats):
     def grad_p(svec):
         sb = bind(S.unflatten(svec))
         loss = seg_cross_entropy(trainer.seg.forward(sb, images), m_hats)
-        return ad.flat_grad(loss, binding, group)
+        return ad.flat_grad(loss, binding)
 
     return (grad_p(s0 + eps * v) - grad_p(s0 - eps * v)) / (2.0 * eps)
 
@@ -937,8 +946,7 @@ class TestSegHvp:
         trainer, images, gb, ab, state, v, m_hats = self._case(seed)
         k = "GA".index(product)
         one = trainer._seg_hvp_fd(images, gb, ab, state.S, v, m_hats)[k]
-        binding, group = ((gb, state.G), (ab, state.A))[k]
-        two = two_backward_hvp(trainer, images, binding, group, state.S, v, m_hats)
+        two = two_backward_hvp(trainer, images, (gb, ab)[k], state.S, v, m_hats)
         assert rel_error(one, two) <= 1e-6
 
     def test_one_backward_per_product(self, monkeypatch):
@@ -976,7 +984,7 @@ class TestGeneratorProduct:
 
         def grad_a(gvec):
             ab = bind(A)
-            return ad.flat_grad(gen_loss(ab, bind(G.unflatten(gvec))), ab, A)
+            return ad.flat_grad(gen_loss(ab, bind(G.unflatten(gvec))), ab)
 
         u = rng.normal(size=G.size)
         exact = ad.mixed_hvp_exact(gen_loss, A, G, u)

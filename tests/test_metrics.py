@@ -3,8 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genseg.metrics import (CSV_HEADER, EvalRecord, aggregate, dice, jaccard, overlap_scores,
-                            read_csv, records_to_csv, write_csv)
+from genseg.metrics import (CSV_HEADER, EvalRecord, aggregate, overlap_scores, read_csv,
+                            records_to_csv, write_csv)
+
+
+def dice(pred, truth):
+    """Dice of one pair, scored as a batch of one."""
+    return float(overlap_scores(pred[None], truth[None])[0][0])
+
+
+def jaccard(pred, truth):
+    """Jaccard of one pair, scored as a batch of one."""
+    return float(overlap_scores(pred[None], truth[None])[1][0])
 
 
 def random_mask_pair(seed, size=6):
