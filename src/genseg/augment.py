@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("rotate90", "flip_h", "flip_v", "translate")
+# sorted; random_sequence draws an index into it, so its order fixes every draw
+KINDS = ("flip_h", "flip_v", "rotate90", "translate")
 MAX_OPS = 3  # the longest sequence random_sequence draws
 
 
@@ -55,22 +56,17 @@ def apply_sequence(ops, mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def random_sequence(rng: np.random.Generator, ops_enabled, extent: int) -> list[AugmentOp]:
+def random_sequence(rng: np.random.Generator, extent: int) -> list[AugmentOp]:
     """Sample 1..MAX_OPS ops uniformly (kind first, then parameters) from ``rng``.
 
+    Kinds are drawn from all of ``KINDS``, indexed in its sorted order.
     Translation offsets are drawn uniformly from +-extent//4. Generators in
     the same state draw the same sequence.
     """
-    kinds = sorted(set(ops_enabled))
-    if not kinds:
-        raise ValueError("ops_enabled must not be empty")
-    for k in kinds:
-        if k not in KINDS:
-            raise ValueError(f"unknown augment kind '{k}'")
     length = int(rng.integers(1, MAX_OPS + 1))
     ops = []
     for _ in range(length):
-        kind = kinds[int(rng.integers(len(kinds)))]
+        kind = KINDS[int(rng.integers(len(KINDS)))]
         if kind == "rotate90":
             ops.append(AugmentOp("rotate90", turns=int(rng.integers(1, 4))))
         elif kind == "translate":
@@ -81,15 +77,3 @@ def random_sequence(rng: np.random.Generator, ops_enabled, extent: int) -> list[
         else:
             ops.append(AugmentOp(kind))
     return ops
-
-
-def enabled_kinds(rotate: bool, flip: bool, translate: bool) -> set[str]:
-    """Config booleans to the kind set (flip enables both axes)."""
-    kinds: set[str] = set()
-    if rotate:
-        kinds.add("rotate90")
-    if flip:
-        kinds.update(("flip_h", "flip_v"))
-    if translate:
-        kinds.add("translate")
-    return kinds

@@ -161,8 +161,11 @@ def cmd_train(args) -> int:
     save_checkpoint(os.path.join(cfg.out_dir, "best.ckpt"), state.best_params, digest)
     save_checkpoint(os.path.join(cfg.out_dir, "final.ckpt"), state.groups(), digest)
     save_dataset(os.path.join(cfg.out_dir, "val"), val_ds)
+    summary = f"mode={cfg.mode} seed={cfg.seed}"
+    # best_metric keeps its -1 start when no validation ran
+    if any(r.split == "val" for r in records):
+        summary += f" best_val_dice={state.best_metric:.6f}"
     test_rows = [r for r in records if r.split == "test"]
-    summary = f"mode={cfg.mode} seed={cfg.seed} best_val_dice={state.best_metric:.6f}"
     if test_rows:
         summary += f" test_dice={test_rows[-1].dice:.6f}"
     print(summary)

@@ -73,9 +73,6 @@ class TrainConfig:
     eta_a: float = 1e-4
     gamma: float = 1.0
     lambda_l1: float = 100.0
-    augment_rotate: bool = True
-    augment_flip: bool = True
-    augment_translate: bool = True
     data_dir: str = ""
     out_dir: str = ""
 
@@ -101,11 +98,9 @@ class TrainConfig:
         return n_train if n_train <= 32 else 16
 
 
-# config file keys in canonical order: the dataclass fields, with the
-# augment_ prefix written augment.
-CONFIG_KEYS = [f.name.replace("augment_", "augment.") for f in fields(TrainConfig)]
+# config file keys in canonical order: the dataclass field names
+CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
 
-_FIELD_FOR_KEY = {k: k.replace(".", "_") for k in CONFIG_KEYS}
 _TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
@@ -114,11 +109,7 @@ class ConfigError(ValueError):
 
 
 def _coerce(key: str, raw: str):
-    typ = _TYPES[_FIELD_FOR_KEY[key]]
-    if typ == "bool":
-        if raw not in ("true", "false"):
-            raise ConfigError(f"key '{key}': expected true or false, got '{raw}'")
-        return raw == "true"
+    typ = _TYPES[key]
     if typ == "int":
         try:
             return int(raw)
@@ -142,13 +133,13 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> TrainCon
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{line}'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_FOR_KEY:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
-        values[_FIELD_FOR_KEY[key]] = _coerce(key, raw)
+        values[key] = _coerce(key, raw)
     for key, raw in (overrides or {}).items():
-        if key not in _FIELD_FOR_KEY:
+        if key not in _TYPES:
             raise ConfigError(f"override: unknown config key '{key}'")
-        values[_FIELD_FOR_KEY[key]] = _coerce(key, str(raw))
+        values[key] = _coerce(key, str(raw))
     try:
         return TrainConfig(**values)
     except ValueError as e:
@@ -160,13 +151,7 @@ _PATH_KEYS = ("data_dir", "out_dir")
 
 
 def resolved_config_text(cfg: TrainConfig, keys=CONFIG_KEYS) -> str:
-    lines = []
-    for key in keys:
-        val = getattr(cfg, _FIELD_FOR_KEY[key])
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(cfg, key)}\n" for key in keys)
 
 
 def config_digest(cfg: TrainConfig) -> str:
@@ -314,8 +299,6 @@ class Trainer:
         self.disc = DiscriminatorNet(img_channels=img_channels, base_channels=config.base_channels,
                                      depth=max(1, disc_depth))
         self.seg = SegNet(img_channels=img_channels, base_channels=config.base_channels)
-        self.aug_kinds = aug.enabled_kinds(config.augment_rotate, config.augment_flip,
-                                           config.augment_translate)
         self.val_masks, self.val_images = val_ds.masks(), val_ds.images()
         # passes handed on within one iteration, by name: (the objects a pass
         # was computed from, its value); see _take
@@ -652,10 +635,7 @@ class Trainer:
         return evaluate_segmenter(self.seg, state.S, self.val_ds)
 
     def _sample_ops(self, rng: np.random.Generator, count: int) -> list:
-        if not self.aug_kinds:
-            return [[] for _ in range(count)]
-        return [aug.random_sequence(rng, self.aug_kinds, self.config.img_size)
-                for _ in range(count)]
+        return [aug.random_sequence(rng, self.config.img_size) for _ in range(count)]
 
 
 def _scores(logits: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

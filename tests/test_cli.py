@@ -22,16 +22,10 @@ def write_config(path, data_dir, out_dir, **overrides):
         "mode": "baseline", "seed": 0, "iters": 4, "batch": 0, "img_size": 8,
         "enc_cells": 1, "base_channels": 2, "eta_g": 0.002, "eta_h": 0.002,
         "eta_s": 0.2, "eta_a": 0.0001, "gamma": 1.0, "lambda_l1": 100.0,
-        "augment.rotate": "true", "augment.flip": "true", "augment.translate": "true",
         "data_dir": str(data_dir), "out_dir": str(out_dir),
     }
     base.update(overrides)
-    lines = []
-    for k, v in base.items():
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{k} = {v}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
     return path
 
 
@@ -156,12 +150,15 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("mode", engine.MODES)
-    def test_zero_iterations_writes_initial_checkpoints(self, tmp_path, dataset_dir, mode):
+    def test_zero_iterations_writes_initial_checkpoints(self, tmp_path, dataset_dir, mode,
+                                                         capsys):
         # the benchmark's set-up probe: no iteration, no validation and no test
-        # score, so both checkpoints hold the initial parameters
+        # score, so both checkpoints hold the initial parameters and no best
+        # validation dice is reported
         out = tmp_path / "run"
         cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, mode=mode, iters=0)
         assert main(["train", "--config", str(cfgp)]) == 0
+        assert "best_val_dice" not in capsys.readouterr().out
         assert (out / "metrics.csv").read_text() == CSV_HEADER + "\n"
         cfg = engine.parse_config(cfgp.read_text())
         train, val = (load_dataset(dataset_dir / name) for name in ("train", "val"))
@@ -180,15 +177,23 @@ class TestTrain:
         assert main(["train", "--config", str(cfgp)]) == 1
         assert "wibble" in capsys.readouterr().err
 
-    def test_removed_direct_path_key_rejected(self, tmp_path, dataset_dir, capsys):
-        # no key selects the hypergradient: a config that still names the
-        # removed one fails before any run
+    @pytest.mark.parametrize("key, via_set", [("direct_path", False), ("augment.flip", False),
+                                              ("augment.translate", True)],
+                             ids=["direct_path", "augment.flip", "set-augment.translate"])
+    def test_removed_key_rejected(self, tmp_path, dataset_dir, capsys, key, via_set):
+        # no key selects the hypergradient or the augmentation kinds: a config
+        # or --set that still names a removed one fails before any run
         out = tmp_path / "o"
-        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, direct_path="false")
-        assert main(["train", "--config", str(cfgp)]) == 1
+        if via_set:
+            cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out)
+            extra, where = ["--set", f"{key}=false"], "override: "
+        else:
+            cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, **{key: "false"})
+            extra, where = [], ""
+        assert main(["train", "--config", str(cfgp)] + extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "unknown config key 'direct_path'" in err
+        assert f"{where}unknown config key '{key}'" in err
         assert not out.exists()
 
     def test_structural_override_named(self, tmp_path, dataset_dir, capsys):
