@@ -275,13 +275,12 @@ def check_hypergrad(seed: int = 0) -> float:
     after ``HYPER_WARMUP`` iterations of the tiny instance."""
     trainer, train, _ = tiny_instance(seed)
     state = trainer.init_state()
-    rng = trainer.loop_rng()
     masks, images = train.masks(), train.images()
     for it in range(1, HYPER_WARMUP + 1):
         state.iteration = it
-        chain, _ = trainer.search_step(state, masks, images, rng)
+        chain, _ = trainer.search_step(state, masks, images)
         trainer.outer_update_A(state, chain)
     state.iteration = HYPER_WARMUP + 1
-    chain, args = trainer.search_step(state, masks, images, rng)
+    chain, args = trainer.search_step(state, masks, images)
     oracle = eng.hypergrad_fd_oracle(trainer, *args[:3], state.A, *args[4:])
     return cosine(chain, oracle)

@@ -150,13 +150,14 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     if _refuse_overwrite(metrics_path, args.force):
         return 1
-    # before training, so an unusable output path costs no run
+    # before training, so an unusable output path costs no run, and an
+    # aborted or killed run keeps the config it ran
     os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w", encoding="utf-8") as f:
+        f.write(engine.resolved_config_text(cfg))
     train_ds, val_ds, test_ds = _load_splits(cfg.data_dir, cfg.seed)
     records, state = engine.Trainer(cfg, train_ds, val_ds, test_ds).train()
     digest = engine.config_digest(cfg)
-    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w", encoding="utf-8") as f:
-        f.write(engine.resolved_config_text(cfg))
     metrics.write_csv(records, metrics_path)
     save_checkpoint(os.path.join(cfg.out_dir, "best.ckpt"), state.best_params, digest)
     save_checkpoint(os.path.join(cfg.out_dir, "final.ckpt"), state.groups(), digest)

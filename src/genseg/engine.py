@@ -42,6 +42,9 @@ from .synthdata import Dataset
 
 MODES = ("genseg", "separate", "baseline")
 
+# config keys that say where files live, not what a run computes
+_PATH_KEYS = ("data_dir", "out_dir")
+
 # architecture optimizer settings (adaptive moments, decoupled decay)
 ARCH_BETA1 = 0.5
 ARCH_BETA2 = 0.999
@@ -67,12 +70,12 @@ class TrainConfig:
     img_size: int = 32
     enc_cells: int = 3
     base_channels: int = 8
-    eta_g: float = 2e-3
-    eta_h: float = 2e-3
-    eta_s: float = 0.2
-    eta_a: float = 1e-4
-    gamma: float = 1.0
-    lambda_l1: float = 100.0
+    eta_g: float = 2e-3  # stage I generator step; eta_g * eta_s scales w in the hypergradient
+    eta_h: float = 2e-3  # stage I discriminator step
+    eta_s: float = 0.2  # stage II segmenter step; scales the whole hypergradient
+    eta_a: float = 1e-4  # stage III architecture step (adaptive moments)
+    gamma: float = 1.0  # weight of the real-data loss in stage II's objective
+    lambda_l1: float = 100.0  # weight of the L1 term in stage I's generator loss
     data_dir: str = ""
     out_dir: str = ""
 
@@ -91,6 +94,13 @@ class TrainConfig:
         if size < 1 or size & (size - 1) or size.bit_length() - 1 < self.enc_cells:
             raise ValueError(f"img_size must be a power of two >= 2**enc_cells = "
                              f"{2 ** self.enc_cells}, got {size}")
+        # resolved_config_text must read back: parse_config cuts each line at
+        # '#' and strips the value
+        for name in _PATH_KEYS:
+            path = getattr(self, name)
+            if "#" in path or path != path.strip() or len(path.splitlines()) > 1:
+                raise ValueError(f"{name} must hold no '#' or line break and no surrounding "
+                                 f"whitespace, got {path!r}")
 
     def batch_size(self, n_train: int) -> int:
         if self.batch:
@@ -144,10 +154,6 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> TrainCon
         return TrainConfig(**values)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-
-# keys that say where files live, not what a run computes
-_PATH_KEYS = ("data_dir", "out_dir")
 
 
 def resolved_config_text(cfg: TrainConfig, keys=CONFIG_KEYS) -> str:
@@ -254,6 +260,7 @@ class TrainState:
     A: ParamGroup
     adam_m: np.ndarray
     adam_v: np.ndarray
+    rng: np.random.Generator  # the loop's draws: batch indices and augmentations
     adam_t: int = 0
     iteration: int = 0
     best_metric: float = -1.0
@@ -312,15 +319,12 @@ class Trainer:
 
     def init_state(self) -> TrainState:
         ss = np.random.SeedSequence(self.config.seed)
-        gen_ss, disc_ss, seg_ss, _ = ss.spawn(4)
+        gen_ss, disc_ss, seg_ss, loop_ss = ss.spawn(4)
         G, A = self.gen.init_params(gen_ss)
         H = self.disc.init_params(disc_ss)
         S = self.seg.init_params(seg_ss)
-        return TrainState(G=G, H=H, S=S, A=A,
-                          adam_m=np.zeros(A.size), adam_v=np.zeros(A.size))
-
-    def loop_rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.config.seed).spawn(4)[3])
+        return TrainState(G=G, H=H, S=S, A=A, adam_m=np.zeros(A.size),
+                          adam_v=np.zeros(A.size), rng=np.random.default_rng(loop_ss))
 
     def _take(self, name: str, *objects):
         """Drop the pass kept under ``name``; return its value if it was
@@ -341,9 +345,8 @@ class Trainer:
         gradient in A, so it is right only while both build this graph."""
         fake = self.gen.forward(gb, ab, masks)
         d_fake = self.disc.forward(hb, masks, fake)
-        loss = bce_with_logits(d_fake, 1.0)
-        if self.config.lambda_l1 > 0:
-            loss = ad.add(loss, ad.scale(l1_mean(fake, images), self.config.lambda_l1))
+        loss = ad.add(bce_with_logits(d_fake, 1.0),
+                      ad.scale(l1_mean(fake, images), self.config.lambda_l1))
         return loss, d_fake
 
     def _gan_graph(self, G: ParamGroup, H: ParamGroup, A: ParamGroup,
@@ -403,19 +406,15 @@ class Trainer:
                          real_masks, real_images) -> Node:
         """Segmentation loss on synthetic data plus gamma times the real-data loss."""
         obj = seg_cross_entropy(self.seg.forward(sb, synth_images), synth_masks)
-        if self.config.gamma > 0:
-            real_loss = seg_cross_entropy(self.seg.forward(sb, constant(real_images)), real_masks)
-            obj = ad.add(obj, ad.scale(real_loss, self.config.gamma))
-        return obj
+        real_loss = seg_cross_entropy(self.seg.forward(sb, constant(real_images)), real_masks)
+        return ad.add(obj, ad.scale(real_loss, self.config.gamma))
 
     def stage2_update(self, state: TrainState, synth_masks: np.ndarray,
                       synth_images: np.ndarray, real_masks: np.ndarray,
                       real_images: np.ndarray):
         """One plain descent step of S on the combined segmentation objective."""
-        if len(synth_masks) == 0:
-            raise ValueError("stage2_update needs a non-empty synthetic batch")
-        if self.config.gamma > 0 and len(real_masks) == 0:
-            raise ValueError("stage2_update needs a non-empty real batch when gamma > 0")
+        if len(synth_masks) == 0 or len(real_masks) == 0:
+            raise ValueError("stage2_update needs non-empty synthetic and real batches")
         sb = bind(state.S)
         obj = self.stage2_objective(sb, synth_masks, constant(synth_images),
                                     real_masks, real_images)
@@ -446,8 +445,8 @@ class Trainer:
         (generator weights, segmenter) and in (architecture, segmenter) times
         v, rendered at ``state.G`` and ``state.A``. w, the generator loss's in
         (architecture, generator weights) times u, carries u back through
-        stage I's step. ``eta_g = 0`` skips that product. The result is exactly
-        zero when ``eta_s`` is zero or the validation loss is stationary.
+        stage I's step. The result is exactly zero when the validation loss is
+        stationary.
 
         u and d are one central difference (:meth:`_seg_hvp_fd`) of the graph
         ``synth_batch`` kept when it was computed from ``state.G``, ``state.A``
@@ -461,9 +460,6 @@ class Trainer:
         cfg = self.config
         kept = self._take("synth", state.G, state.A, m_hats)
         grad_a = self._take("grad_a", G_pre, H_pre, state.A, gan_masks, gan_images)
-        if cfg.eta_s == 0.0:
-            return np.zeros(state.A.size)
-
         sb = bind(state.S)
         logits = self.seg.forward(sb, constant(val_images))
         self._kept["val_logits"] = ((state.S, val_images), logits.value)
@@ -480,19 +476,16 @@ class Trainer:
         # only the synthetic term depends on the generator; the gamma
         # real-data term has no generator dependence and contributes zero
         u, direct = self._seg_hvp_fd(*kept, S_pre, v, m_hats)
-        hyper = -cfg.eta_s * direct
-        if cfg.eta_g != 0.0:
-            # free the synthetic graph now, before the generator product
-            # below builds another
-            del kept
+        # free the synthetic graph now, before the generator product below
+        # builds another
+        del kept
 
-            def gen_loss(a_binding, g_binding):
-                return self.generator_loss(g_binding, a_binding, bind(H_pre),
-                                           constant(gan_masks), constant(gan_images))[0]
+        def gen_loss(a_binding, g_binding):
+            return self.generator_loss(g_binding, a_binding, bind(H_pre),
+                                       constant(gan_masks), constant(gan_images))[0]
 
-            w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u, grad_a)
-            hyper += cfg.eta_g * cfg.eta_s * w
-        return hyper
+        w = ad.mixed_hvp_fd(gen_loss, state.A, G_pre, u, grad_a)
+        return -cfg.eta_s * direct + cfg.eta_g * cfg.eta_s * w
 
     def _seg_hvp_fd(self, images: Node, gb, ab, S_base: ParamGroup, v: np.ndarray,
                     m_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,15 +531,15 @@ class Trainer:
                                            + ARCH_WEIGHT_DECAY * flat)
         state.A = state.A.unflatten(flat)
 
-    def search_step(self, state: TrainState, masks: np.ndarray, images: np.ndarray,
-                    rng: np.random.Generator) -> tuple[np.ndarray, tuple]:
+    def search_step(self, state: TrainState, masks: np.ndarray,
+                    images: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Stages I, synth, II and III of one ``genseg`` iteration, validated on
         the whole split; returns the hypergradient and stage III's nine
         arguments, which :func:`hypergrad_fd_oracle` replays with ``state.A``
         in place of ``state``."""
         G_pre, H_pre, S_pre = state.G, state.H, state.S
         self.stage1_update(state, masks, images)
-        ops = self._sample_ops(rng, len(masks))
+        ops = self._sample_ops(state.rng, len(masks))
         m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
         self.stage2_update(state, m_hats, synth_images, masks, images)
         args = (G_pre, H_pre, S_pre, state, masks, images, m_hats,
@@ -578,7 +571,6 @@ class Trainer:
         retain_heap()
         cfg = self.config
         state = self.init_state()
-        rng = self.loop_rng()
         n = len(self.train_ds)
         batch = cfg.batch_size(n)
         ipe = max(1, math.ceil(n / batch))  # iterations per epoch-equivalent
@@ -587,7 +579,7 @@ class Trainer:
 
         for it in range(1, cfg.iters + 1):
             state.iteration = it
-            idx = np.arange(n) if batch == n else rng.choice(n, size=batch, replace=False)
+            idx = np.arange(n) if batch == n else state.rng.choice(n, size=batch, replace=False)
             masks = self.train_ds.masks(idx)
             images = self.train_ds.images(idx)
 
@@ -597,11 +589,11 @@ class Trainer:
                 if it <= sep_switch:
                     self.stage1_update(state, masks, images)
                 else:
-                    ops = self._sample_ops(rng, len(masks))
+                    ops = self._sample_ops(state.rng, len(masks))
                     m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
                     self.stage2_update(state, m_hats, synth_images, masks, images)
             else:
-                hyper, _ = self.search_step(state, masks, images, rng)
+                hyper, _ = self.search_step(state, masks, images)
                 self.outer_update_A(state, hyper)
 
             if it % ipe == 0:

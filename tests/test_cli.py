@@ -196,6 +196,30 @@ class TestTrain:
         assert f"{where}unknown config key '{key}'" in err
         assert not out.exists()
 
+    def test_out_path_that_would_not_read_back_rejected(self, tmp_path, dataset_dir, capsys,
+                                                        monkeypatch):
+        # the resolved config of --out 'run#1' would read back as out_dir = run
+        monkeypatch.chdir(tmp_path)
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, "o")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["train", "--config", str(cfgp), "--out", "run#1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir must hold no '#'") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_aborted_run_keeps_its_config(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        def abort(self):
+            raise engine.TrainingAborted("generator loss became non-finite (nan) at iteration 1")
+
+        monkeypatch.setattr(engine.Trainer, "train", abort)
+        out = tmp_path / "o"
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out, mode="genseg")
+        assert main(["train", "--config", str(cfgp), "--set", "iters=2"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert os.listdir(out) == ["resolved_config.txt"]
+        ran = engine.parse_config(cfgp.read_text(), {"iters": "2"})
+        assert engine.parse_config((out / "resolved_config.txt").read_text()) == ran
+
     def test_structural_override_named(self, tmp_path, dataset_dir, capsys):
         cfgp = write_config(tmp_path / "c.cfg", dataset_dir, tmp_path / "o")
         assert main(["train", "--config", str(cfgp), "--set", "base_channels=0"]) == 1

@@ -70,9 +70,21 @@ class TestConfig:
             parse_config("mode = turbo")
 
     def test_resolved_text_round_trips(self):
-        cfg = TrainConfig(seed=5, gamma=2.5, mode="separate", data_dir="/data/a")
-        again = parse_config(resolved_config_text(cfg))
-        assert again == cfg
+        # every accepted path reads back, inner blanks, '=' and tabs included
+        for path in ("/data/a", "", "/tmp/run 1", "runs/a=b", "données/ü", "a\tb"):
+            cfg = TrainConfig(seed=5, gamma=2.5, mode="separate", data_dir=path, out_dir=path)
+            assert parse_config(resolved_config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", ["/tmp/run#1", " /tmp/d ", "/tmp/d\n", "\tx", "a\nb",
+                                      "a\rb", "a\u2028b"])
+    @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
+    def test_path_that_would_not_read_back_rejected(self, key, path):
+        # parse_config cuts a line at '#' and strips the value, so the
+        # resolved config of such a path would name another one
+        with pytest.raises(ValueError, match=f"^{key} must hold no '#'"):
+            TrainConfig(**{key: path})
+        with pytest.raises(ConfigError, match=f"^{key} must hold no '#'"):
+            parse_config("", {key: path})
 
     def test_digest_sensitive_to_values(self):
         assert config_digest(TrainConfig(seed=1)) != config_digest(TrainConfig(seed=2))
@@ -220,6 +232,24 @@ class TestGanLosses:
         _, pure_adversarial = gan_losses(trainer, state.G, state.A, state.H, masks, fake)
         assert l_gen_on_own_output == pytest.approx(pure_adversarial, abs=1e-12)
 
+    def test_zero_l1_weight_leaves_the_adversarial_term(self):
+        # lambda_l1 = 0 adds 0 times the L1 term: the loss and its gradients
+        # in G and in A are those of the adversarial term alone, to the bit
+        trainer, train, _ = small_setup(lambda_l1=0.0)
+        state = trainer.init_state()
+        m, i = constant(train.masks()), constant(train.images())
+        results = []
+        for whole in (True, False):
+            gb, ab, hb = bind(state.G), bind(state.A), bind(state.H)
+            if whole:
+                loss, _ = trainer.generator_loss(gb, ab, hb, m, i)
+            else:
+                fake = trainer.gen.forward(gb, ab, m)
+                loss = bce_with_logits(trainer.disc.forward(hb, m, fake), 1.0)
+            results.append([loss.value, *ad.backward(loss, [*gb.values(), *ab.values()])])
+        for got, want in zip(*results, strict=True):
+            assert np.array_equal(got, want)
+
     def test_discriminator_loss_decreases_after_one_step(self):
         trainer, train, _ = small_setup(eta_g=0.0, eta_h=1e-3)
         state = trainer.init_state()
@@ -317,7 +347,7 @@ class TestStage2:
         loss = seg_cross_entropy(trainer.seg.forward(sb, constant(synth)), m_hats)
         grads = ad.backward(loss, list(sb.values()))
         expect = [(lbl, arr - 0.1 * g) for (lbl, arr), g in zip(state.S.entries, grads)]
-        trainer.stage2_update(state, m_hats, synth, np.zeros((0, 1, 8, 8)), np.zeros((0, 1, 8, 8)))
+        trainer.stage2_update(state, m_hats, synth, masks, images)
         for (_, got), (_, want) in zip(state.S.entries, expect):
             np.testing.assert_array_equal(got, want)
 
@@ -345,12 +375,13 @@ class TestStage2:
         trainer.stage2_update(state, m_hats, synth, masks, images)
         assert group_blob(state.S) == before
 
-    def test_empty_real_batch_rejected_when_gamma_positive(self):
-        trainer, train, _ = small_setup(gamma=1.0)
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_empty_real_batch_rejected(self, gamma):
+        trainer, train, _ = small_setup(gamma=gamma)
         state = trainer.init_state()
         masks = train.masks()
         m_hats, synth = trainer.synth_batch(state.G, state.A, masks, [[] for _ in masks])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-empty synthetic and real batches"):
             trainer.stage2_update(state, m_hats, synth, np.zeros((0, 1, 8, 8)),
                                   np.zeros((0, 1, 8, 8)))
 
@@ -370,9 +401,8 @@ class TestStage2:
 
 class TestStage3:
     def _run_stages(self, trainer, train, state):
-        rng = trainer.loop_rng()
         state.iteration = 1
-        return trainer.search_step(state, train.masks(), train.images(), rng)
+        return trainer.search_step(state, train.masks(), train.images())
 
     def test_zero_inner_rates_give_exact_zero(self):
         # eta_g = 0 leaves the direct term, so only eta_s = 0 zeroes the result
@@ -381,12 +411,29 @@ class TestStage3:
         chain, _ = self._run_stages(trainer, train, state)
         assert np.array_equal(chain, np.zeros_like(chain))
 
+    def test_zero_generator_step_leaves_the_direct_term(self, monkeypatch):
+        # eta_g = 0 scales w by 0: the result is -eta_s * d to the bit, with d
+        # the product taken on the graph stage III differentiates
+        trainer, train, _ = small_setup(eta_g=0.0)
+        state = trainer.init_state()
+        products = []
+        seg_hvp = Trainer._seg_hvp_fd
+
+        def recorded(self, *args):
+            products.append(seg_hvp(self, *args))
+            return products[-1]
+
+        monkeypatch.setattr(Trainer, "_seg_hvp_fd", recorded)
+        chain, _ = self._run_stages(trainer, train, state)
+        [(_, direct)] = products
+        assert np.any(chain)
+        assert np.array_equal(chain, -trainer.config.eta_s * direct)
+
     def test_linearity_in_validation_loss_exact_backend(self):
         trainer, train, _ = tiny_instance(0)
         state = trainer.init_state()
-        rng = trainer.loop_rng()
         state.iteration = 1
-        _, saved = trainer.search_step(state, train.masks(), train.images(), rng)
+        _, saved = trainer.search_step(state, train.masks(), train.images())
         # doubling the validation loss doubles v, and the chain is linear in v
         v = validation_grad(trainer, state, saved)
         np.testing.assert_allclose(exact_chain(trainer, state, saved, 2 * v),
@@ -437,8 +484,7 @@ class TestSearchStep:
         state = trainer.init_state()
         state.iteration = 1
         calls = counted_calls(monkeypatch, "stage3_hypergrad")
-        hyper, args = trainer.search_step(state, train.masks(), train.images(),
-                                          trainer.loop_rng())
+        hyper, args = trainer.search_step(state, train.masks(), train.images())
         assert len(calls) == 1 and len(args) == 9
         assert all(a is b for a, b in zip(args, calls[0], strict=True))
         assert args[3] is state and hyper.shape == (state.A.size,)
@@ -527,7 +573,7 @@ class TestForwardReuse:
         masks, images = train.masks(), train.images()
         G_pre, H_pre, S_pre = state.G, state.H, state.S
         trainer.stage1_update(state, masks, images)
-        ops = trainer._sample_ops(trainer.loop_rng(), len(masks))
+        ops = trainer._sample_ops(state.rng, len(masks))
         m_hats, synth = trainer.synth_batch(state.G, state.A, masks, ops)
         trainer.stage2_update(state, m_hats, synth, masks, images)
         args = (G_pre, H_pre, S_pre, state, masks, images, m_hats, val.masks(), val.images())
@@ -548,8 +594,7 @@ class TestForwardReuse:
         trainer, train, val = small_setup()
         state = trainer.init_state()
         masks, images = train.masks(), train.images()
-        rng = trainer.loop_rng()
-        m_hats, _ = trainer.synth_batch(state.G, state.A, masks, trainer._sample_ops(rng, 4))
+        m_hats, _ = trainer.synth_batch(state.G, state.A, masks, trainer._sample_ops(state.rng, 4))
         args = (state.G, state.H, state.S, state, masks, images, m_hats,
                 val.masks(), val.images())
         fresh = trainer.stage3_hypergrad(*args)
@@ -606,8 +651,7 @@ class TestForwardReuse:
         state = trainer.init_state()
         state.iteration = 1
         calls = count_forwards(monkeypatch)
-        reused, args = trainer.search_step(state, train.masks(), train.images(),
-                                           trainer.loop_rng())
+        reused, args = trainer.search_step(state, train.masks(), train.images())
         assert calls["gen"] == 3
         trainer._kept.clear()
         recomputed = trainer.stage3_hypergrad(*args)
@@ -1031,10 +1075,9 @@ class TestHypergradOracle:
         # chain with exact mixed products at the same saved inputs
         trainer, train, _ = tiny_instance(3)
         state = trainer.init_state()
-        rng = trainer.loop_rng()
         for it in range(1, 9):
             state.iteration = it
-            chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
+            chain, saved = trainer.search_step(state, train.masks(), train.images())
             if it < 8:
                 trainer.outer_update_A(state, chain)
         exact = exact_chain(trainer, state, saved, validation_grad(trainer, state, saved))
@@ -1043,10 +1086,9 @@ class TestHypergradOracle:
     def test_default_path_matches_pipeline_oracle(self):
         trainer, train, _ = tiny_instance(2)
         state = trainer.init_state()
-        rng = trainer.loop_rng()
         for it in range(1, 13):
             state.iteration = it
-            chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
+            chain, saved = trainer.search_step(state, train.masks(), train.images())
             if it < 12:
                 trainer.outer_update_A(state, chain)
         oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
@@ -1057,10 +1099,9 @@ class TestHypergradOracle:
         trainer, train, _ = tiny_instance(2)
         trainer.config.eta_g = 0.0
         state = trainer.init_state()
-        rng = trainer.loop_rng()
         for it in range(1, 6):
             state.iteration = it
-            chain, saved = trainer.search_step(state, train.masks(), train.images(), rng)
+            chain, saved = trainer.search_step(state, train.masks(), train.images())
             if it < 5:
                 trainer.outer_update_A(state, chain)
         oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
