@@ -51,8 +51,16 @@ ARCH_BETA2 = 0.999
 ARCH_WEIGHT_DECAY = 1e-5
 ARCH_EPS = 1e-8
 
-# images per segmenter forward in evaluate_segmenter
-EVAL_CHUNK = 64
+# images per segmenter forward in evaluate_segmenter. Sizing rule: the
+# largest temporary of a forward-only chunk must stay below training's own
+# high-water, so that scoring never sets a run's peak memory. That temporary
+# is up2's transposed-convolution patch matrix, 17*17*64 doubles or about
+# 148 KB per 32 px image: 4.7 MB at 32 images. At 64 (9.5 MB) the final test
+# scoring put the benchmark's `segment` run 5-8 MB above its training peak
+# (peak RSS 75.5 MB, against 67.8 MB at 32; 2 cores, OpenBLAS 0.3.31). 16
+# gave the same peak RSS but 7-10% more time per image in the benchmark's
+# eval phase, whose cache-clearing calibration precedes each chunk.
+EVAL_CHUNK = 32
 
 ORACLE_STEP = 1e-4  # hypergrad_fd_oracle's central-difference step per architecture logit
 
@@ -618,7 +626,11 @@ class Trainer:
         Scores the logits of stage III's taped validation forward at this
         same S when the split fits one evaluation chunk: they equal, to the
         bit, those of the tape-free forward ``evaluate_segmenter`` would run
-        over the split, so no second forward is spent.
+        over the split, so no second forward is spent. The test stays tied to
+        the chunk: a taped forward over more images than ``EVAL_CHUNK`` can
+        round some logits differently from the chunked one (seen at 33 and 65
+        images), and the recorded dice must be what ``genseg eval`` of the
+        checkpoint reads.
         """
         logits = self._take("val_logits", state.S, self.val_images)
         if logits is not None and len(self.val_images) <= EVAL_CHUNK:
@@ -641,8 +653,11 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[fl
     Each chunk of ``EVAL_CHUNK`` images is one forward under
     :func:`autodiff.no_tape`: no node keeps a parent, a rule or a patch
     matrix, so each layer's arrays are freed as soon as the next layer has
-    read them. The scores equal a taped forward's to the bit. Keeps freed
-    heap (:func:`retain_heap`) like training.
+    read them. The chunk is sized so that the largest temporary, up2's patch
+    matrix (about 148 KB per 32 px image, 4.7 MB per chunk), stays below
+    training's own high-water: scoring does not set a run's peak memory. The
+    scores equal a taped forward's to the bit, and over 64 images those of a
+    single forward. Keeps freed heap (:func:`retain_heap`) like training.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")

@@ -552,14 +552,17 @@ def holds_node(x) -> bool:
 
 
 class TestForwardReuse:
-    @pytest.mark.parametrize("n_val, seg_forwards", [(2, 5), (65, 7)])
+    @pytest.mark.parametrize("n_val, seg_forwards", [(2, 5), (32, 5), (33, 7), (65, 8)])
     def test_forwards_per_genseg_iteration(self, monkeypatch, n_val, seg_forwards):
         # generator: stage I, synth, and the perturbed point of the stage-III
         # generator-loss difference (stage III differentiates synth's graph
         # and takes the base point's gradient from stage I); segmenter: two
         # in stage II, the validation forward and two in stage III's
         # difference; the epoch validation runs its own forwards only when the
-        # split does not fit one evaluation chunk (65 images: chunks of 64 + 1)
+        # split does not fit one evaluation chunk (33 images: chunks of 32 + 1;
+        # 65: 32 + 32 + 1). The benchmark's search32 validates 32 pairs every
+        # iteration, so a chunk below 32 would add a forward to each of them
+        assert eng.EVAL_CHUNK == 32
         trainer, _, _ = small_setup(n_val=n_val)
         trainer.config.iters = 1
         calls = count_forwards(monkeypatch)
@@ -721,7 +724,7 @@ class TestCol2imOffTrainingPath:
 
 class TestTapeFreeEvaluation:
     def test_equals_taped_forward_scored_pair_by_pair(self, monkeypatch):
-        # 70 pairs, so one chunk of EVAL_CHUNK = 64 images and one of 6; one
+        # 70 pairs, so two chunks of EVAL_CHUNK = 32 images and one of 6; one
         # truth mask is empty and one is not binary
         rng = np.random.default_rng(7)
         pairs = gen_task(seed=7, n=70, size=8).pairs
@@ -735,7 +738,7 @@ class TestTapeFreeEvaluation:
 
         sb = bind(S)
         dices, jacs = [], []
-        for chunk in (range(0, 64), range(64, 70)):
+        for chunk in (range(0, 32), range(32, 64), range(64, 70)):
             logits = seg.forward(sb, constant(ds.images(chunk)))
             assert logits.parents
             for pred, truth in zip(predict_mask(logits.value), ds.masks(chunk)):
@@ -753,10 +756,39 @@ class TestTapeFreeEvaluation:
             return forward(net, params, image)
 
         monkeypatch.setattr(SegNet, "forward", watched)
-        assert eng.EVAL_CHUNK == 64
+        assert eng.EVAL_CHUNK == 32
         assert eng.evaluate_segmenter(seg, S, ds) == taped
-        assert recording == [False, False]
+        assert recording == [False] * 3
         assert ad._recording
+
+    def test_chunks_equal_one_forward_over_the_split(self, monkeypatch):
+        # 64 pairs at the benchmark's 32 px score in two forwards of 32
+        # images, to the bit as one forward of all 64 scored pair by pair: the
+        # chunk does not move dice
+        rng = np.random.default_rng(3)
+        ds = Dataset(gen_task(seed=3, n=64, size=32).pairs)
+        seg = SegNet()
+        S = seg.init_params(0)
+        S = S.unflatten(rng.normal(size=S.size))
+
+        with ad.no_tape():
+            logits = seg.forward(bind(S), constant(ds.images())).value
+        scores = [met.overlap_scores(pred[None], truth[None])
+                  for pred, truth in zip(predict_mask(logits), ds.masks())]
+        whole = (float(np.mean([d[0] for d, _ in scores])),
+                 float(np.mean([j[0] for _, j in scores])))
+        assert 0.0 < whole[0] < 1.0
+
+        batches = []
+        forward = SegNet.forward
+
+        def watched(net, params, image):
+            batches.append(len(image.value))
+            return forward(net, params, image)
+
+        monkeypatch.setattr(SegNet, "forward", watched)
+        assert eng.evaluate_segmenter(seg, S, ds) == whole
+        assert batches == [32, 32]
 
 
 class TestOuterUpdate:
