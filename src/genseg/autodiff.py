@@ -520,9 +520,6 @@ class ParamGroup:
             off += arr.size
         return ParamGroup(self.name, out)
 
-    def copy(self) -> "ParamGroup":
-        return ParamGroup(self.name, [(lbl, arr.copy()) for lbl, arr in self.entries])
-
 
 def bind(group: ParamGroup) -> dict[str, Node]:
     """Fresh leaf nodes for every entry, keyed by label, in entry order: the

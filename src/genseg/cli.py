@@ -32,6 +32,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
 def render_svg(series: list[tuple[str, list[float], list[float]]],
                y_label: str = "value") -> str:
     """One polyline per (label, xs, ys) series over iterations, with axes, ticks, and legend."""
+    # imported here: the module pulls in urllib and ssl, about 30 ms and 7 MB
+    # that every other command would pay at start-up
+    from xml.sax.saxutils import escape
     ml, mr, mt, mb = 62, 18, 18, 46
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
            f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -80,7 +83,7 @@ def render_svg(series: list[tuple[str, list[float], list[float]]],
         color = PALETTE[i % len(PALETTE)]
         y = ly + 16 * i
         out.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 22}" y2="{y}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{y + 4}">{label}</text>')
+        out.append(f'<text x="{lx + 28}" y="{y + 4}">{escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out)
 
@@ -126,7 +129,7 @@ def _load_splits(data_dir: str, seed: int):
         test = load_dataset(sub["test"]) if os.path.exists(os.path.join(sub["test"], "manifest.txt")) else None
         return train, val, test
     full = load_dataset(data_dir)
-    train, val = synthdata.split(full, (0.8, 0.2), seed)
+    train, val = synthdata.split(full, seed)
     return train, val, None
 
 
@@ -213,6 +216,8 @@ def cmd_plot(args) -> int:
         return 1
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     valid = metrics.CSV_HEADER.split(",")[2:]  # the columns after iter and split
+    if not fields:
+        return _fail(f"--fields names no field (choose from {sorted(valid)})")
     for f in fields:
         if f not in valid:
             return _fail(f"unknown field '{f}' (choose from {sorted(valid)})")

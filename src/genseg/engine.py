@@ -74,7 +74,6 @@ class TrainConfig:
     mode: str = "genseg"
     seed: int = 0
     iters: int = 5000
-    batch: int = 0  # 0 = auto: full training set when <= 32 examples, else 16
     img_size: int = 32
     enc_cells: int = 3
     base_channels: int = 8
@@ -93,8 +92,7 @@ class TrainConfig:
         for name in ("eta_g", "eta_h", "eta_s", "eta_a", "gamma", "lambda_l1"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name, least in (("seed", 0), ("iters", 0), ("batch", 0), ("enc_cells", 1),
-                            ("base_channels", 1)):
+        for name, least in (("seed", 0), ("iters", 0), ("enc_cells", 1), ("base_channels", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         # each encoder cell halves the extent
@@ -109,11 +107,6 @@ class TrainConfig:
             if "#" in path or path != path.strip() or len(path.splitlines()) > 1:
                 raise ValueError(f"{name} must hold no '#' or line break and no surrounding "
                                  f"whitespace, got {path!r}")
-
-    def batch_size(self, n_train: int) -> int:
-        if self.batch:
-            return min(self.batch, n_train)
-        return n_train if n_train <= 32 else 16
 
 
 # config file keys in canonical order: the dataclass field names
@@ -568,7 +561,9 @@ class Trainer:
         epoch-equivalent (one pass over the training set). The parameters at
         the best validation, or the final ones if no validation ran, are kept
         as ``state.best_params``, and their segmenter is evaluated on the test
-        split at the end.
+        split at the end. That snapshot holds the groups themselves, not
+        copies: no stage writes a parameter array in place, each step builds
+        new ones.
 
         Each graph is freed as soon as it is dropped, many megabytes at a
         time, several times an iteration. Without :func:`retain_heap`, glibc
@@ -580,8 +575,10 @@ class Trainer:
         cfg = self.config
         state = self.init_state()
         n = len(self.train_ds)
-        batch = cfg.batch_size(n)
-        ipe = max(1, math.ceil(n / batch))  # iterations per epoch-equivalent
+        # the paper's low-data regime: up to 32 pairs the whole training set
+        # is the minibatch; a larger set is drawn 16 pairs at a time
+        batch = n if n <= 32 else 16
+        ipe = math.ceil(n / batch)  # iterations per epoch-equivalent
         records: list[met.EvalRecord] = []
         sep_switch = cfg.iters // 2
 
@@ -609,12 +606,12 @@ class Trainer:
                 records.append(self._record(state, "val", d, j))
                 if d > state.best_metric:
                     state.best_metric = d
-                    state.best_params = {k: v.copy() for k, v in state.groups().items()}
+                    state.best_params = state.groups()
             # no graph outlives its iteration (stage III never runs in `separate`)
             self._kept.clear()
 
         if state.best_params is None:
-            state.best_params = {k: v.copy() for k, v in state.groups().items()}
+            state.best_params = state.groups()
         if self.test_ds is not None and len(self.test_ds) and cfg.iters > 0:
             d, j = evaluate_segmenter(self.seg, state.best_params["S"], self.test_ds)
             records.append(self._record(state, "test", d, j))

@@ -133,25 +133,15 @@ def gen_task(seed: int, n: int, size: int, difficulty: float = 1.0) -> Dataset:
     return Dataset(pairs, provenance=f"gen_task(seed={seed},n={n},size={size},difficulty={difficulty})")
 
 
-def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
-    """Seeded shuffle, then contiguous slices per fraction (train, val, test)."""
-    fracs = list(fractions)
-    if sum(fracs) > 1.0 + 1e-12:
-        raise ValueError(f"fractions sum to {sum(fracs)} > 1")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(dataset))
-    bounds, acc = [0], 0.0
-    for f in fracs:
-        acc += f
-        bounds.append(round(acc * len(dataset)))
-    names = ["train", "val", "test"]
-    out = []
-    for i in range(len(fracs)):
-        idx = perm[bounds[i]:bounds[i + 1]]
-        name = names[i] if i < len(names) else f"part{i}"
-        out.append(Dataset([dataset.pairs[j] for j in idx], split=name,
-                           provenance=dataset.provenance))
-    return tuple(out)
+def split(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle, then the first ``round(0.8 * n)`` pairs for train and
+    the rest for val: the paper's 80/20 cut of a flat data directory."""
+    perm = np.random.default_rng(seed).permutation(len(dataset))
+    cut = round(0.8 * len(dataset))
+
+    def part(idx, name):
+        return Dataset([dataset.pairs[j] for j in idx], split=name, provenance=dataset.provenance)
+    return part(perm[:cut], "train"), part(perm[cut:], "val")
 
 
 # ---------------------------------------------------------------------------

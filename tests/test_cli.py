@@ -19,7 +19,7 @@ from genseg.synthdata import (Dataset, MaskImagePair, gen_task, load_checkpoint,
 
 def write_config(path, data_dir, out_dir, **overrides):
     base = {
-        "mode": "baseline", "seed": 0, "iters": 4, "batch": 0, "img_size": 8,
+        "mode": "baseline", "seed": 0, "iters": 4, "img_size": 8,
         "enc_cells": 1, "base_channels": 2, "eta_g": 0.002, "eta_h": 0.002,
         "eta_s": 0.2, "eta_a": 0.0001, "gamma": 1.0, "lambda_l1": 100.0,
         "data_dir": str(data_dir), "out_dir": str(out_dir),
@@ -178,11 +178,14 @@ class TestTrain:
         assert "wibble" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, via_set", [("direct_path", False), ("augment.flip", False),
-                                              ("augment.translate", True)],
-                             ids=["direct_path", "augment.flip", "set-augment.translate"])
+                                              ("augment.translate", True), ("batch", False),
+                                              ("batch", True)],
+                             ids=["direct_path", "augment.flip", "set-augment.translate", "batch",
+                                  "set-batch"])
     def test_removed_key_rejected(self, tmp_path, dataset_dir, capsys, key, via_set):
-        # no key selects the hypergradient or the augmentation kinds: a config
-        # or --set that still names a removed one fails before any run
+        # no key selects the hypergradient, the augmentation kinds or the
+        # minibatch: a config or --set that still names a removed one fails
+        # before any run
         out = tmp_path / "o"
         if via_set:
             cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out)
@@ -487,6 +490,23 @@ class TestPlot:
         p = self.csv(tmp_path, "a.csv", [(1, 0.5)])
         assert main(["plot", "--metrics", str(p), "--fields", "auc",
                      "--out", str(tmp_path / "o.svg")]) == 1
+
+    @pytest.mark.parametrize("fields", [",", "", " , "])
+    def test_empty_field_list_rejected(self, tmp_path, capsys, fields):
+        p = self.csv(tmp_path, "a.csv", [(1, 0.5)])
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--metrics", str(p), "--fields", fields, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --fields names no field") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_file_stem_label_escaped(self, tmp_path):
+        import xml.dom.minidom
+        p = self.csv(tmp_path, "a&b<1>.csv", [(1, 0.5), (2, 0.6)])
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--metrics", str(p), "--out", str(out)]) == 0
+        texts = xml.dom.minidom.parse(str(out)).getElementsByTagName("text")
+        assert "a&b<1>" in [t.firstChild.data for t in texts]
 
     def test_unknown_field_lists_metric_columns(self, tmp_path, capsys):
         p = self.csv(tmp_path, "a.csv", [(1, 0.5)])

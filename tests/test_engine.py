@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import platform
@@ -38,8 +39,8 @@ def group_blob(group: ParamGroup) -> bytes:
 class TestConfig:
     def test_all_keys_parse(self):
         pairs = [
-            ("mode", "separate"), ("seed", "3"), ("iters", "17"), ("batch", "4"),
-            ("img_size", "16"), ("enc_cells", "2"), ("base_channels", "4"),
+            ("mode", "separate"), ("seed", "3"), ("iters", "17"), ("img_size", "16"),
+            ("enc_cells", "2"), ("base_channels", "4"),
             ("eta_g", "0.001"), ("eta_h", "0.002"), ("eta_s", "0.3"), ("eta_a", "0.0001"),
             ("gamma", "2.0"), ("lambda_l1", "50"), ("data_dir", "/tmp/d"), ("out_dir", "/tmp/o"),
         ]
@@ -91,7 +92,7 @@ class TestConfig:
 
     def test_default_digest_pinned(self):
         # the key list and the digest text it feeds are derived from the fields
-        assert config_digest(TrainConfig()) == "4960e65de952a14e"
+        assert config_digest(TrainConfig()) == "7a2d1115a9c1dc11"
 
     def test_digest_ignores_paths(self):
         a = TrainConfig(data_dir="/data/a", out_dir="/runs/a")
@@ -118,12 +119,6 @@ class TestConfig:
     def test_smallest_extent_for_enc_cells_accepted(self):
         cfg = parse_config("img_size = 4\nenc_cells = 2\nbase_channels = 1")
         assert (cfg.img_size, cfg.enc_cells, cfg.base_channels) == (4, 2, 1)
-
-    def test_batch_auto_rule(self):
-        assert TrainConfig().batch_size(20) == 20
-        assert TrainConfig().batch_size(32) == 32
-        assert TrainConfig().batch_size(33) == 16
-        assert TrainConfig(batch=8).batch_size(20) == 8
 
 
 class TestLosses:
@@ -612,7 +607,7 @@ class TestForwardReuse:
         trainer._kept["grad_a"] = (key, np.full(state.A.size, np.nan))
         assert np.all(np.isnan(trainer.stage3_hypergrad(*args)))
         for i, obj in enumerate(key):
-            other = key[:i] + (obj.copy(),) + key[i + 1:]
+            other = key[:i] + (copy.copy(obj),) + key[i + 1:]
             trainer._kept["grad_a"] = (other, np.full(state.A.size, np.nan))
             assert np.array_equal(trainer.stage3_hypergrad(*args), fresh)
 
@@ -664,10 +659,11 @@ class TestForwardReuse:
 
     @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
     def test_store_empty_after_train(self, mode):
-        # two iterations per validation, so an odd last iteration leaves stage
-        # III's logits unscored, and `separate` keeps graphs no stage III takes
-        trainer, _, _ = small_setup(mode=mode, batch=2)
-        trainer.config.iters = 3
+        # 48 pairs are drawn 16 at a time, so three iterations per validation:
+        # the fourth leaves stage III's logits unscored, and `separate` keeps
+        # graphs no stage III takes
+        trainer, _, _ = small_setup(mode=mode, n_train=48)
+        trainer.config.iters = 4
         trainer.train()
         assert trainer._kept == {}
 
@@ -898,7 +894,7 @@ class TestTrainLoop:
         seen = []
 
         def scripted(seg, S, dataset):
-            seen.append(S.copy())
+            seen.append(S)
             return next(script), 0.0
 
         monkeypatch.setattr(eng, "evaluate_segmenter", scripted)
@@ -907,6 +903,49 @@ class TestTrainLoop:
         assert state.best_metric == 0.6
         assert group_blob(state.best_params["S"]) == group_blob(seen[2])
         assert group_blob(state.best_params["S"]) != group_blob(state.S)
+
+    def test_minibatch_rule(self, monkeypatch):
+        # up to 32 pairs the whole training set is the minibatch and every
+        # iteration validates; 33 pairs are drawn 16 at a time, so a
+        # validation comes every ceil(33 / 16) = 3 iterations
+        sizes = []
+        update = Trainer._baseline_update
+
+        def spied(self, state, masks, images):
+            sizes.append(len(masks))
+            update(self, state, masks, images)
+
+        monkeypatch.setattr(Trainer, "_baseline_update", spied)
+        for n_train, batch, val_iters in ((32, 32, [1, 2, 3, 4, 5, 6]), (33, 16, [3, 6])):
+            sizes.clear()
+            trainer, _, _ = small_setup(mode="baseline", n_train=n_train)
+            trainer.config.iters = 6
+            records, _ = trainer.train()
+            assert sizes == [batch] * 6
+            assert [r.iteration for r in records] == val_iters
+
+    @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
+    def test_no_stage_writes_a_parameter_array(self, monkeypatch, mode):
+        # best_params holds the groups themselves, not copies, which is sound
+        # only while every step builds new arrays: with each parameter array
+        # read-only from the moment it reaches the state, an in-place write
+        # anywhere in training, validation or the test score raises
+        trainer, _, val = small_setup(mode=mode)
+        trainer.test_ds = val
+        trainer.config.iters = 4
+        assign = eng.TrainState.__setattr__
+
+        def read_only(self, name, value):
+            if isinstance(value, ParamGroup):
+                for _, arr in value.entries:
+                    arr.setflags(write=False)
+            assign(self, name, value)
+
+        monkeypatch.setattr(eng.TrainState, "__setattr__", read_only)
+        records, state = trainer.train()
+        assert [r.split for r in records] == ["val"] * 4 + ["test"]
+        assert not any(arr.flags.writeable
+                       for group in state.best_params.values() for _, arr in group.entries)
 
     def test_full_run_determinism_csv_bytes(self):
         outs = []

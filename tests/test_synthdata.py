@@ -64,31 +64,23 @@ class TestGenTask:
 class TestSplit:
     def test_paper_ratio_40_10(self):
         ds = gen_task(seed=0, n=50, size=8)
-        train, val = split(ds, (0.8, 0.2), seed=1)
+        train, val = split(ds, seed=1)
         assert (len(train), len(val)) == (40, 10)
-
-    def test_all_train(self):
-        ds = gen_task(seed=0, n=7, size=8)
-        (train,) = split(ds, (1.0,), seed=0)
-        assert len(train) == 7
-
-    def test_fractions_over_one_rejected(self):
-        ds = gen_task(seed=0, n=5, size=8)
-        with pytest.raises(ValueError):
-            split(ds, (0.8, 0.4), seed=0)
+        assert (train.split, val.split) == ("train", "val")
 
     @given(st.integers(1, 40), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_partition_property(self, n, seed):
         ds = gen_task(seed=3, n=n, size=8)
-        train, val, test = split(ds, (0.5, 0.3, 0.2), seed=seed)
-        ids = sorted(id(p) for p in train.pairs + val.pairs + test.pairs)
+        train, val = split(ds, seed=seed)
+        assert len(train) == round(0.8 * n)
+        ids = sorted(id(p) for p in train.pairs + val.pairs)
         assert ids == sorted(id(p) for p in ds.pairs)
 
     def test_stable_under_fixed_seed(self):
         ds = gen_task(seed=4, n=20, size=8)
-        a = split(ds, (0.8, 0.2), seed=9)
-        b = split(ds, (0.8, 0.2), seed=9)
+        a = split(ds, seed=9)
+        b = split(ds, seed=9)
         for da, db in zip(a, b):
             assert [id(p) for p in da.pairs] == [id(p) for p in db.pairs]
 
