@@ -32,6 +32,11 @@ product (see :mod:`genseg.tensor`, which also adds a bias in the product's
 own layout). The family is closed under
 differentiation: each node's gradients are built from the other two, so
 second-order products need no separate patch gather or scatter on the tape.
+A forward convolution on the tape holds its input and kernel, not its patch
+matrix: the kernel-gradient rule gathers the patches again, so a pass whose
+kernel gradient is never taken gathers them once. Patches stay on the tape
+only where a gradient rule under ``create_graph`` builds a kernel gradient
+and a convolution that share one gather.
 A searchable cell's softmax-weighted sums of candidate kernels and of
 candidate biases are one :func:`mixture` node each.
 
@@ -318,17 +323,22 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     """Strided convolution with an (out, in, k, k) kernel and optional bias.
 
     Its input gradient is :func:`_conv_transpose`; its kernel gradient is
-    :func:`_kernel_grad` of ``g`` against ``x``, reusing the forward's patch
-    columns ``cols``.
+    :func:`_kernel_grad` of ``g`` against ``x``. The patch columns of ``x``
+    are gathered for the product and dropped; the kernel-gradient rule
+    gathers them again from ``x``'s value, which the node holds anyway, so
+    a forward on the tape keeps no patch matrix. A caller that passes
+    ``cols`` (``im2col(x)``) shares that one gather with the kernel gradient.
     """
     k = w.value.shape[2]
-    if cols is None:
-        cols = T.im2col(x.value, k, stride, padding)
-    out = T.conv(x.value, w.value, None if b is None else b.value, stride, padding, cols)
+
+    def patches():
+        return T.im2col(x.value, k, stride, padding) if cols is None else cols
+
+    out = T.conv(x.value, w.value, None if b is None else b.value, stride, padding, patches())
 
     def vjp(_, g):
         return (lambda: _conv_transpose(g, w, None, stride, padding, x.value.shape[2:]),
-                lambda: _kernel_grad(g, x, cols, k, stride, padding),
+                lambda: _kernel_grad(g, x, patches(), k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
     return Node(out, (x, w) if b is None else (x, w, b), vjp)

@@ -57,9 +57,13 @@ ARCH_EPS = 1e-8
 # is up2's transposed-convolution patch matrix, 17*17*64 doubles or about
 # 148 KB per 32 px image: 4.7 MB at 32 images. At 64 (9.5 MB) the final test
 # scoring put the benchmark's `segment` run 5-8 MB above its training peak
-# (peak RSS 75.5 MB, against 67.8 MB at 32; 2 cores, OpenBLAS 0.3.31). 16
-# gave the same peak RSS but 7-10% more time per image in the benchmark's
-# eval phase, whose cache-clearing calibration precedes each chunk.
+# (peak RSS 75.5 MB, against 67.8 MB at 32; 2 cores, OpenBLAS 0.3.31). With
+# taped forwards holding no patch matrices, training's high-water is lower,
+# and ru_maxrss still did not rise over the 64-image test scoring of either
+# benchmark shape at 32 (in process: 77.8 MB after `search32`'s 80
+# iterations, 54.3 MB after `segment`'s 900). 16 gave the same peak RSS
+# but 7-10% more time per image in the benchmark's eval phase, whose
+# cache-clearing calibration precedes each chunk.
 EVAL_CHUNK = 32
 
 ORACLE_STEP = 1e-4  # hypergrad_fd_oracle's central-difference step per architecture logit

@@ -10,14 +10,15 @@ convolution and interleaves the phases (depth-to-space). :func:`kernel_grad`
 multiplies a gradient by patch columns. No autodiff node calls the
 scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint reference.
 
-Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW indexing
-for image-shaped data). Convolution outputs are NCHW views of channels-last
-memory, which the next :func:`im2col` reads in place or copies once. A
-convolution's bias is added to the contiguous product, one value per output
-channel along its last axis, before the NCHW view or the phase interleave;
-each output element gets the same one addition as a broadcast over the NCHW
-view, so the values are the same to the bit. :func:`conv_transpose` frees
-its padded channels-last copy once :func:`im2col` has read it, and its patch
+Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW
+indexing for image-shaped data). Convolution outputs are NCHW views of
+channels-last memory, which the next :func:`im2col` reads in place or copies
+once. A convolution's bias is added to the contiguous product before the
+NCHW view or the phase interleave, in one pass over rows that each hold a
+whole image row of output channels (the bias tiled to the row's width); each
+output element gets the same one addition as a broadcast over the NCHW view,
+so the values are the same to the bit. :func:`conv_transpose` frees its
+padded channels-last copy once :func:`im2col` has read it, and its patch
 matrix once the product has, before the phase interleave copies the result.
 Every operation here is pure: inputs are never mutated, and finite inputs
 produce finite outputs.
@@ -138,8 +139,9 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
     """Strided convolution of NCHW ``x`` with an (out, in, k, k) kernel and,
     unless ``b`` is None, a bias of one entry per output channel.
 
-    ``cols`` is ``im2col(x, k, stride, padding)``, which the caller keeps for
-    the kernel gradient. The result is an NCHW view of channels-last memory.
+    ``cols`` is ``im2col(x, k, stride, padding)``; the caller gathers it, so
+    it may share one gather with a kernel gradient. The result is an NCHW
+    view of channels-last memory.
     """
     n, _, h, wd = x.shape
     co, k = w.shape[0], w.shape[2]
@@ -147,7 +149,8 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
     ow = (wd + 2 * padding - k) // stride + 1
     y = cols @ w.transpose(0, 2, 3, 1).reshape(co, -1).T
     if b is not None:
-        y += b
+        rows = y.reshape(n * oh, ow * co)  # a view: ow copies of the bias per row
+        rows += np.tile(b, ow)
     return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
 
@@ -189,6 +192,7 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     y = (cols @ phases).reshape(n, qh, qw, s, s, co)
     del cols  # spent: free the patch matrix before the interleave copies y
     if b is not None:
-        y += b
+        rows = y.reshape(n * qh, qw * s * s * co)  # a view, as in conv
+        rows += np.tile(b, qw * s * s)
     y = y.transpose(0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, co)
     return y[:, crop:crop + oh, crop:crop + ow].transpose(0, 3, 1, 2)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genseg import autodiff as ad
+from genseg import tensor
 from genseg.autodiff import (Node, ParamGroup, backward, bind, constant, mixed_hvp_exact,
                              mixed_hvp_fd)
 from genseg.checks import HVP_COSINE_TOL, HVP_RATIO_RANGE, check_hvp, cosine, fd_gradient
@@ -335,6 +338,54 @@ class TestParamGroup:
         g = ParamGroup("S", [("p", np.zeros((2, 2)))])
         with pytest.raises(ValueError):
             g.unflatten(np.zeros(5))
+
+
+class TestConvPatches:
+    # a forward convolution holds no patch matrix; its kernel-gradient rule
+    # gathers the patches again from the input's value
+
+    @pytest.mark.parametrize("create_graph", [False, True], ids=["value", "graph"])
+    @pytest.mark.parametrize("spec", DOWN_CANDIDATES + (HEAD, ConvSpec(3, 1, 1)),
+                             ids=lambda spec: spec.name)
+    def test_kernel_gradient_is_the_gathered_product(self, spec, create_graph):
+        rng = np.random.default_rng(spec.kernel)
+        k, s, p = spec.kernel, spec.stride, spec.padding
+        x = constant(rng.normal(size=(2, 3, 8, 8)))
+        w = constant(rng.normal(size=spec.weight_shape(3, 4)))
+        b = constant(rng.normal(size=4))
+        n = spec.out_extent(8)
+        g = rng.normal(size=(2, 4, n, n))
+        y = ad.conv2d(x, w, b, spec)
+        gw, gx = backward(ad.dot(y, constant(g)), [w, x], create_graph=create_graph)
+        want = tensor.kernel_grad(g, tensor.im2col(x.value, k, s, p), k)
+        got = gw.value if create_graph else gw
+        assert got.tobytes() == want.tobytes()
+        if create_graph:
+            # second order through the re-gathered patches equals second
+            # order through a kernel-gradient node given the patches
+            r = constant(rng.normal(size=gw.value.shape))
+            by_hand = ad._kernel_grad(constant(g), x, tensor.im2col(x.value, k, s, p), k, s, p)
+            got2, = backward(ad.dot(gw, r), [x])
+            want2, = backward(ad.dot(by_hand, r), [x])
+            assert got2.tobytes() == want2.tobytes()
+
+    def test_taped_forward_keeps_no_patch_matrix(self):
+        # the fused cells' 8x8 stride-2 layer, whose patch matrix is 16x its input
+        spec = ConvSpec(8, 2, 3)
+        rng = np.random.default_rng(0)
+        x = ad.tanh(constant(rng.normal(size=(4, 4, 16, 16))))
+        w = constant(rng.normal(size=spec.weight_shape(4, 8)))
+        b = constant(rng.normal(size=8))
+        cols = tensor.im2col(x.value, spec.kernel, spec.stride, spec.padding).nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.conv2d(x, w, b, spec)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y.parents and y.vjp is not None
+        assert grown < cols
 
 
 class TestPerOpFiniteDifferences:

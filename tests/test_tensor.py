@@ -225,25 +225,28 @@ class TestIm2col:
 
 
 class TestBiasInGemmLayout:
-    # every spec the models run, at its natural extent, plus the strided
-    # specs at 7x7, where (7 + 2p - k) mod 2 != 0 and the transposed
-    # convolution crops past its natural extent (as in checks.check_op_grads)
-    CASES = ([pytest.param(spec, 8, False, id=f"{tag}-{spec.name}")
+    # every spec the models run, at its natural extent, with 5 output
+    # channels; the segmenter's 2-channel 1x1 head, whose product rows hold 2
+    # biases per pixel; and the strided specs at 7x7, where
+    # (7 + 2p - k) mod 2 != 0 and the transposed convolution crops past its
+    # natural extent (as in checks.check_op_grads)
+    CASES = ([pytest.param(spec, 8, 5, id=f"{tag}-{spec.name}")
               for tag, specs in (("cell", DOWN_CANDIDATES + UP_CANDIDATES),
                                  ("fixed", (HALVE, DOUBLE, HEAD)))
               for spec in specs]
-             + [pytest.param(spec, 7, True, id=f"7x7-{spec.name}")
+             + [pytest.param(HEAD, 8, 2, id=f"seg-head-{HEAD.name}")]
+             + [pytest.param(spec, 7, 5, id=f"7x7-{spec.name}")
                 for spec in (ConvSpec(4, 2, 1), ConvSpec(8, 2, 3))])
 
-    @pytest.mark.parametrize("spec, extent, adjoint", CASES)
-    def test_bias_added_in_product_equals_nchw_broadcast(self, spec, extent, adjoint):
+    @pytest.mark.parametrize("spec, extent, co", CASES)
+    def test_bias_added_in_product_equals_nchw_broadcast(self, spec, extent, co):
         # the bias added to the GEMM output gives, bit for bit, the bias-free
         # result plus a broadcast add over its NCHW view
         rng = np.random.default_rng(spec.kernel + extent)
         k, s, p = spec.kernel, spec.stride, spec.padding
-        b = rng.normal(size=5)
+        b = rng.normal(size=co)
         x = rng.normal(size=(3, 4, extent, extent))
-        w = rng.normal(size=spec.weight_shape(4, 5))
+        w = rng.normal(size=spec.weight_shape(4, co))
         if spec.transposed:
             ext = (spec.out_extent(extent),) * 2
             got = tensor.conv_transpose(x, w, b, s, p, ext)
@@ -255,12 +258,13 @@ class TestBiasInGemmLayout:
         want += b.reshape(1, -1, 1, 1)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-        if adjoint:
-            # the transposed convolution back to the strided one's input extent
-            w = rng.normal(size=(4, 5, k, k))
+        if not spec.transposed:
+            # the transposed convolution back to the strided one's input
+            # extent, as the input gradient runs it
+            w = rng.normal(size=(4, co, k, k))
             g = rng.normal(size=(3, 4, spec.out_extent(extent), spec.out_extent(extent)))
             got = tensor.conv_transpose(g, w, b, s, p, (extent, extent))
             want = tensor.conv_transpose(g, w, None, s, p, (extent, extent))
             want += b.reshape(1, -1, 1, 1)
-            assert got.shape == (3, 5, extent, extent)
+            assert got.shape == (3, co, extent, extent)
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
