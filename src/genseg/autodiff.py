@@ -18,7 +18,8 @@ rules inside :func:`no_tape`, the one switch for recording: there each op
 builds a node with no parents and no vector-Jacobian rule, so no tape is
 kept and every intermediate array is freed as soon as it is consumed. A
 forward-only evaluation runs inside it too. In both kinds of backward, a
-rule's thunks, with the arrays their closures hold (a transposed
+node's gradient is held by nothing but its rule and the rule's thunks, and
+a rule's thunks, with the arrays their closures hold (a transposed
 convolution's gathered gradient patches, say), are dropped as soon as the
 rule has run, before the next rule allocates its own. Training uses the
 cheaper forward-difference mixed Hessian-vector product
@@ -37,8 +38,15 @@ matrix: the kernel-gradient rule gathers the patches again, so a pass whose
 kernel gradient is never taken gathers them once. Patches stay on the tape
 only where a gradient rule under ``create_graph`` builds a kernel gradient
 and a convolution that share one gather.
-A searchable cell's softmax-weighted sums of candidate kernels and of
-candidate biases are one :func:`mixture` node each.
+
+What a taped layer holds: every network layer that ends in tanh is one
+:func:`conv2d_tanh` node, which holds its tanh output and links to the
+convolution's input, kernel and bias; the convolution's own output is freed
+once tanh has read it. In a value-only backward its rule scales the
+incoming gradient by 1 - out**2 and lets it go before the convolution's
+rule gathers the scaled gradient's patches. A searchable cell's
+softmax-weighted sums of candidate kernels and of candidate biases are one
+:func:`mixture` node each.
 
 Parameters come in named groups (G, H, S and A), each an ordered list of
 labelled arrays (:class:`ParamGroup`). :func:`bind` makes one leaf per entry,
@@ -48,6 +56,7 @@ that binding, so ``backward(loss, list(binding.values()))`` and
 """
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -173,9 +182,22 @@ def sigmoid(a: Node) -> Node:
                 lambda out, g: (lambda: mul(g, mul(out, shift(neg(out), 1.0))),))
 
 
+def _dtanh(out: Node, g: Node) -> Node:
+    """g * (1 - out**2): the gradient into tanh's input, from its output ``out``."""
+    return mul(g, shift(neg(mul(out, out)), 1.0))
+
+
 def tanh(a: Node) -> Node:
-    return Node(np.tanh(a.value), (a,),
-                lambda out, g: (lambda: mul(g, shift(neg(mul(out, out)), 1.0)),))
+    return Node(np.tanh(a.value), (a,), lambda out, g: (lambda: _dtanh(out, g),))
+
+
+def _tanh_node(value: np.ndarray, parents, rule) -> Node:
+    """``tanh(value)`` as the one node of the op whose output, parents and
+    rule are ``value``, ``parents`` and ``rule``. Its own rule hands
+    :func:`_dtanh` of its gradient to ``rule`` at once, so the node holds
+    no pre-activation array, and the gradient handed in is not held while
+    the op's thunks run (see :func:`_run_rule`)."""
+    return Node(np.tanh(value), parents, lambda out, g: rule(None, _dtanh(out, g)))
 
 
 def exp(a: Node) -> Node:
@@ -319,7 +341,7 @@ def mixture(weights: Node, parts: Sequence[Node], shape, starts) -> Node:
 
 
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
-          cols: np.ndarray | None = None) -> Node:
+          cols: np.ndarray | None = None, make=Node) -> Node:
     """Strided convolution with an (out, in, k, k) kernel and optional bias.
 
     Its input gradient is :func:`_conv_transpose`; its kernel gradient is
@@ -328,6 +350,8 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     gathers them again from ``x``'s value, which the node holds anyway, so
     a forward on the tape keeps no patch matrix. A caller that passes
     ``cols`` (``im2col(x)``) shares that one gather with the kernel gradient.
+    The node is ``make(value, parents, rule)``: :class:`Node`, or
+    :func:`_tanh_node` for :func:`conv2d_tanh`.
     """
     k = w.value.shape[2]
 
@@ -341,29 +365,31 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
                 lambda: _kernel_grad(g, x, patches(), k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
-    return Node(out, (x, w) if b is None else (x, w, b), vjp)
+    return make(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
-                    extent) -> Node:
+                    extent, make=Node) -> Node:
     """Transposed convolution with an (in, out, k, k) kernel and optional
-    bias, cropped to the spatial ``extent``.
+    bias, cropped to the spatial ``extent``; ``make`` as in :func:`_conv`.
 
     Its input gradient is :func:`_conv` of ``g``; its kernel gradient is
     :func:`_kernel_grad` of ``x`` against ``g``. Both share one gather of
-    ``g``'s patch columns.
+    ``g``'s patch columns, taken by the first of their thunks to run, so a
+    rule whose caller has let go of its own gradient gathers after that
+    gradient is freed.
     """
     k = w.value.shape[2]
     out = T.conv_transpose(x.value, w.value, None if b is None else b.value, stride, padding,
                            extent)
 
     def vjp(_, g):
-        g_cols = T.im2col(g.value, k, stride, padding)
-        return (lambda: _conv(g, w, None, stride, padding, g_cols),
-                lambda: _kernel_grad(x, g, g_cols, k, stride, padding),
+        g_cols = functools.cache(lambda: T.im2col(g.value, k, stride, padding))
+        return (lambda: _conv(g, w, None, stride, padding, g_cols()),
+                lambda: _kernel_grad(x, g, g_cols(), k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
-    return Node(out, (x, w) if b is None else (x, w, b), vjp)
+    return make(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
@@ -392,6 +418,23 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
 def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
     """Differentiable convolution with bias; the weight has
     ``spec.weight_shape(in, out)`` and the bias one entry per output channel."""
+    return _conv2d(x, weight, bias, spec, Node)
+
+
+def conv2d_tanh(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
+    """``tanh(conv2d(x, weight, bias, spec))`` as one node whose parents are
+    the convolution's. Its value and gradients, first and second order,
+    equal the two nodes' to the bit: its rule forms the gradient at the
+    convolution's output as :func:`tanh`'s rule does and runs the
+    convolution's rule on it. The convolution's output is dropped once
+    tanh has read it.
+
+    :func:`tanh` itself is never folded into a convolution: a gradient
+    requested at that convolution's output would be lost."""
+    return _conv2d(x, weight, bias, spec, _tanh_node)
+
+
+def _conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec, make) -> Node:
     _, c, h, w = x.value.shape
     k = spec.kernel
     kind = "transposed conv2d" if spec.transposed else "conv2d"
@@ -405,8 +448,8 @@ def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
                          f"with weight {spec.weight_shape(c, co)}")
     extent = (spec.out_extent(h), spec.out_extent(w))
     if spec.transposed:
-        return _conv_transpose(x, weight, bias, spec.stride, spec.padding, extent)
-    return _conv(x, weight, bias, spec.stride, spec.padding)
+        return _conv_transpose(x, weight, bias, spec.stride, spec.padding, extent, make)
+    return _conv(x, weight, bias, spec.stride, spec.padding, make=make)
 
 
 def softmax(a: Node) -> Node:
@@ -444,11 +487,18 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def _run_rule(node: Node, g: Node, needed: dict[int, bool], grads: dict[int, Node]):
-    """Run ``node``'s rule on its gradient ``g``, adding each needed parent's
-    share into ``grads``. The thunks, with the arrays their closures hold,
-    and the shares go when this returns, before the next rule allocates."""
-    thunks = node.vjp(node, g)
+def _run_rule(node: Node, needed: dict[int, bool], grads: dict[int, Node]):
+    """Run ``node``'s rule on its gradient, taken out of ``grads``, adding
+    each needed parent's share into ``grads``.
+
+    Apart from backward's result for a requested node, the rule is the
+    gradient's last holder: once it has returned its thunks, the gradient
+    lives on only in what they close over. A rule that
+    derives all it needs from it at once, as :func:`conv2d_tanh`'s does,
+    lets it go before the thunks run. The thunks, with the arrays their
+    closures hold, and the shares go when this returns, before the next
+    rule allocates."""
+    thunks = node.vjp(node, grads.pop(node.id))
     for parent, thunk in zip(node.parents, thunks):
         if needed.get(parent.id, False):
             pg = thunk()
@@ -467,8 +517,11 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     Only ``create_graph=True`` builds a differentiable graph of the
     gradients. Otherwise the backward rules run under :func:`no_tape`, so
     every gradient node has no parents, and each intermediate gradient is
-    dropped once its rule has run: the arrays are freed during the pass,
-    and the values are the same to the bit.
+    dropped once its rule no longer needs it (:func:`_run_rule`): after the
+    rule's last thunk, or, for a :func:`conv2d_tanh` node, as soon as the
+    rule has scaled it, before the convolution's gradient patches are
+    gathered. The arrays are freed during the pass, and the values are the
+    same to the bit.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -483,13 +536,14 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     grads: dict[int, Node] = {loss.id: constant(np.ones((), dtype=np.float64))}
     with nullcontext() if create_graph else no_tape():
         for node in reversed(order):
-            g = grads.pop(node.id, None)
-            if g is None:
+            if node.id not in grads:
                 continue
             if node.id in wanted:
-                done[node.id] = g
-            if node.vjp is not None:
-                _run_rule(node, g, needed, grads)
+                done[node.id] = grads[node.id]
+            if node.vjp is None:
+                del grads[node.id]
+            else:
+                _run_rule(node, needed, grads)
 
     out = []
     for w in wrt:

@@ -125,9 +125,10 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
         lambda bi: ad.dot(ad.matmul(bi["a"], bi["b"]), constant(w_mm)), group)
 
     # convolutions: plain, strided, and transposed, including weight and bias,
-    # at every spec the models run; at 7x7, (7 + 2p - k) mod 2 != 0 for the
-    # strided specs, so the input gradient comes back to a larger extent than
-    # the transposed convolution's natural one
+    # at every spec the models run, each also followed by tanh as one node; at
+    # 7x7, (7 + 2p - k) mod 2 != 0 for the strided specs, so the input
+    # gradient comes back to a larger extent than the transposed
+    # convolution's natural one
     for tag, spec, extent in (
         ("conv_421", ConvSpec(4, 2, 1), 6),
         ("conv_421_7x7", ConvSpec(4, 2, 1), 7),
@@ -138,19 +139,21 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
         ("upconv_421", ConvSpec(4, 2, 1, transposed=True), 6),
         ("upconv_622", ConvSpec(6, 2, 2, transposed=True), 6),
         ("upconv_823", ConvSpec(8, 2, 3, transposed=True), 6),
+        ("head_110", ConvSpec(1, 1, 0), 6),
     ):
-        group = ParamGroup("G", [("x", x((2, 3, extent, extent))),
-                                 ("w", x(spec.weight_shape(3, 2)) * 0.3),
-                                 ("b", x((2,)) * 0.3)])
-        probe = {}
+        for op, name in ((ad.conv2d, tag), (ad.conv2d_tanh, f"{tag}_tanh")):
+            group = ParamGroup("G", [("x", x((2, 3, extent, extent))),
+                                     ("w", x(spec.weight_shape(3, 2)) * 0.3),
+                                     ("b", x((2,)) * 0.3)])
+            probe = {}
 
-        def conv_loss(bi, spec=spec, probe=probe):
-            y = ad.conv2d(bi["x"], bi["w"], bi["b"], spec)
-            if "w" not in probe:
-                probe["w"] = np.random.default_rng(0).normal(0, 1, size=y.value.shape)
-            return ad.dot(y, constant(probe["w"]))
+            def conv_loss(bi, spec=spec, op=op, probe=probe):
+                y = op(bi["x"], bi["w"], bi["b"], spec)
+                if "w" not in probe:
+                    probe["w"] = np.random.default_rng(0).normal(0, 1, size=y.value.shape)
+                return ad.dot(y, constant(probe["w"]))
 
-        out[tag] = _param_rel_error(conv_loss, group)
+            out[name] = _param_rel_error(conv_loss, group)
 
     # kernel gradients in both operands: ``a`` meets the convolution of ``b``
     # pixel by pixel, and at 7x7 the b-gradient crops past its natural extent
@@ -245,7 +248,7 @@ def check_hvp(seed: int = 0) -> tuple[float, float]:
                              ("b2", rng.normal(0, 0.1, size=2))])
 
         def loss(pb, qb, spec1=spec1, spec2=spec2):
-            hlayer = ad.tanh(ad.conv2d(constant(x), pb["w1"], pb["b1"], spec1))
+            hlayer = ad.conv2d_tanh(constant(x), pb["w1"], pb["b1"], spec1)
             out = ad.conv2d(hlayer, qb["w2"], qb["b2"], spec2)
             diff = ad.sub(out, constant(y))
             return ad.mean_(ad.mul(diff, diff))

@@ -58,10 +58,11 @@ ARCH_EPS = 1e-8
 # 148 KB per 32 px image: 4.7 MB at 32 images. At 64 (9.5 MB) the final test
 # scoring put the benchmark's `segment` run 5-8 MB above its training peak
 # (peak RSS 75.5 MB, against 67.8 MB at 32; 2 cores, OpenBLAS 0.3.31). With
-# taped forwards holding no patch matrices, training's high-water is lower,
-# and ru_maxrss still did not rise over the 64-image test scoring of either
-# benchmark shape at 32 (in process: 77.8 MB after `search32`'s 80
-# iterations, 54.3 MB after `segment`'s 900). 16 gave the same peak RSS
+# taped forwards holding no patch matrices and no pre-tanh outputs,
+# training's high-water is lower still, and ru_maxrss (getrusage, in
+# process, seed 1) still did not rise over the 64-image test scoring of
+# either benchmark shape at 32: 72.1 MB before and after it in `search32`
+# (80 iterations), 53.5 MB in `segment` (900). 16 gave the same peak RSS
 # but 7-10% more time per image in the benchmark's eval phase, whose
 # cache-clearing calibration precedes each chunk.
 EVAL_CHUNK = 32
@@ -569,9 +570,12 @@ class Trainer:
         copies: no stage writes a parameter array in place, each step builds
         new ones.
 
-        Each graph is freed as soon as it is dropped, many megabytes at a
-        time, several times an iteration. Without :func:`retain_heap`, glibc
-        hands that memory back to the system and faults it in again at the
+        No graph and no earlier iteration's parameters outlive their
+        iteration: of :meth:`search_step`'s result the loop keeps only the
+        hypergradient, not stage III's arguments, which hold the
+        iteration's starting G, H and S. Each graph is freed as soon as it
+        is dropped, many megabytes at a time, several times an iteration.
+        Without :func:`retain_heap`, glibc hands that memory back to the system and faults it in again at the
         next forward, which made a 32 px segmenter-only iteration about 30%
         slower.
         """
@@ -602,8 +606,9 @@ class Trainer:
                     m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
                     self.stage2_update(state, m_hats, synth_images, masks, images)
             else:
-                hyper, _ = self.search_step(state, masks, images)
-                self.outer_update_A(state, hyper)
+                # the hypergradient only: stage III's arguments would keep
+                # this iteration's starting groups alive through the next
+                self.outer_update_A(state, self.search_step(state, masks, images)[0])
 
             if it % ipe == 0:
                 d, j = self._validate(state)

@@ -39,10 +39,13 @@ def _conv_params(rng: np.random.Generator, name: str, spec: ConvSpec,
             (f"{name}.b", np.zeros(out_ch, dtype=np.float64))]
 
 
-def _conv(params: dict[str, Node], layer: tuple[str, ConvSpec, int, int], x: Node) -> Node:
-    """A fixed layer ``(name, spec, in_ch, out_ch)`` applied to ``x``."""
+def _conv(params: dict[str, Node], layer: tuple[str, ConvSpec, int, int], x: Node,
+          op=ad.conv2d) -> Node:
+    """A fixed layer ``(name, spec, in_ch, out_ch)`` applied to ``x`` by
+    ``op``: :func:`autodiff.conv2d`, or :func:`autodiff.conv2d_tanh` for a
+    layer followed by tanh."""
     name, spec = layer[:2]
-    return ad.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], spec)
+    return op(x, params[f"{name}.w"], params[f"{name}.b"], spec)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -65,17 +68,19 @@ def _unet_channels(in_ch: int, base_channels: int, depth: int):
 
 
 def _unet(down, up, x: Node) -> Node:
-    """The U-Net body: each of the ``down`` and then the ``up`` layers, a
-    callable on one node, followed by tanh; every ``up`` layer after the first
+    """The U-Net body: each of the ``down`` and then the ``up`` layers,
+    followed by tanh. A layer is a callable ``layer(x, op)`` that applies
+    its convolution by ``op``, here :func:`autodiff.conv2d_tanh`, so each
+    layer and its tanh are one node. Every ``up`` layer after the first
     also takes the ``down`` output of its scale as a channel skip."""
     skips = []
     for layer in down:
-        x = ad.tanh(layer(x))
+        x = layer(x, ad.conv2d_tanh)
         skips.append(x)
     for j, layer in enumerate(up):
         if j:
             x = ad.concat([x, skips[-1 - j]], axis=1)
-        x = ad.tanh(layer(x))
+        x = layer(x, ad.conv2d_tanh)
     return x
 
 
@@ -112,7 +117,8 @@ class SearchableCell:
     def logit_label(self) -> str:
         return f"{self.name}.logits"
 
-    def forward(self, params: dict[str, Node], logits: Node, x: Node) -> Node:
+    def forward(self, params: dict[str, Node], logits: Node, x: Node, op=ad.conv2d) -> Node:
+        """The mixed convolution of ``x`` by ``op``, as in :func:`_conv`."""
         weights = ad.softmax(logits)
         big = self.fused_spec
         names = [f"{self.name}.{spec.name}" for spec in self.candidates]
@@ -120,7 +126,7 @@ class SearchableCell:
                            big.weight_shape(self.in_ch, self.out_ch), self.kernel_starts)
         b_eff = ad.mixture(weights, [params[f"{n}.b"] for n in names], (self.out_ch,),
                            [(0,)] * len(names))
-        return ad.conv2d(x, w_eff, b_eff, big)
+        return op(x, w_eff, b_eff, big)
 
 
 class GeneratorNet:
@@ -159,7 +165,7 @@ class GeneratorNet:
         # looked up per call, so a wrapper put on SearchableCell.forward later still runs
         down, up = ([partial(cell.forward, g, a[cell.logit_label()]) for cell in cells]
                     for cells in (self.encoders, self.decoders))
-        return ad.tanh(_conv(g, self.head, _unet(down, up, mask)))
+        return _conv(g, self.head, _unet(down, up, mask), ad.conv2d_tanh)
 
 
 class DiscriminatorNet:
@@ -190,7 +196,7 @@ class DiscriminatorNet:
             raise ValueError(f"mask {mask.value.shape} and image {image.value.shape} are not spatially aligned")
         x = ad.concat([mask, image], axis=1)
         for layer in self.layers:
-            x = ad.tanh(_conv(h, layer, x))
+            x = _conv(h, layer, x, ad.conv2d_tanh)
         return _conv(h, self.head, x)
 
 

@@ -11,8 +11,8 @@ from genseg.autodiff import (Node, ParamGroup, backward, bind, constant, mixed_h
                              mixed_hvp_fd)
 from genseg.checks import HVP_COSINE_TOL, HVP_RATIO_RANGE, check_hvp, cosine, fd_gradient
 from genseg.engine import bce_with_logits, seg_cross_entropy
-from genseg.models import (DOWN_CANDIDATES, HEAD, UP_CANDIDATES, DiscriminatorNet, GeneratorNet,
-                           SegNet)
+from genseg.models import (DOUBLE, DOWN_CANDIDATES, HALVE, HEAD, UP_CANDIDATES, DiscriminatorNet,
+                           GeneratorNet, SegNet)
 from genseg.tensor import ConvSpec
 
 
@@ -388,9 +388,123 @@ class TestConvPatches:
         assert grown < cols
 
 
+def held_by_forward(forward) -> int:
+    """Traced bytes still held once ``forward()`` has built its node."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = forward()  # bound, so the node is alive while measured
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestConvTanh:
+    # one node for a convolution followed by tanh, equal to the two nodes to
+    # the bit, at every spec the models run it at
+    SPECS = DOWN_CANDIDATES + UP_CANDIDATES + (HEAD,)
+
+    @staticmethod
+    def layer(spec, seed=0, extent=8):
+        rng = np.random.default_rng(seed)
+        x = constant(rng.normal(size=(2, 3, extent, extent)))
+        w = constant(rng.normal(0, 0.3, size=spec.weight_shape(3, 4)))
+        b = constant(rng.normal(0, 0.3, size=4))
+        n = spec.out_extent(extent)
+        probe = constant(rng.normal(size=(2, 4, n, n)))
+        return x, w, b, probe
+
+    @pytest.mark.parametrize("create_graph", [False, True], ids=["value", "graph"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_value_and_gradients_equal_the_two_nodes(self, spec, create_graph):
+        x, w, b, probe = self.layer(spec)
+        fused = ad.conv2d_tanh(x, w, b, spec)
+        chain = ad.tanh(ad.conv2d(x, w, b, spec))
+        assert fused.value.tobytes() == chain.value.tobytes()
+        assert fused.parents == (x, w, b)
+        got, want = (backward(ad.dot(y, probe), [x, w, b], create_graph=create_graph)
+                     for y in (fused, chain))
+        for g, h in zip(got, want):
+            g, h = (g.value, h.value) if create_graph else (g, h)
+            assert np.any(g)
+            assert g.tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_second_order_equals_the_two_nodes(self, spec):
+        x, w, b, probe = self.layer(spec, seed=1)
+        rng = np.random.default_rng(2)
+        dirs = [constant(rng.normal(size=leaf.value.shape)) for leaf in (x, w, b)]
+        results = []
+        for conv_tanh in (ad.conv2d_tanh, lambda *a: ad.tanh(ad.conv2d(*a))):
+            grads = backward(ad.dot(conv_tanh(x, w, b, spec), probe), [x, w, b],
+                             create_graph=True)
+            s = ad.add(ad.add(ad.dot(grads[0], dirs[0]), ad.dot(grads[1], dirs[1])),
+                       ad.dot(grads[2], dirs[2]))
+            results.append(backward(s, [x, w, b]))
+        for got, want in zip(*results):
+            assert np.any(got)
+            assert got.tobytes() == want.tobytes()
+
+    def test_value_only_under_no_tape(self):
+        x, w, b, _ = self.layer(HEAD)
+        with ad.no_tape():
+            y = ad.conv2d_tanh(x, w, b, HEAD)
+        assert y.parents == () and y.vjp is None
+
+    @pytest.mark.parametrize("spec", [HALVE, DOUBLE], ids=lambda spec: spec.name)
+    def test_taped_layer_holds_one_output(self, spec):
+        # the convolution's output is dropped once tanh has read it
+        x, w, b, _ = self.layer(spec, extent=64)
+        out = ad.conv2d_tanh(x, w, b, spec).value.nbytes
+        assert held_by_forward(lambda: ad.tanh(ad.conv2d(x, w, b, spec))) >= 2 * out
+        assert held_by_forward(lambda: ad.conv2d_tanh(x, w, b, spec)) < 1.5 * out
+
+    def test_backward_lets_go_of_the_gradient_it_has_scaled(self):
+        # segmenter's up2 shape and its head. The fused rule scales its
+        # gradient and lets it go before the transposed convolution gathers
+        # the scaled one's patches (8 MB), so the pass peaks at least one
+        # 32x8x32x32 gradient below the two nodes' pass
+        rng = np.random.default_rng(0)
+        x = constant(rng.normal(size=(32, 16, 16, 16)))
+        w = constant(rng.normal(0, 0.1, size=DOUBLE.weight_shape(16, 8)))
+        b = constant(rng.normal(0, 0.1, size=8))
+        hw = constant(rng.normal(size=HEAD.weight_shape(8, 2)))
+        hb = constant(rng.normal(size=2))
+        probe = constant(rng.normal(size=(32, 2, 32, 32)))
+
+        def backward_peak(conv_tanh):
+            tracemalloc.start()
+            try:
+                loss = ad.dot(ad.conv2d(conv_tanh(x, w, b, DOUBLE), hw, hb, HEAD), probe)
+                tracemalloc.reset_peak()
+                backward(loss, [x, w, b, hw, hb])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chain = backward_peak(lambda *a: ad.tanh(ad.conv2d(*a)))
+        fused = backward_peak(ad.conv2d_tanh)
+        assert fused <= chain - 32 * 8 * 32 * 32 * 8
+
+
 class TestPerOpFiniteDifferences:
     def test_every_op_under_tolerance(self):
         from genseg.checks import check_op_grads
         errs = check_op_grads(seed=0)
         bad = {k: v for k, v in errs.items() if v >= 1e-5}
         assert not bad, f"ops over tolerance: {bad}"
+        # each convolution spec is judged plain and as the fused tanh layer
+        convs = [k for k in errs if k.startswith(("conv_", "upconv_", "head_"))]
+        assert len(convs) == 20
+        assert {k for k in convs if not k.endswith("_tanh")} == {k[:-5] for k in convs
+                                                                 if k.endswith("_tanh")}
+
+    def test_check_hvp_differentiates_the_fused_layer(self, monkeypatch):
+        # the exact double-backward oracle runs through the fused rule at
+        # each trial's hidden layer
+        from genseg.checks import HVP_SPECS
+        specs, conv2d_tanh = [], ad.conv2d_tanh
+        monkeypatch.setattr(ad, "conv2d_tanh",
+                            lambda x, w, b, spec: specs.append(spec) or conv2d_tanh(x, w, b, spec))
+        check_hvp(0)
+        assert set(specs) == {first for first, _ in HVP_SPECS}

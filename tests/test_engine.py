@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import platform
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1133,6 +1134,27 @@ class TestValidationGraphFreed:
         val_nodes, train_nodes = counts[0]
         assert train_nodes > 0
         assert val_nodes == 0
+
+
+class TestEarlierIterationFreed:
+    def test_earlier_generator_weights_gone_when_stage3_starts(self, monkeypatch):
+        # iteration t-1's starting generator weights are unreachable when
+        # iteration t's stage III starts, unless they are the best snapshot
+        trainer, _, _ = small_setup()
+        trainer.config.iters = 5
+        earlier, held = [], []
+        stage3 = Trainer.stage3_hypergrad
+
+        def probe(self, G_pre, H_pre, S_pre, state, *rest):
+            if earlier:
+                prev = earlier[-1]()
+                held.append(prev is not None and prev is not state.best_params["G"])
+            earlier.append(weakref.ref(G_pre))
+            return stage3(self, G_pre, H_pre, S_pre, state, *rest)
+
+        monkeypatch.setattr(Trainer, "stage3_hypergrad", probe)
+        trainer.train()
+        assert held == [False] * 4
 
 
 class TestHypergradOracle:
