@@ -277,13 +277,9 @@ def check_hypergrad(seed: int = 0) -> float:
     """Cosine of the training hypergradient chain against the pipeline oracle,
     after ``HYPER_WARMUP`` iterations of the tiny instance."""
     trainer, train, _ = tiny_instance(seed)
-    state = trainer.init_state()
-    masks, images = train.masks(), train.images()
-    for it in range(1, HYPER_WARMUP + 1):
-        state.iteration = it
-        chain, _ = trainer.search_step(state, masks, images)
-        trainer.outer_update_A(state, chain)
+    trainer.config.iters = HYPER_WARMUP
+    _, state = trainer.train()
     state.iteration = HYPER_WARMUP + 1
-    chain, args = trainer.search_step(state, masks, images)
+    chain, args = trainer.search_step(state, train.masks(), train.images())
     oracle = eng.hypergrad_fd_oracle(trainer, *args[:3], state.A, *args[4:])
     return cosine(chain, oracle)

@@ -52,19 +52,12 @@ ARCH_WEIGHT_DECAY = 1e-5
 ARCH_EPS = 1e-8
 
 # images per segmenter forward in evaluate_segmenter. Sizing rule: the
-# largest temporary of a forward-only chunk must stay below training's own
-# high-water, so that scoring never sets a run's peak memory. That temporary
-# is up2's transposed-convolution patch matrix, 17*17*64 doubles or about
-# 148 KB per 32 px image: 4.7 MB at 32 images. At 64 (9.5 MB) the final test
-# scoring put the benchmark's `segment` run 5-8 MB above its training peak
-# (peak RSS 75.5 MB, against 67.8 MB at 32; 2 cores, OpenBLAS 0.3.31). With
-# taped forwards holding no patch matrices and no pre-tanh outputs,
-# training's high-water is lower still, and ru_maxrss (getrusage, in
-# process, seed 1) still did not rise over the 64-image test scoring of
-# either benchmark shape at 32: 72.1 MB before and after it in `search32`
-# (80 iterations), 53.5 MB in `segment` (900). 16 gave the same peak RSS
-# but 7-10% more time per image in the benchmark's eval phase, whose
-# cache-clearing calibration precedes each chunk.
+# largest temporary of a forward-only chunk, up2's transposed-convolution
+# patch matrix (17*17*64 doubles, about 148 KB per 32 px image: 4.7 MB at 32
+# images), must stay below training's own high-water, so that scoring never
+# sets a run's peak memory. 16 gave the same peak RSS but 7-10% more time per
+# image in the benchmark's eval phase, whose cache-clearing calibration
+# precedes each chunk.
 EVAL_CHUNK = 32
 
 ORACLE_STEP = 1e-4  # hypergrad_fd_oracle's central-difference step per architecture logit
@@ -313,15 +306,15 @@ class Trainer:
                                      depth=max(1, disc_depth))
         self.seg = SegNet(img_channels=img_channels, base_channels=config.base_channels)
         self.val_masks, self.val_images = val_ds.masks(), val_ds.images()
-        # passes handed on within one iteration, by name: (the objects a pass
-        # was computed from, its value); see _take
-        #   "grad_a": (G, H, A, masks, images) -> stage I's generator-loss
-        #     gradient in A, the base point of stage III's generator product
-        #   "synth": (G, A, m_hats) -> synth_batch's graph (images node, G and
-        #     A bindings), which stage III differentiates in G and in A
-        #   "val_logits": (S, val_images) -> stage III's validation logits,
-        #     which the epoch validation scores
-        self._kept: dict[str, tuple[tuple, object]] = {}
+        # what one iteration's passes hand on, by name, each written once and
+        # popped once; train clears it at the end of every iteration
+        #   "grad_a": stage I's generator-loss gradient in A, the base point of
+        #     stage III's generator product
+        #   "synth": synth_batch's graph (images node, G and A bindings), which
+        #     stage III differentiates in G and in A
+        #   "val_logits": stage III's validation logits, which the epoch
+        #     validation scores
+        self._kept: dict[str, object] = {}
 
     def init_state(self) -> TrainState:
         ss = np.random.SeedSequence(self.config.seed)
@@ -331,14 +324,6 @@ class Trainer:
         S = self.seg.init_params(seg_ss)
         return TrainState(G=G, H=H, S=S, A=A, adam_m=np.zeros(A.size),
                           adam_v=np.zeros(A.size), rng=np.random.default_rng(loop_ss))
-
-    def _take(self, name: str, *objects):
-        """Drop the pass kept under ``name``; return its value if it was
-        computed from these very objects, else None."""
-        key, value = self._kept.pop(name, (None, None))
-        if key is not None and all(a is b for a, b in zip(key, objects, strict=True)):
-            return value
-        return None
 
     # -- stage I ------------------------------------------------------------
 
@@ -371,7 +356,8 @@ class Trainer:
         both from the same graph at the old weights.
 
         In ``genseg`` mode the generator loss's backward also takes its
-        gradient in A, kept for stage III's generator product.
+        gradient in A and writes it to ``_kept["grad_a"]``, the base point of
+        stage III's generator product.
         """
         if len(masks) == 0:
             raise ValueError("stage1_update needs a non-empty batch")
@@ -381,9 +367,8 @@ class Trainer:
         # images, which spoil both, are named as the discriminator's
         _check_loss(l_disc, "discriminator loss", it)
         if cfg.mode == "genseg":
-            key = (state.G, state.H, state.A, masks, images)
-            state.G, grad_a = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it, ab)
-            self._kept["grad_a"] = (key, grad_a)
+            state.G, self._kept["grad_a"] = _descend(state.G, l_gen, gb, cfg.eta_g,
+                                                     "generator loss", it, ab)
         else:
             state.G = _descend(state.G, l_gen, gb, cfg.eta_g, "generator loss", it)
         state.H = _descend(state.H, l_disc, hb, cfg.eta_h, "discriminator loss", it)
@@ -397,7 +382,8 @@ class Trainer:
         """Augment each real mask and render its image with the generator.
 
         Stage II trains on the rendered values. The forward binds G and A as
-        leaves and is kept for stage III, which differentiates it in both
+        leaves and is written to ``_kept["synth"]`` as (images node, G
+        binding, A binding) for stage III, which differentiates it in both
         instead of running the generator again: in G for the chain through
         stage I's update, in A for the architecture's direct part in
         generation.
@@ -405,7 +391,7 @@ class Trainer:
         m_hats = np.stack([aug.apply_sequence(ops, m) for ops, m in zip(ops_per_mask, masks)])
         gb, ab = bind(G), bind(A)
         images = self.gen.forward(gb, ab, constant(m_hats))
-        self._kept["synth"] = ((G, A, m_hats), (images, gb, ab))
+        self._kept["synth"] = (images, gb, ab)
         return m_hats, images.value
 
     def stage2_objective(self, sb: dict[str, Node], synth_masks, synth_images: Node,
@@ -455,20 +441,21 @@ class Trainer:
         stationary.
 
         u and d are one central difference (:meth:`_seg_hvp_fd`) of the graph
-        ``synth_batch`` kept when it was computed from ``state.G``, ``state.A``
-        and ``m_hats`` themselves, and of a fresh one otherwise. w is a forward
-        difference based at stage I's generator-loss gradient in A when that
-        was taken at ``G_pre``, ``H_pre``, ``state.A``, ``gan_masks`` and
-        ``gan_images``. Keeps the value of its validation logits for the epoch
-        validation at ``state.S``; their graph is freed once v is taken, and
-        the synthetic graph once u and d are.
+        that ``synth_batch`` wrote to ``_kept["synth"]``. w is a forward
+        difference based at the generator-loss gradient in A that stage I
+        wrote to ``_kept["grad_a"]``. Both are popped on entry, so stage III
+        runs inside :meth:`search_step`, after this iteration's stage I and
+        synth; called on its own it raises KeyError naming the missing entry.
+        Writes the value of its validation logits to ``_kept["val_logits"]``
+        for the epoch validation at ``state.S``; their graph is freed once v
+        is taken, and the synthetic graph once u and d are.
         """
         cfg = self.config
-        kept = self._take("synth", state.G, state.A, m_hats)
-        grad_a = self._take("grad_a", G_pre, H_pre, state.A, gan_masks, gan_images)
+        synth = self._kept.pop("synth")
+        grad_a = self._kept.pop("grad_a")
         sb = bind(state.S)
         logits = self.seg.forward(sb, constant(val_images))
-        self._kept["val_logits"] = ((state.S, val_images), logits.value)
+        self._kept["val_logits"] = logits.value
         v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb)
         # the validation graph is spent: free it before the products below
         # build theirs on the kept generator graph
@@ -476,15 +463,12 @@ class Trainer:
         if not np.any(v):
             return np.zeros(state.A.size)
 
-        if kept is None:
-            gb, ab = bind(state.G), bind(state.A)
-            kept = (self.gen.forward(gb, ab, constant(m_hats)), gb, ab)
         # only the synthetic term depends on the generator; the gamma
         # real-data term has no generator dependence and contributes zero
-        u, direct = self._seg_hvp_fd(*kept, S_pre, v, m_hats)
+        u, direct = self._seg_hvp_fd(*synth, S_pre, v, m_hats)
         # free the synthetic graph now, before the generator product below
         # builds another
-        del kept
+        del synth
 
         def gen_loss(a_binding, g_binding):
             return self.generator_loss(g_binding, a_binding, bind(H_pre),
@@ -542,7 +526,11 @@ class Trainer:
         """Stages I, synth, II and III of one ``genseg`` iteration, validated on
         the whole split; returns the hypergradient and stage III's nine
         arguments, which :func:`hypergrad_fd_oracle` replays with ``state.A``
-        in place of ``state``."""
+        in place of ``state``.
+
+        The one place stage III runs: it pops the A-gradient stage I wrote to
+        ``_kept`` and the graph synth wrote there, and writes its validation
+        logits for :meth:`_validate`."""
         G_pre, H_pre, S_pre = state.G, state.H, state.S
         self.stage1_update(state, masks, images)
         ops = self._sample_ops(state.rng, len(masks))
@@ -575,9 +563,9 @@ class Trainer:
         hypergradient, not stage III's arguments, which hold the
         iteration's starting G, H and S. Each graph is freed as soon as it
         is dropped, many megabytes at a time, several times an iteration.
-        Without :func:`retain_heap`, glibc hands that memory back to the system and faults it in again at the
-        next forward, which made a 32 px segmenter-only iteration about 30%
-        slower.
+        Without :func:`retain_heap`, glibc hands that memory back to the
+        system and faults it in again at the next forward, which made a 32 px
+        segmenter-only iteration about 30% slower.
         """
         retain_heap()
         cfg = self.config
@@ -638,7 +626,7 @@ class Trainer:
         images), and the recorded dice must be what ``genseg eval`` of the
         checkpoint reads.
         """
-        logits = self._take("val_logits", state.S, self.val_images)
+        logits = self._kept.pop("val_logits", None)
         if logits is not None and len(self.val_images) <= EVAL_CHUNK:
             dices, jacs = _scores(logits, self.val_masks)
             return float(np.mean(dices)), float(np.mean(jacs))
