@@ -191,15 +191,6 @@ def tanh(a: Node) -> Node:
     return Node(np.tanh(a.value), (a,), lambda out, g: (lambda: _dtanh(out, g),))
 
 
-def _tanh_node(value: np.ndarray, parents, rule) -> Node:
-    """``tanh(value)`` as the one node of the op whose output, parents and
-    rule are ``value``, ``parents`` and ``rule``. Its own rule hands
-    :func:`_dtanh` of its gradient to ``rule`` at once, so the node holds
-    no pre-activation array, and the gradient handed in is not held while
-    the op's thunks run (see :func:`_run_rule`)."""
-    return Node(np.tanh(value), parents, lambda out, g: rule(None, _dtanh(out, g)))
-
-
 def exp(a: Node) -> Node:
     return Node(np.exp(a.value), (a,), lambda out, g: (lambda: mul(g, out),))
 
@@ -341,7 +332,7 @@ def mixture(weights: Node, parts: Sequence[Node], shape, starts) -> Node:
 
 
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
-          cols: np.ndarray | None = None, make=Node) -> Node:
+          cols: np.ndarray | None = None) -> Node:
     """Strided convolution with an (out, in, k, k) kernel and optional bias.
 
     Its input gradient is :func:`_conv_transpose`; its kernel gradient is
@@ -350,8 +341,6 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     gathers them again from ``x``'s value, which the node holds anyway, so
     a forward on the tape keeps no patch matrix. A caller that passes
     ``cols`` (``im2col(x)``) shares that one gather with the kernel gradient.
-    The node is ``make(value, parents, rule)``: :class:`Node`, or
-    :func:`_tanh_node` for :func:`conv2d_tanh`.
     """
     k = w.value.shape[2]
 
@@ -365,13 +354,13 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
                 lambda: _kernel_grad(g, x, patches(), k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
-    return make(out, (x, w) if b is None else (x, w, b), vjp)
+    return Node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
-                    extent, make=Node) -> Node:
+                    extent) -> Node:
     """Transposed convolution with an (in, out, k, k) kernel and optional
-    bias, cropped to the spatial ``extent``; ``make`` as in :func:`_conv`.
+    bias, cropped to the spatial ``extent``.
 
     Its input gradient is :func:`_conv` of ``g``; its kernel gradient is
     :func:`_kernel_grad` of ``x`` against ``g``. Both share one gather of
@@ -389,7 +378,7 @@ def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
                 lambda: _kernel_grad(x, g, g_cols(), k, stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
-    return make(out, (x, w) if b is None else (x, w, b), vjp)
+    return Node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
@@ -418,23 +407,6 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
 def conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
     """Differentiable convolution with bias; the weight has
     ``spec.weight_shape(in, out)`` and the bias one entry per output channel."""
-    return _conv2d(x, weight, bias, spec, Node)
-
-
-def conv2d_tanh(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
-    """``tanh(conv2d(x, weight, bias, spec))`` as one node whose parents are
-    the convolution's. Its value and gradients, first and second order,
-    equal the two nodes' to the bit: its rule forms the gradient at the
-    convolution's output as :func:`tanh`'s rule does and runs the
-    convolution's rule on it. The convolution's output is dropped once
-    tanh has read it.
-
-    :func:`tanh` itself is never folded into a convolution: a gradient
-    requested at that convolution's output would be lost."""
-    return _conv2d(x, weight, bias, spec, _tanh_node)
-
-
-def _conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec, make) -> Node:
     _, c, h, w = x.value.shape
     k = spec.kernel
     kind = "transposed conv2d" if spec.transposed else "conv2d"
@@ -448,8 +420,27 @@ def _conv2d(x: Node, weight: Node, bias: Node, spec: T.ConvSpec, make) -> Node:
                          f"with weight {spec.weight_shape(c, co)}")
     extent = (spec.out_extent(h), spec.out_extent(w))
     if spec.transposed:
-        return _conv_transpose(x, weight, bias, spec.stride, spec.padding, extent, make)
-    return _conv(x, weight, bias, spec.stride, spec.padding, make=make)
+        return _conv_transpose(x, weight, bias, spec.stride, spec.padding, extent)
+    return _conv(x, weight, bias, spec.stride, spec.padding)
+
+
+def conv2d_tanh(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
+    """``tanh(conv2d(x, weight, bias, spec))`` as one node: :func:`conv2d`'s
+    node, rebound in place. Its value becomes the tanh of the convolution's
+    output, which is freed on assignment. Its rule forms the gradient at the
+    convolution's output as :func:`tanh`'s rule does and hands it to the
+    convolution's rule at once, so the gradient handed in is not held while
+    that rule's thunks run (see :func:`_run_rule`). Its value and gradients,
+    first and second order, equal the two nodes' to the bit.
+
+    :func:`tanh` itself is never folded into a convolution: a gradient
+    requested at that convolution's output would be lost."""
+    node = conv2d(x, weight, bias, spec)
+    node.value = np.tanh(node.value)
+    rule = node.vjp
+    if rule is not None:
+        node.vjp = lambda out, g: rule(None, _dtanh(out, g))
+    return node
 
 
 def softmax(a: Node) -> Node:
@@ -570,8 +561,6 @@ class ParamGroup:
         return sum(arr.size for _, arr in self.entries)
 
     def flatten(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros(0, dtype=np.float64)
         return np.concatenate([np.ravel(arr) for _, arr in self.entries])
 
     def unflatten(self, vec: np.ndarray) -> "ParamGroup":
@@ -596,8 +585,6 @@ def flat_grad(loss: Node, binding: dict[str, Node]) -> np.ndarray:
     """The loss's gradient in the binding's leaves, raveled and concatenated
     in entry order."""
     gs = backward(loss, list(binding.values()))
-    if not gs:
-        return np.zeros(0, dtype=np.float64)
     return np.concatenate([np.ravel(g) for g in gs])
 
 

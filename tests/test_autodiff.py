@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -444,6 +445,20 @@ class TestConvTanh:
         for got, want in zip(*results):
             assert np.any(got)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "no-tape"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_one_node_per_layer(self, spec, taped):
+        # the fused layer builds no node beyond the convolution's, so each
+        # such layer of the networks counts once on the tape
+        x, w, b, _ = self.layer(spec)
+        built = []
+        for layer in (ad.conv2d, ad.conv2d_tanh):
+            with nullcontext() if taped else ad.no_tape():
+                before = ad._next_id
+                layer(x, w, b, spec)
+                built.append(ad._next_id - before)
+        assert built[1] == built[0]
 
     def test_value_only_under_no_tape(self):
         x, w, b, _ = self.layer(HEAD)

@@ -199,6 +199,26 @@ class TestTrain:
         assert f"{where}unknown config key '{key}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, edited, argv, message", [
+        (None, None, ["--set", "foo"], "--set needs key=value, got 'foo'"),
+        ("out_dir", "", [], "no output directory (set out_dir in the config or pass --out)"),
+        ("data_dir", "", [], "no data directory (set data_dir in the config)"),
+        ("iters", "iters 3\n", [], "line 3: expected 'key = value', got 'iters 3'"),
+        ("eta_s", "eta_s = abc\n", [], "key 'eta_s': not a number: 'abc'"),
+    ], ids=["set-without-value", "no-out-dir", "no-data-dir", "line-without-equals",
+            "value-not-a-number"])
+    def test_bad_config_is_one_error_line(self, tmp_path, dataset_dir, capsys, monkeypatch,
+                                          line, edited, argv, message):
+        # the config line of key ``line`` is replaced by ``edited``
+        monkeypatch.chdir(tmp_path)
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, "o")
+        if line is not None:
+            cfgp.write_text(re.sub(rf"^{line} = .*\n", edited, cfgp.read_text(), flags=re.M))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["train", "--config", str(cfgp)] + argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_out_path_that_would_not_read_back_rejected(self, tmp_path, dataset_dir, capsys,
                                                         monkeypatch):
         # the resolved config of --out 'run#1' would read back as out_dir = run

@@ -252,6 +252,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, make_groups(), "aaaa")
+        raw = bytearray(path.read_bytes())
+        raw[4] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("body", BAD_BODIES, ids=BAD_BODY_IDS)
     def test_hash_matching_bad_body_rejected(self, tmp_path, body):
         path = tmp_path / "x.ckpt"
@@ -338,6 +347,13 @@ class TestDatasetDir:
         np.testing.assert_allclose(ds[0].image[0], img / 255.0 * 2 - 1)
         np.testing.assert_array_equal(ds[0].mask[0], (msk >= 128).astype(float))
 
+    def test_pgm_maxval_other_than_255_names_file(self, tmp_path):
+        (tmp_path / "img_00000.pgm").write_bytes(b"P5\n4 3\n65535\n" + bytes(24))
+        (tmp_path / "msk_00000.pgm").write_bytes(b"P5\n4 3\n255\n" + bytes(12))
+        (tmp_path / "manifest.txt").write_text("img_00000.pgm msk_00000.pgm\n")
+        with pytest.raises(ValueError, match="PGM maxval must be 255, got 65535: .*img_00000.pgm"):
+            load_dataset(tmp_path)
+
     def test_pgm_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P2\n2 2\n255\n....")
@@ -368,18 +384,21 @@ class TestDatasetDir:
         with pytest.raises(ValueError, match="manifest.txt line 3: expected 'image mask'"):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("differs", ["channels", "extent"])
+    @pytest.mark.parametrize("differs", ["channels", "extent", "mask-extent"])
     def test_mixed_shapes_named(self, tmp_path, differs):
         ds = gen_task(seed=2, n=2, size=8)
         odd = ds.pairs[1]
+        message = ".* differ from the first pair's"
         if differs == "channels":
             ds.pairs[1] = MaskImagePair(odd.mask, np.concatenate([odd.image, odd.image]))
-        else:
+        elif differs == "extent":
             small = gen_task(seed=3, n=1, size=8).pairs[0]
             ds.pairs[1] = MaskImagePair(small.mask[:, :4, :4], small.image[:, :4, :4])
+        else:
+            ds.pairs[1] = MaskImagePair(odd.mask[:, :4, :4], odd.image)
+            message = re.escape("image (1, 8, 8) vs mask (1, 4, 4)")
         save_dataset(tmp_path, ds)
-        with pytest.raises(ValueError, match="img_00001.gstn/msk_00001.gstn: .* differ from "
-                                             "the first pair's"):
+        with pytest.raises(ValueError, match="img_00001.gstn/msk_00001.gstn: " + message):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("shape", [(2, 8, 8), (8,), (1, 1, 8, 8)],
