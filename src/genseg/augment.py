@@ -30,10 +30,16 @@ class AugmentOp:
 
 
 def apply(op: AugmentOp, mask: np.ndarray) -> np.ndarray:
-    """Transform a binary mask over its last two axes; shape is preserved."""
+    """Transform a binary mask over its last two axes; shape is preserved.
+
+    An odd number of quarter turns of a non-square mask would not preserve
+    it, so that op raises ``ValueError``."""
     mask = np.asarray(mask, dtype=np.float64)
     h, w = mask.shape[-2], mask.shape[-1]
     if op.kind == "rotate90":
+        if op.turns % 2 and h != w:
+            raise ValueError(f"rotate90 by {op.turns} quarter turns would turn extent {h}x{w} "
+                             f"into {w}x{h}")
         return np.ascontiguousarray(np.rot90(mask, k=op.turns, axes=(-2, -1)))
     if op.kind == "flip_h":
         return np.ascontiguousarray(mask[..., :, ::-1])

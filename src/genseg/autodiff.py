@@ -43,10 +43,13 @@ What a taped layer holds: every network layer that ends in tanh is one
 :func:`conv2d_tanh` node, which holds its tanh output and links to the
 convolution's input, kernel and bias; the convolution's own output is freed
 once tanh has read it. In a value-only backward its rule scales the
-incoming gradient by 1 - out**2 and lets it go before the convolution's
-rule gathers the scaled gradient's patches. A searchable cell's
-softmax-weighted sums of candidate kernels and of candidate biases are one
-:func:`mixture` node each.
+incoming gradient by 1 - out**2 with one :func:`_dtanh` node, whose value
+is the one new array of that pass, and lets the incoming gradient go before
+the convolution's rule gathers the scaled gradient's patches. A searchable
+cell's softmax-weighted sums of candidate kernels and of candidate biases
+are one :func:`mixture` node each. Each of these nodes stands for a chain
+of ops whose value it equals to the bit; its rule builds the chain's
+gradients from ops, so it can be differentiated again.
 
 Parameters come in named groups (G, H, S and A), each an ordered list of
 labelled arrays (:class:`ParamGroup`). :func:`bind` makes one leaf per entry,
@@ -183,8 +186,28 @@ def sigmoid(a: Node) -> Node:
 
 
 def _dtanh(out: Node, g: Node) -> Node:
-    """g * (1 - out**2): the gradient into tanh's input, from its output ``out``."""
-    return mul(g, shift(neg(mul(out, out)), 1.0))
+    """g * (1 - out**2): the gradient into tanh's input, from its output ``out``.
+
+    One node for ``mul(g, shift(neg(mul(out, out)), 1.0))``, formed in one
+    new array laid out as ``out``'s value: ``1.0 - t`` rounds exactly as
+    ``-t + 1.0``, so its value equals those ops' to the bit. Its rule builds
+    the gradients those ops' rules would, from the same products, so it can
+    be differentiated again; the gradient into ``out`` adds the two equal
+    products of ``mul(out, out)`` before, not after, the other gradients
+    that reach ``out``.
+    """
+    d = out.value * out.value
+    np.subtract(1.0, d, out=d)
+    np.multiply(g.value, d, out=d)
+
+    def vjp(_, gd):
+        def d_out():
+            half = mul(neg(mul(gd, g)), out)
+            return add(half, half)
+
+        return d_out, lambda: _dtanh(out, gd)
+
+    return Node(d, (out, g), vjp)
 
 
 def tanh(a: Node) -> Node:

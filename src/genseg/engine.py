@@ -205,14 +205,36 @@ def seg_cross_entropy(logits: Node, masks: np.ndarray) -> Node:
     operation as a reduction along the length-2 class axis (the max of two
     values, then ``e0 + e1``), without numpy's per-pixel inner loop over
     that axis.
+
+    One node whose only parent is ``logits``; on the tape it holds its
+    scalar and no class plane. Its value comes from the numpy operations of
+    the op chain ``mean_(sub(add(log(add(exp(sub(z0, top)), exp(sub(z1,
+    top)))), top), add(mul(m, z1), mul(shift(neg(m), 1.0), z0))))`` over
+    the slices ``z0``, ``z1`` of ``logits``, and equals it to the bit. Its
+    rule rebuilds the two planes' exponentials from ``logits`` and builds
+    the gradient that chain's rules would, from the same ops, so under
+    ``backward(create_graph=True)`` it can be differentiated again.
     """
-    m = constant(np.asarray(masks, dtype=np.float64))
-    z0 = ad.slice_axis(logits, 1, 0, 1)
-    z1 = ad.slice_axis(logits, 1, 1, 2)
-    zt = ad.add(ad.mul(m, z1), ad.mul(ad.shift(ad.neg(m), 1.0), z0))
-    top = constant(np.maximum(z0.value, z1.value))
-    lse = ad.add(ad.log(ad.add(ad.exp(ad.sub(z0, top)), ad.exp(ad.sub(z1, top)))), top)
-    return ad.mean_(ad.sub(lse, zt))
+    m = np.asarray(masks, dtype=np.float64)
+    shape = logits.value.shape
+    v0, v1 = logits.value[:, 0:1], logits.value[:, 1:2]
+    top = np.maximum(v0, v1)
+    terms = np.log(np.exp(v0 - top) + np.exp(v1 - top)) + top - (m * v1 + (-m + 1.0) * v0)
+    per_pixel = 1.0 / terms.size
+
+    def grad(g: Node) -> Node:
+        z0, z1 = ad.slice_axis(logits, 1, 0, 1), ad.slice_axis(logits, 1, 1, 2)
+        top = constant(np.maximum(z0.value, z1.value))
+        e0, e1 = ad.exp(ad.sub(z0, top)), ad.exp(ad.sub(z1, top))
+        g_lse = ad.broadcast_to(ad.scale(g, per_pixel), z0.value.shape)
+        g_e = ad.div(g_lse, ad.add(e0, e1))
+        g_zt = ad.neg(g_lse)
+        mask = constant(m)
+        g0 = ad.add(ad.mul(g_e, e0), ad.mul(g_zt, ad.shift(ad.neg(mask), 1.0)))
+        g1 = ad.add(ad.mul(g_e, e1), ad.mul(g_zt, mask))
+        return ad.add(ad.pad_insert(g0, shape, 1, 0), ad.pad_insert(g1, shape, 1, 1))
+
+    return Node(np.sum(terms) * per_pixel, (logits,), lambda _, g: (lambda: grad(g),))
 
 
 def l1_mean(a: Node, b: Node) -> Node:

@@ -55,6 +55,20 @@ class TestApply:
         out = apply(AugmentOp("rotate90", turns=2), m)
         assert out.shape == m.shape
 
+    @pytest.mark.parametrize("turns", [1, 3])
+    def test_odd_turns_of_non_square_mask_rejected(self, turns):
+        with pytest.raises(ValueError, match="extent 8x16 into 16x8"):
+            apply(AugmentOp("rotate90", turns=turns), np.zeros((1, 8, 16)))
+
+    @pytest.mark.parametrize("op", [AugmentOp("rotate90", turns=2), AugmentOp("flip_h"),
+                                    AugmentOp("flip_v"), AugmentOp("translate", dx=-5, dy=3)],
+                             ids=lambda op: op.kind)
+    def test_non_square_shape_preserved(self, op):
+        m = (np.random.default_rng(4).uniform(size=(1, 8, 16)) < 0.35).astype(np.float64)
+        out = apply(op, m)
+        assert out.shape == m.shape
+        assert set(np.unique(out)) <= {0.0, 1.0}
+
 
 class TestProperties:
     @given(st.integers(0, 10_000))

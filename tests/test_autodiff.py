@@ -502,6 +502,58 @@ class TestConvTanh:
         assert fused <= chain - 32 * 8 * 32 * 32 * 8
 
 
+class TestTanhDerivativeNode:
+    # one node for g * (1 - out**2), equal to the op chain it replaces
+
+    @staticmethod
+    def operands(seed=0):
+        rng = np.random.default_rng(seed)
+        x = constant(rng.normal(size=(2, 3, 5, 4)))
+        g = constant(rng.normal(size=(2, 3, 5, 4)))
+        probe = constant(rng.normal(size=(2, 3, 5, 4)))
+        return x, g, probe
+
+    @staticmethod
+    def chain(out, g):
+        return ad.mul(g, ad.shift(ad.neg(ad.mul(out, out)), 1.0))
+
+    @pytest.mark.parametrize("create_graph", [False, True], ids=["value", "graph"])
+    def test_value_and_gradients_equal_the_chain(self, create_graph):
+        x, g, probe = self.operands()
+        results = []
+        for dtanh in (ad._dtanh, self.chain):
+            y = dtanh(ad.tanh(x), g)
+            grads = backward(ad.dot(y, probe), [x, g], create_graph=create_graph)
+            results.append([y.value, *(gr.value if create_graph else gr for gr in grads)])
+        for got, want in zip(*results):
+            assert np.any(got)
+            assert np.array_equal(got, want)
+
+    def test_one_node(self):
+        x, g, _ = self.operands()
+        out = ad.tanh(x)
+        before = ad._next_id
+        y = ad._dtanh(out, g)
+        assert ad._next_id - before == 1
+        assert y.parents == (out, g)
+
+    def test_second_order_near_the_chain(self):
+        # the fused rule adds the two equal products into ``out`` before the
+        # other gradients that reach it, so sums may round apart in the last
+        # place
+        x, g, probe = self.operands(1)
+        rng = np.random.default_rng(2)
+        dirs = [constant(rng.normal(size=leaf.value.shape)) for leaf in (x, g)]
+        results = []
+        for dtanh in (ad._dtanh, self.chain):
+            gx, gg = backward(ad.dot(dtanh(ad.tanh(x), g), probe), [x, g], create_graph=True)
+            s = ad.add(ad.dot(gx, dirs[0]), ad.dot(gg, dirs[1]))
+            results.append(backward(s, [x, g]))
+        for got, want in zip(*results):
+            assert np.any(want)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestPerOpFiniteDifferences:
     def test_every_op_under_tolerance(self):
         from genseg.checks import check_op_grads

@@ -464,6 +464,15 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "chain cosine" in out
 
+    def test_import_leaves_gradient_checks_out(self):
+        # only gradcheck imports genseg.checks; train, eval, gen-data and
+        # plot do not load it at start-up
+        src = os.path.dirname(os.path.dirname(genseg.__file__))
+        probe = "import sys, genseg.cli; print('genseg.checks' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                              check=True, capture_output=True, text=True)
+        assert done.stdout == "False\n"
+
 
 class TestPlot:
     def csv(self, tmp_path, name, rows):

@@ -1,6 +1,7 @@
 import gc
 import math
 import platform
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -201,6 +202,30 @@ class TestLossFromClassPlanes:
         loss = seg_cross_entropy(constant(logits), np.ones((1, 1, 2, 2)))
         with pytest.raises(TrainingAborted, match="seg loss became non-finite"):
             eng._check_loss(loss, "seg loss", 3)
+
+    def test_one_node_on_the_logits(self):
+        rng = np.random.default_rng(3)
+        logits = ad.tanh(constant(rng.normal(size=(3, 2, 8, 8))))
+        masks = self.make_masks("random", rng)
+        before = ad._next_id
+        loss = seg_cross_entropy(logits, masks)
+        assert ad._next_id - before == 1
+        assert loss.parents == (logits,)
+
+    def test_taped_loss_holds_no_class_plane(self):
+        # search32's validation shape: 32 images at 32 px
+        rng = np.random.default_rng(4)
+        logits = ad.tanh(constant(rng.normal(size=(32, 2, 32, 32))))
+        masks = (rng.uniform(size=(32, 1, 32, 32)) < 0.4).astype(np.float64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = seg_cross_entropy(logits, masks)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < masks.nbytes
+        assert loss.vjp is not None
 
 
 def gan_losses(trainer, G, A, H, masks, images) -> tuple[float, float]:
