@@ -218,10 +218,6 @@ def exp(a: Node) -> Node:
     return Node(np.exp(a.value), (a,), lambda out, g: (lambda: mul(g, out),))
 
 
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), (a,), lambda _, g: (lambda: div(g, a),))
-
-
 def softplus(a: Node) -> Node:
     """log(1+exp(a)); derivative is sigmoid(a)."""
     return Node(T.softplus(a.value), (a,), lambda _, g: (lambda: mul(g, sigmoid(a)),))

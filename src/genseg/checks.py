@@ -65,8 +65,8 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
     """Max relative FD error for every differentiable primitive and composite."""
     rng = np.random.default_rng(seed)
 
-    def x(shape, positive=False, away_from_zero=False):
-        v = rng.uniform(0.5, 1.5, size=shape) if positive else rng.normal(0, 1, size=shape)
+    def x(shape, away_from_zero=False):
+        v = rng.normal(0, 1, size=shape)
         if away_from_zero:
             v = np.sign(v) * (np.abs(v) + 0.2)
         return v
@@ -94,7 +94,7 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
     }
     out = {}
     for name, fn in cases.items():
-        base = x((3, 4), positive=False, away_from_zero=name == "abs")
+        base = x((3, 4), away_from_zero=name == "abs")
         group = ParamGroup("G", [("x", base)])
         weight = None
 
@@ -112,11 +112,6 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
     seg_masks = (np.arange(18).reshape(2, 1, 3, 3) % 3 == 0).astype(np.float64)
     out["seg_cross_entropy"] = _param_rel_error(
         lambda b: eng.seg_cross_entropy(b["z"], seg_masks), group)
-
-    # log needs positive inputs
-    group = ParamGroup("G", [("x", x((3, 4), positive=True))])
-    w_log = rng.normal(0, 1, size=(3, 4))
-    out["log"] = _param_rel_error(lambda b: ad.dot(ad.log(b["x"]), constant(w_log)), group)
 
     # matmul, both arguments
     group = ParamGroup("G", [("a", x((3, 4))), ("b", x((4, 2)))])

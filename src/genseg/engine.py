@@ -57,8 +57,15 @@ ARCH_EPS = 1e-8
 # images), must stay below training's own high-water, so that scoring never
 # sets a run's peak memory. 16 gave the same peak RSS but 7-10% more time per
 # image in the benchmark's eval phase, whose cache-clearing calibration
-# precedes each chunk.
+# precedes each chunk. Stage III's taped validation forwards take half a
+# chunk each (VAL_GRAD_CHUNK): their backward holds the patch matrices that
+# set training's high-water.
 EVAL_CHUNK = 32
+
+# images per taped validation forward in stage III's validation gradient. Two
+# such forwards give logits equal to the bit to one forward of EVAL_CHUNK
+# images (tests/test_engine.py checks this), so _validate can score them
+VAL_GRAD_CHUNK = EVAL_CHUNK // 2
 
 ORACLE_STEP = 1e-4  # hypergrad_fd_oracle's central-difference step per architecture logit
 
@@ -335,7 +342,7 @@ class Trainer:
         #   "synth": synth_batch's graph (images node, G and A bindings), which
         #     stage III differentiates in G and in A
         #   "val_logits": stage III's validation logits, which the epoch
-        #     validation scores
+        #     validation scores where they are bit-equal to evaluation's
         self._kept: dict[str, object] = {}
 
     def init_state(self) -> TrainState:
@@ -468,20 +475,34 @@ class Trainer:
         wrote to ``_kept["grad_a"]``. Both are popped on entry, so stage III
         runs inside :meth:`search_step`, after this iteration's stage I and
         synth; called on its own it raises KeyError naming the missing entry.
-        Writes the value of its validation logits to ``_kept["val_logits"]``
-        for the epoch validation at ``state.S``; their graph is freed once v
-        is taken, and the synthetic graph once u and d are.
+
+        v is taken over consecutive chunks of ``VAL_GRAD_CHUNK`` validation
+        images, one taped forward and backward each, and each chunk's graph is
+        freed before the next is built. The loss is a per-pixel mean, so v is
+        the sum of the chunks' gradients, each weighted by its share of the
+        images: the whole split's gradient up to summation order. A split of
+        one chunk is one forward, weighted 1. Writes the chunks' validation
+        logits, concatenated, to ``_kept["val_logits"]`` for the epoch
+        validation at ``state.S``; the synthetic graph is freed once u and d
+        are taken.
         """
         cfg = self.config
         synth = self._kept.pop("synth")
         grad_a = self._kept.pop("grad_a")
         sb = bind(state.S)
-        logits = self.seg.forward(sb, constant(val_images))
-        self._kept["val_logits"] = logits.value
-        v = ad.flat_grad(seg_cross_entropy(logits, val_masks), sb)
-        # the validation graph is spent: free it before the products below
-        # build theirs on the kept generator graph
-        del logits
+        n = len(val_images)
+        v, logits = None, []
+        for start in range(0, n, VAL_GRAD_CHUNK):
+            part = slice(start, start + VAL_GRAD_CHUNK)
+            chunk = self.seg.forward(sb, constant(val_images[part]))
+            grad = ad.flat_grad(seg_cross_entropy(chunk, val_masks[part]), sb)
+            share = len(chunk.value) / n
+            v = share * grad if v is None else v + share * grad
+            logits.append(chunk.value)
+            # this chunk's graph is spent: free it before the next chunk, or
+            # the products below, build theirs
+            del chunk
+        self._kept["val_logits"] = np.concatenate(logits)
         if not np.any(v):
             return np.zeros(state.A.size)
 
@@ -639,17 +660,22 @@ class Trainer:
     def _validate(self, state: TrainState) -> tuple[float, float]:
         """Validation dice and jaccard of ``state.S``.
 
-        Scores the logits of stage III's taped validation forward at this
-        same S when the split fits one evaluation chunk: they equal, to the
-        bit, those of the tape-free forward ``evaluate_segmenter`` would run
-        over the split, so no second forward is spent. The test stays tied to
-        the chunk: a taped forward over more images than ``EVAL_CHUNK`` can
-        round some logits differently from the chunked one (seen at 33 and 65
-        images), and the recorded dice must be what ``genseg eval`` of the
-        checkpoint reads.
+        Scores the logits of stage III's taped validation forwards at this
+        same S where they equal, to the bit, those of the tape-free forwards
+        ``evaluate_segmenter`` would run over the split, so no second forward
+        is spent. That holds for a split of at most ``VAL_GRAD_CHUNK``
+        images, one forward of the same batch either way, and for whole
+        ``VAL_GRAD_CHUNK`` chunks that fill at most one ``EVAL_CHUNK``
+        (tests/test_engine.py checks two of them against one). Any other
+        split is scored again: forwards over other batch sizes can round some
+        logits differently (seen at 16 + 1 and 16 + 4 images against 17 and
+        20, and at 33 and 65 against chunks of 32), and the recorded dice
+        must be what ``genseg eval`` of the checkpoint reads.
         """
         logits = self._kept.pop("val_logits", None)
-        if logits is not None and len(self.val_images) <= EVAL_CHUNK:
+        n = len(self.val_images)
+        if logits is not None and (n <= VAL_GRAD_CHUNK
+                                   or (n % VAL_GRAD_CHUNK == 0 and n <= EVAL_CHUNK)):
             dices, jacs = _scores(logits, self.val_masks)
             return float(np.mean(dices)), float(np.mean(jacs))
         return evaluate_segmenter(self.seg, state.S, self.val_ds)

@@ -139,6 +139,12 @@ class TestLosses:
         assert float(seg_cross_entropy(constant(logits), masks).value) < 1e-9
 
 
+def log(a: Node) -> Node:
+    """Natural log as a tape op; training never takes one, the reference
+    chain below does."""
+    return Node(np.log(a.value), (a,), lambda _, g: (lambda: ad.div(g, a),))
+
+
 def reduced_seg_cross_entropy(logits, masks):
     """The segmentation loss with its log-sum-exp reduced along the class axis."""
     m = constant(np.asarray(masks, dtype=np.float64))
@@ -146,7 +152,7 @@ def reduced_seg_cross_entropy(logits, masks):
     z1 = ad.slice_axis(logits, 1, 1, 2)
     zt = ad.add(ad.mul(m, z1), ad.mul(ad.shift(ad.neg(m), 1.0), z0))
     top = constant(np.max(logits.value, axis=1, keepdims=True))
-    lse = ad.add(ad.log(ad.sum_(ad.exp(ad.sub(logits, top)), axes=1, keepdims=True)), top)
+    lse = ad.add(log(ad.sum_(ad.exp(ad.sub(logits, top)), axes=1, keepdims=True)), top)
     return ad.mean_(ad.sub(lse, zt))
 
 
@@ -591,6 +597,19 @@ def count_forwards(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def start_from_noisy_segmenter(monkeypatch, trainer):
+    """Make ``trainer.train`` start from random segmenter weights, which
+    predict some foreground, so its scores are not trivially zero."""
+    init_state = trainer.init_state
+
+    def noisy_segmenter():
+        state = init_state()
+        state.S = state.S.unflatten(np.random.default_rng(2).normal(size=state.S.size))
+        return state
+
+    monkeypatch.setattr(trainer, "init_state", noisy_segmenter)
+
+
 def holds_node(x) -> bool:
     if isinstance(x, Node):
         return True
@@ -602,22 +621,29 @@ def holds_node(x) -> bool:
 
 
 class TestForwardReuse:
-    @pytest.mark.parametrize("n_val, seg_forwards", [(2, 5), (32, 5), (33, 7), (65, 8)])
+    @pytest.mark.parametrize("n_val, seg_forwards",
+                             [(2, 5), (20, 7), (32, 6), (33, 9), (65, 12)])
     def test_forwards_per_genseg_iteration(self, monkeypatch, n_val, seg_forwards):
         # generator: stage I, synth, and the perturbed point of the stage-III
         # generator-loss difference (stage III differentiates synth's graph
         # and takes the base point's gradient from stage I); segmenter: two
-        # in stage II, the validation forward and two in stage III's
-        # difference; the epoch validation runs its own forwards only when the
-        # split does not fit one evaluation chunk (33 images: chunks of 32 + 1;
-        # 65: 32 + 32 + 1). The benchmark's search32 validates 32 pairs every
-        # iteration, so a chunk below 32 would add a forward to each of them
-        assert eng.EVAL_CHUNK == 32
-        trainer, _, _ = small_setup(n_val=n_val)
+        # in stage II, one validation forward per chunk of 16 images (20: 16
+        # + 4; 32: 16 + 16; 33: 16 + 16 + 1; 65: four of 16 + 1) and two in
+        # stage III's difference. The epoch validation scores stage III's
+        # logits when they equal the evaluation chunks' to the bit, at most
+        # 16 images or 16 + 16, and otherwise runs its own forwards in chunks
+        # of 32 (20: one; 33: 32 + 1; 65: 32 + 32 + 1). The benchmark's
+        # search32 validates 32 pairs every iteration
+        assert (eng.EVAL_CHUNK, eng.VAL_GRAD_CHUNK) == (32, 16)
+        trainer, _, val = small_setup(n_val=n_val)
         trainer.config.iters = 1
+        start_from_noisy_segmenter(monkeypatch, trainer)
         calls = count_forwards(monkeypatch)
-        trainer.train()
+        (record,), state = trainer.train()
         assert calls == {"gen": 3, "disc": 3, "seg": seg_forwards}
+        # reused or scored again, the val dice is what evaluation reads
+        assert 0.0 < record.dice < 1.0
+        assert (record.dice, record.jaccard) == eng.evaluate_segmenter(trainer.seg, state.S, val)
 
     def test_reused_graph_equals_recomputed(self, monkeypatch):
         trainer, train, val = small_setup()
@@ -705,16 +731,7 @@ class TestForwardReuse:
     def test_val_record_equals_evaluate_segmenter(self, monkeypatch):
         trainer, _, val = small_setup(seed=2, n_val=4)
         trainer.config.iters = 1
-        init_state = trainer.init_state
-
-        def noisy_segmenter():
-            # random segmenter weights predict some foreground, so the scores
-            # are not trivially zero
-            state = init_state()
-            state.S = state.S.unflatten(np.random.default_rng(2).normal(size=state.S.size))
-            return state
-
-        monkeypatch.setattr(trainer, "init_state", noisy_segmenter)
+        start_from_noisy_segmenter(monkeypatch, trainer)
         records, state = trainer.train()
         (record,) = records
         assert 0.0 < record.dice < 1.0
@@ -820,6 +837,26 @@ class TestTapeFreeEvaluation:
         monkeypatch.setattr(SegNet, "forward", watched)
         assert eng.evaluate_segmenter(seg, S, ds) == whole
         assert batches == [32, 32]
+
+    def test_two_gradient_chunks_equal_one_evaluation_chunk(self):
+        # stage III's taped validation forwards run VAL_GRAD_CHUNK images
+        # each, and _validate scores two of them as one tape-free forward of
+        # EVAL_CHUNK images. At the benchmark's shape (default SegNet, 32 px)
+        # they must agree to the bit: a BLAS build that rounds them
+        # differently fails here instead of drifting the recorded dice
+        assert 2 * eng.VAL_GRAD_CHUNK == eng.EVAL_CHUNK
+        rng = np.random.default_rng(5)
+        images = Dataset(gen_task(seed=5, n=eng.EVAL_CHUNK, size=32).pairs).images()
+        seg = SegNet()
+        S = seg.init_params(0)
+        sb = bind(S.unflatten(rng.normal(size=S.size)))
+        with ad.no_tape():
+            whole = seg.forward(sb, constant(images)).value
+        halves = [seg.forward(sb, constant(images[start:start + eng.VAL_GRAD_CHUNK]))
+                  for start in (0, eng.VAL_GRAD_CHUNK)]
+        assert all(half.parents for half in halves)
+        assert np.any(whole)
+        assert np.array_equal(np.concatenate([half.value for half in halves]), whole)
 
 
 class TestOuterUpdate:
@@ -1231,6 +1268,30 @@ class TestHypergradOracle:
             chain, saved = trainer.search_step(state, train.masks(), train.images())
             if it < 5:
                 trainer.outer_update_A(state, chain)
+        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
+        assert np.any(chain)
+        assert cosine(chain, oracle) >= 0.99
+
+    def test_chunked_validation_gradient_matches_oracle(self, monkeypatch):
+        # 33 val pairs: stage III takes v over chunks of 16 + 16 + 1 images,
+        # weighted by their shares, where the oracle scores one forward
+        assert eng.VAL_GRAD_CHUNK == 16
+        trainer, train, _ = small_setup(seed=2, n_val=33)
+        vs = []
+        seg_hvp = Trainer._seg_hvp_fd
+
+        def spied(self, images, gb, ab, S_base, v, m_hats):
+            vs.append(v)
+            return seg_hvp(self, images, gb, ab, S_base, v, m_hats)
+
+        monkeypatch.setattr(Trainer, "_seg_hvp_fd", spied)
+        state = trainer.init_state()
+        for it in range(1, 6):
+            state.iteration = it
+            chain, saved = trainer.search_step(state, train.masks(), train.images())
+            if it < 5:
+                trainer.outer_update_A(state, chain)
+        assert rel_error(vs[-1], validation_grad(trainer, state, saved)) <= 1e-12
         oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
         assert np.any(chain)
         assert cosine(chain, oracle) >= 0.99
