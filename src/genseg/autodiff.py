@@ -4,9 +4,9 @@ The graph is the tape: every operation returns a :class:`Node` holding its
 float64 value, its parent nodes, and a vector-Jacobian rule that gives one
 lazy thunk per parent. ``backward`` calls the rule as ``vjp(node, g)``,
 handing it its own node, so a rule that needs the output (``sigmoid``,
-``tanh``, ``exp``) reads it from that argument. No rule refers to its own
-node, so no graph is a reference cycle, and a graph is freed as soon as it
-becomes unreachable.
+``exp``, :func:`conv2d_tanh`) reads it from that argument. No rule refers to
+its own node, so no graph is a reference cycle, and a graph is freed as soon
+as it becomes unreachable.
 
 Backward walks the reverse topological order and only evaluates thunks on
 paths that reach a requested leaf, so gradients into constants or
@@ -208,10 +208,6 @@ def _dtanh(out: Node, g: Node) -> Node:
         return d_out, lambda: _dtanh(out, gd)
 
     return Node(d, (out, g), vjp)
-
-
-def tanh(a: Node) -> Node:
-    return Node(np.tanh(a.value), (a,), lambda out, g: (lambda: _dtanh(out, g),))
 
 
 def exp(a: Node) -> Node:
@@ -447,13 +443,12 @@ def conv2d_tanh(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
     """``tanh(conv2d(x, weight, bias, spec))`` as one node: :func:`conv2d`'s
     node, rebound in place. Its value becomes the tanh of the convolution's
     output, which is freed on assignment. Its rule forms the gradient at the
-    convolution's output as :func:`tanh`'s rule does and hands it to the
+    convolution's output with one :func:`_dtanh` node and hands it to the
     convolution's rule at once, so the gradient handed in is not held while
     that rule's thunks run (see :func:`_run_rule`). Its value and gradients,
-    first and second order, equal the two nodes' to the bit.
-
-    :func:`tanh` itself is never folded into a convolution: a gradient
-    requested at that convolution's output would be lost."""
+    first and second order, equal to the bit those of the convolution's node
+    followed by a tanh node with rule ``_dtanh(out, g)``. There is no separate
+    tanh op: every tanh in the networks ends a convolution."""
     node = conv2d(x, weight, bias, spec)
     node.value = np.tanh(node.value)
     rule = node.vjp

@@ -7,14 +7,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genseg import autodiff as ad
 from genseg import engine as eng
 from genseg import metrics as met
 from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
-from genseg.checks import (HVP_COSINE_TOL, HVP_RATIO_RANGE, cosine, rel_error,
-                           tiny_instance)
+from genseg.checks import (HVP_COSINE_TOL, HVP_RATIO_RANGE, HYPER_COSINE_TOL, cosine,
+                           rel_error, tiny_instance)
 from genseg.autodiff import Node
 from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, TrainingAborted,
                            bce_with_logits, config_digest, parse_config,
@@ -211,7 +213,7 @@ class TestLossFromClassPlanes:
 
     def test_one_node_on_the_logits(self):
         rng = np.random.default_rng(3)
-        logits = ad.tanh(constant(rng.normal(size=(3, 2, 8, 8))))
+        logits = ad.sigmoid(constant(rng.normal(size=(3, 2, 8, 8))))
         masks = self.make_masks("random", rng)
         before = ad._next_id
         loss = seg_cross_entropy(logits, masks)
@@ -221,7 +223,7 @@ class TestLossFromClassPlanes:
     def test_taped_loss_holds_no_class_plane(self):
         # search32's validation shape: 32 images at 32 px
         rng = np.random.default_rng(4)
-        logits = ad.tanh(constant(rng.normal(size=(32, 2, 32, 32))))
+        logits = ad.sigmoid(constant(rng.normal(size=(32, 2, 32, 32))))
         masks = (rng.uniform(size=(32, 1, 32, 32)) < 0.4).astype(np.float64)
         tracemalloc.start()
         try:
@@ -1295,6 +1297,41 @@ class TestHypergradOracle:
         oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
         assert np.any(chain)
         assert cosine(chain, oracle) >= 0.99
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(extent=st.sampled_from([8, 16]), enc_cells=st.sampled_from([1, 2]),
+           base_channels=st.sampled_from([2, 4]),
+           eta_g=st.sampled_from([0.0, 2e-3, 2e-2, 0.1]), eta_s=st.sampled_from([0.05, 0.2, 1.0]),
+           gamma=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+           lambda_l1=st.sampled_from([0.0, 1.0, 100.0]), eta_a=st.sampled_from([1e-4, 1e-2]),
+           n_train=st.sampled_from([1, 2, 4]), warmup=st.sampled_from([0, 3, 10]))
+    @example(extent=16, enc_cells=1, base_channels=2, eta_g=0.1, eta_s=1.0, gamma=0.0,
+             lambda_l1=100.0, eta_a=1e-4, n_train=1, warmup=10)  # saturated
+    def test_chain_matches_oracle_across_configs(self, extent, enc_cells, base_channels,
+                                                 eta_g, eta_s, gamma, lambda_l1, eta_a,
+                                                 n_train, warmup):
+        # one path serves every weight, extent, depth and width: after
+        # ``warmup`` training iterations the next chain agrees with the
+        # oracle. Where a large generator step has saturated every generator
+        # output (eta_g 0.1 with lambda_l1 100), the hypergradient is below
+        # the oracle's resolution, about eps / ORACLE_STEP of the loss per
+        # logit, and neither vector has a direction: there the chain must be
+        # as small
+        cfg = TrainConfig(mode="genseg", seed=0, iters=warmup, img_size=extent,
+                          enc_cells=enc_cells, base_channels=base_channels, eta_g=eta_g,
+                          eta_s=eta_s, eta_a=eta_a, gamma=gamma, lambda_l1=lambda_l1)
+        data = gen_task(seed=100, n=n_train + 2, size=extent)
+        train = Dataset(data.pairs[:n_train], split="train")
+        trainer = Trainer(cfg, train, Dataset(data.pairs[n_train:], split="val"))
+        _, state = trainer.train()
+        state.iteration = warmup + 1
+        chain, saved = trainer.search_step(state, train.masks(), train.images())
+        oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
+        resolution = 100 * np.finfo(float).eps / eng.ORACLE_STEP
+        if np.linalg.norm(oracle) < resolution:
+            assert np.linalg.norm(chain) < resolution
+        else:
+            assert cosine(chain, oracle) >= HYPER_COSINE_TOL
 
 
 class TestAbort:

@@ -125,7 +125,7 @@ class TestMixtureNodeEqualsChain:
         def loss_fn(forward):
             def loss(ab, gb):
                 y = forward(cell, gb, ab["enc1.logits"], constant(x))
-                return ad.dot(ad.tanh(y) if squash else y, constant(probe))
+                return ad.dot(ad.sigmoid(y) if squash else y, constant(probe))
             return loss
 
         return cell, G, A, loss_fn
@@ -171,7 +171,7 @@ class TestMixtureNodeEqualsChain:
     @pytest.mark.parametrize("transposed", [False, True], ids=["down", "up"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_graph_gradient_through_a_nonlinear_loss(self, transposed, seed):
-        # through tanh the second backward also reaches each softmax weight
+        # through sigmoid the second backward also reaches each softmax weight
         # through both forward mixtures; the four terms add up in the order
         # the graph walk meets them, which the chain's shared weight slices
         # set differently, so the sums may differ in the last bit
@@ -246,21 +246,22 @@ class TestGenerator:
 def fixed_generator_forward(gen, G, choice, mask):
     """Reference network using only each cell's selected candidate."""
     g = {lbl: constant(arr) for lbl, arr in G.entries}
+
+    def layer(x, name, spec):
+        return constant(np.tanh(ad.conv2d(x, g[f"{name}.w"], g[f"{name}.b"], spec).value))
+
     x = constant(mask)
     skips = []
     for cell in gen.encoders:
         spec = cell.candidates[choice[cell.logit_label()]]
-        x = ad.tanh(ad.conv2d(x, g[f"{cell.name}.{spec.name}.w"],
-                              g[f"{cell.name}.{spec.name}.b"], spec))
+        x = layer(x, f"{cell.name}.{spec.name}", spec)
         skips.append(x)
     for j, cell in enumerate(gen.decoders, start=1):
         if j > 1:
             x = ad.concat([x, skips[gen.enc_cells - j]], axis=1)
         spec = cell.candidates[choice[cell.logit_label()]]
-        x = ad.tanh(ad.conv2d(x, g[f"{cell.name}.{spec.name}.w"],
-                              g[f"{cell.name}.{spec.name}.b"], spec))
-    x = ad.conv2d(x, g["head.w"], g["head.b"], ConvSpec(1, 1, 0))
-    return ad.tanh(x).value
+        x = layer(x, f"{cell.name}.{spec.name}", spec)
+    return layer(x, "head", ConvSpec(1, 1, 0)).value
 
 
 class TestDiscriminator:

@@ -75,7 +75,7 @@ class TestElementwise:
         a = np.array([1.0, -2.0])
         b = np.array([3.0, 4.0])
         ad.add(constant(a), constant(b))
-        ad.tanh(constant(a))
+        ad.sigmoid(constant(a))
         np.testing.assert_array_equal(a, [1.0, -2.0])
         np.testing.assert_array_equal(b, [3.0, 4.0])
 
