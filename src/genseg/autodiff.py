@@ -8,24 +8,26 @@ handing it its own node, so a rule that needs the output (``sigmoid``,
 its own node, so no graph is a reference cycle, and a graph is freed as soon
 as it becomes unreachable.
 
-Backward walks the reverse topological order and only evaluates thunks on
-paths that reach a requested leaf, so gradients into constants or
-unrequested parameters cost nothing. Backward rules are themselves built
-from these ops. Under ``backward(create_graph=True)`` gradients are ordinary
-nodes, and a second ``backward`` through them yields exact second-order
-products. Every other backward only needs gradient values, and runs its
-rules inside :func:`no_tape`, the one switch for recording: there each op
-builds a node with no parents and no vector-Jacobian rule, so no tape is
-kept and every intermediate array is freed as soon as it is consumed. A
-forward-only evaluation runs inside it too. In both kinds of backward, a
-node's gradient is held by nothing but its rule and the rule's thunks, and
-a rule's thunks, with the arrays their closures hold (a transposed
-convolution's gathered gradient patches, say), are dropped as soon as the
-rule has run, before the next rule allocates its own. Training uses the
-cheaper forward-difference mixed Hessian-vector product
-(:func:`mixed_hvp_fd`, step from :func:`default_eps`), whose base gradient
-the caller may already hold; the exact double-backward product
-(:func:`mixed_hvp_exact`) is kept as its oracle.
+A node is always built after its parents, and nothing rebinds a node's
+parents, so node ids, handed out in creation order, are a topological order.
+Backward takes gradients in leaves only, nodes without a rule. It runs the
+rules in reverse id order and only evaluates thunks on paths that reach a
+requested leaf, so gradients into constants or unrequested parameters cost
+nothing. Backward rules are themselves built from these ops. Under
+``backward(create_graph=True)`` gradients are ordinary nodes, and a second
+``backward`` through them yields exact second-order products. Every other
+backward only needs gradient values, and runs its rules inside
+:func:`no_tape`, the one switch for recording: there each op builds a node
+with no parents and no vector-Jacobian rule, so no tape is kept and every
+intermediate array is freed as soon as it is consumed. A forward-only
+evaluation runs inside it too. In both kinds of backward, a node's gradient is
+held by nothing but its rule and the rule's thunks, and a rule's thunks, with
+the arrays their closures hold (a transposed convolution's gathered gradient
+patches, say), are dropped as soon as the rule has run, before the next rule
+allocates its own. Training uses the cheaper forward-difference mixed
+Hessian-vector product (:func:`mixed_hvp_fd`, step from :func:`default_eps`),
+whose base gradient the caller may already hold; the exact double-backward
+product (:func:`mixed_hvp_exact`) is kept as its oracle.
 
 Three nodes make up the convolution family: a convolution, a transposed
 convolution and a kernel gradient, each an im2col gather and one matrix
@@ -75,12 +77,6 @@ _next_id = 0
 _recording = True
 
 
-def _new_id() -> int:
-    global _next_id
-    _next_id += 1
-    return _next_id
-
-
 @contextmanager
 def no_tape():
     """Build nodes without parents or backward rules while the block runs:
@@ -100,6 +96,7 @@ class Node:
     __slots__ = ("value", "parents", "vjp", "id")
 
     def __init__(self, value, parents=(), vjp=None):
+        global _next_id
         self.value = np.asarray(value, dtype=np.float64)
         if _recording:
             self.parents = parents
@@ -108,7 +105,8 @@ class Node:
             self.vjp = vjp
         else:
             self.parents, self.vjp = (), None
-        self.id = _new_id()
+        _next_id += 1
+        self.id = _next_id  # greater than every parent's: see _toposort
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, id={self.id})"
@@ -229,19 +227,9 @@ def sum_(a: Node, axes=None, keepdims: bool = False) -> Node:
     shape = a.value.shape
 
     def vjp(_, g):
-        def back():
-            if axes is None:
-                return broadcast_to(g, shape)
-            ax = (axes,) if isinstance(axes, int) else tuple(axes)
-            gg = g
-            if not keepdims:
-                kshape = list(g.value.shape)
-                for i in sorted(a_ % len(shape) for a_ in ax):
-                    kshape.insert(i, 1)
-                gg = reshape(g, tuple(kshape))
-            return broadcast_to(gg, shape)
-
-        return (back,)
+        # g with the summed axes kept, where it has dropped them
+        kept = g if keepdims or axes is None else reshape(g, np.expand_dims(g.value, axes).shape)
+        return (lambda: broadcast_to(kept, shape),)
 
     return Node(out, (a,), vjp)
 
@@ -473,39 +461,39 @@ def dot(a: Node, b: Node) -> Node:
 # backward
 # ---------------------------------------------------------------------------
 
-def _toposort(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+def _toposort(root: Node, wrt: Sequence[Node]) -> dict[int, Node]:
+    """The nodes that a gradient of ``root`` in the leaves ``wrt`` passes
+    through, keyed by id in creation order: the requested leaves ``root``
+    reaches, and each node with a needed parent. A node is built after its
+    parents, which are never rebound, so one pass in id order sees every
+    parent before its children."""
+    reached, stack = {root.id: root}, [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        stack.append((node, True))
-        for p in node.parents:
-            if p.id not in seen:
-                stack.append((p, False))
-    return order
+        for p in stack.pop().parents:
+            if p.id not in reached:
+                reached[p.id] = p
+                stack.append(p)
+    wanted = {w.id for w in wrt}
+    needed: dict[int, Node] = {}
+    for i in sorted(reached):
+        node = reached[i]
+        if i in wanted or any(p.id in needed for p in node.parents):
+            needed[i] = node
+    return needed
 
 
-def _run_rule(node: Node, needed: dict[int, bool], grads: dict[int, Node]):
+def _run_rule(node: Node, needed: dict[int, Node], grads: dict[int, Node]):
     """Run ``node``'s rule on its gradient, taken out of ``grads``, adding
     each needed parent's share into ``grads``.
 
-    Apart from backward's result for a requested node, the rule is the
-    gradient's last holder: once it has returned its thunks, the gradient
-    lives on only in what they close over. A rule that
-    derives all it needs from it at once, as :func:`conv2d_tanh`'s does,
-    lets it go before the thunks run. The thunks, with the arrays their
-    closures hold, and the shares go when this returns, before the next
-    rule allocates."""
+    The rule is the gradient's last holder: once it has returned its thunks,
+    the gradient lives on only in what they close over. A rule that derives
+    all it needs from it at once, as :func:`conv2d_tanh`'s does, lets it go
+    before the thunks run. The thunks, with the arrays their closures hold,
+    and the shares go when this returns, before the next rule allocates."""
     thunks = node.vjp(node, grads.pop(node.id))
     for parent, thunk in zip(node.parents, thunks):
-        if needed.get(parent.id, False):
+        if parent.id in needed:
             pg = thunk()
             prev = grads.get(parent.id)
             grads[parent.id] = pg if prev is None else add(prev, pg)
@@ -514,10 +502,12 @@ def _run_rule(node: Node, needed: dict[int, bool], grads: dict[int, Node]):
 def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     """Accumulated gradients of a scalar loss with respect to leaf nodes.
 
+    Every ``wrt`` node must be a leaf, a node without a backward rule.
     Returns one entry per ``wrt`` node: a :class:`Node` when
     ``create_graph``, else a float64 array. Leaves the loss does not depend
-    on get zeros. Gradient work is pruned to paths that reach a requested
-    leaf.
+    on get zeros. The rules run in reverse creation order (:func:`_toposort`),
+    pruned to paths that reach a requested leaf, and each consumes its node's
+    gradient, so the leaves' gradients are all that is left at the end.
 
     Only ``create_graph=True`` builds a differentiable graph of the
     gradients. Otherwise the backward rules run under :func:`no_tape`, so
@@ -530,33 +520,17 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-    order = _toposort(loss)
-    needed: dict[int, bool] = {w.id: True for w in wrt}
-    for node in order:  # parents precede children
-        if node.id not in needed:
-            needed[node.id] = any(needed.get(p.id, False) for p in node.parents)
-
-    wanted = {w.id for w in wrt}
-    done: dict[int, Node] = {}
+    if any(w.vjp is not None for w in wrt):
+        raise ValueError("backward takes gradients in leaves only, nodes without a rule")
+    needed = _toposort(loss, wrt)
     grads: dict[int, Node] = {loss.id: constant(np.ones((), dtype=np.float64))}
     with nullcontext() if create_graph else no_tape():
-        for node in reversed(order):
-            if node.id not in grads:
-                continue
-            if node.id in wanted:
-                done[node.id] = grads[node.id]
-            if node.vjp is None:
-                del grads[node.id]
-            else:
+        for node in reversed(needed.values()):
+            if node.vjp is not None:
                 _run_rule(node, needed, grads)
 
-    out = []
-    for w in wrt:
-        g = done.get(w.id)
-        if g is None:
-            g = constant(np.zeros_like(w.value))
-        out.append(g if create_graph else g.value)
-    return out
+    out = [grads[w.id] if w.id in grads else constant(np.zeros_like(w.value)) for w in wrt]
+    return out if create_graph else [g.value for g in out]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,16 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+def hypergrad_agreement(chain: np.ndarray, oracle: np.ndarray) -> float:
+    """The chain's cosine to the pipeline oracle. Below the oracle's resolution,
+    100 eps / ``ORACLE_STEP``, the oracle has no direction, and a chain scores
+    1.0 if it is below it too, else 0.0."""
+    floor = 100 * np.finfo(float).eps / eng.ORACLE_STEP
+    if np.linalg.norm(oracle) >= floor:
+        return cosine(chain, oracle)
+    return 1.0 if np.linalg.norm(chain) < floor else 0.0
+
+
 def fd_gradient(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
     g = np.zeros_like(x0)
@@ -268,12 +278,12 @@ def tiny_instance(seed: int = 0):
 
 
 def check_hypergrad(seed: int = 0) -> float:
-    """Cosine of the training hypergradient chain against the pipeline oracle,
-    after ``HYPER_WARMUP`` iterations of the tiny instance."""
+    """:func:`hypergrad_agreement` of the training hypergradient chain and the
+    pipeline oracle, after ``HYPER_WARMUP`` iterations of the tiny instance."""
     trainer, train, _ = tiny_instance(seed)
     trainer.config.iters = HYPER_WARMUP
     _, state = trainer.train()
     state.iteration = HYPER_WARMUP + 1
     chain, args = trainer.search_step(state, train.masks(), train.images())
     oracle = eng.hypergrad_fd_oracle(trainer, *args[:3], state.A, *args[4:])
-    return cosine(chain, oracle)
+    return hypergrad_agreement(chain, oracle)

@@ -37,7 +37,7 @@ from . import augment as aug
 from . import autodiff as ad
 from . import metrics as met
 from .autodiff import Node, ParamGroup, bind, constant
-from .models import DiscriminatorNet, GeneratorNet, SegNet, predict_mask
+from .models import SEG_DEPTH, DiscriminatorNet, GeneratorNet, SegNet, predict_mask
 from .synthdata import Dataset
 
 MODES = ("genseg", "separate", "baseline")
@@ -100,11 +100,11 @@ class TrainConfig:
         for name, least in (("seed", 0), ("iters", 0), ("enc_cells", 1), ("base_channels", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        # each encoder cell halves the extent
-        size = self.img_size
-        if size < 1 or size & (size - 1) or size.bit_length() - 1 < self.enc_cells:
-            raise ValueError(f"img_size must be a power of two >= 2**enc_cells = "
-                             f"{2 ** self.enc_cells}, got {size}")
+        # each encoder cell and each segmenter down layer halves the extent
+        size, depth = self.img_size, max(self.enc_cells, SEG_DEPTH)
+        if size < 1 or size & (size - 1) or size.bit_length() - 1 < depth:
+            raise ValueError(f"img_size must be a power of two >= 2**max(enc_cells, SEG_DEPTH) "
+                             f"= {2 ** depth}, got {size}")
         # resolved_config_text must read back: parse_config cuts each line at
         # '#' and strips the value
         for name in _PATH_KEYS:

@@ -11,9 +11,10 @@ from genseg import tensor
 from genseg.autodiff import (Node, ParamGroup, backward, bind, constant, mixed_hvp_exact,
                              mixed_hvp_fd)
 from genseg.checks import HVP_COSINE_TOL, HVP_RATIO_RANGE, check_hvp, cosine, fd_gradient
-from genseg.engine import bce_with_logits, seg_cross_entropy
+from genseg.engine import TrainConfig, Trainer, bce_with_logits, seg_cross_entropy
 from genseg.models import (DOUBLE, DOWN_CANDIDATES, HALVE, HEAD, UP_CANDIDATES, DiscriminatorNet,
                            GeneratorNet, SegNet)
+from genseg.synthdata import Dataset, gen_task
 from genseg.tensor import ConvSpec
 
 
@@ -103,6 +104,91 @@ class TestBackward:
         # loss = x*x uses the same leaf twice: gradient must be 2x, not x
         grads = backward(ad.sum_(ad.mul(b["x"], b["x"])), list(b.values()))
         np.testing.assert_allclose(grads[0], [6.0])
+
+    def test_interior_node_in_wrt_rejected(self):
+        # its rule consumes an interior node's gradient, which would come
+        # back as zeros
+        x, w, b = (constant(np.ones(shape)) for shape in ((1, 1, 4, 4), (1, 1, 3, 3), (1,)))
+        y = ad.conv2d(x, w, b, ConvSpec(3, 1, 1))
+        with pytest.raises(ValueError, match="leaves only"):
+            backward(ad.sum_(y), [w, y])
+
+
+def walk_checking_creation_order(root: Node) -> int:
+    """The number of nodes ``root`` reaches; fails on a node whose id is not
+    above each of its parents' ids."""
+    seen, stack = {root.id}, [root]
+    while stack:
+        node = stack.pop()
+        for p in node.parents:
+            assert p.id < node.id, f"{node} has parent {p}"
+            if p.id not in seen:
+                seen.add(p.id)
+                stack.append(p)
+    return len(seen)
+
+
+class TestCreationOrder:
+    # backward runs the rules in reverse id order, a topological order only
+    # if every node is built after its parents
+
+    def test_every_tape_of_a_genseg_iteration(self, monkeypatch):
+        # the default networks at the benchmark's search32 shape (8 train and
+        # 32 val pairs at 32 px), one iteration: each tape handed to one of
+        # its seven backward calls, walked before the pass
+        data = gen_task(seed=5, n=40, size=32)
+        trainer = Trainer(TrainConfig(mode="genseg", iters=1, img_size=32),
+                          Dataset(data.pairs[:8], split="train"),
+                          Dataset(data.pairs[8:], split="val"))
+        sizes, real = [], ad.backward
+
+        def spied(loss, wrt, create_graph=False):
+            sizes.append(walk_checking_creation_order(loss))
+            return real(loss, wrt, create_graph)
+
+        monkeypatch.setattr(ad, "backward", spied)
+        trainer.train()
+        assert len(sizes) == 7 and sum(sizes) > 500
+
+    def test_a_gradient_graph(self):
+        # create_graph builds the gradients' nodes after the forward's, and
+        # each from nodes that exist already
+        for loss, leaves in network_losses(0):
+            grads = backward(loss, leaves, create_graph=True)
+            s = ad.dot(grads[0], grads[0])
+            for g in grads[1:]:
+                s = ad.add(s, ad.dot(g, g))
+            assert walk_checking_creation_order(s) > walk_checking_creation_order(loss)
+
+
+class TestSum:
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axes", [None, 0, -1, (0, 2), (-1, 1)])
+    def test_value_and_gradients(self, axes, keepdims):
+        rng = np.random.default_rng(0)
+        x = Node(rng.normal(size=(2, 3, 4)))
+        out = ad.sum_(x, axes=axes, keepdims=keepdims)
+        want = np.sum(x.value, axis=axes, keepdims=keepdims)
+        assert out.value.shape == want.shape and np.array_equal(out.value, want)
+        # each input element's gradient is g at the output element it is
+        # summed into
+        g = Node(rng.normal(size=want.shape))
+        summed = set(range(3)) if axes is None else {a % 3 for a in np.atleast_1d(axes)}
+        expected = np.empty(x.value.shape)
+        for idx in np.ndindex(x.value.shape):
+            at = [0 if d in summed else i for d, i in enumerate(idx)] if keepdims else \
+                [i for d, i in enumerate(idx) if d not in summed]
+            expected[idx] = g.value[tuple(at)]
+        (gx,) = backward(ad.dot(out, g), [x])
+        assert np.array_equal(gx, expected)
+        # the differentiable gradient has the same value, and is linear in
+        # g: its gradient in g against r sums r over the summed axes
+        (gx_node,) = backward(ad.dot(ad.sum_(x, axes=axes, keepdims=keepdims), g), [x],
+                              create_graph=True)
+        assert np.array_equal(gx_node.value, expected)
+        r = rng.normal(size=x.value.shape)
+        (gg,) = backward(ad.dot(gx_node, constant(r)), [g])
+        np.testing.assert_allclose(gg, np.sum(r, axis=axes, keepdims=keepdims), rtol=1e-14)
 
 
 def network_losses(seed):

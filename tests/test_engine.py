@@ -16,7 +16,7 @@ from genseg import metrics as met
 from genseg import tensor
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.checks import (HVP_COSINE_TOL, HVP_RATIO_RANGE, HYPER_COSINE_TOL, cosine,
-                           rel_error, tiny_instance)
+                           hypergrad_agreement, rel_error, tiny_instance)
 from genseg.autodiff import Node
 from genseg.engine import (CONFIG_KEYS, ConfigError, TrainConfig, Trainer, TrainingAborted,
                            bce_with_logits, config_digest, parse_config,
@@ -118,6 +118,12 @@ class TestConfig:
         # nan < 0 is False, so a sign check alone lets NaN through
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = {value}")
+
+    def test_img_size_below_the_segmenter_depth_named_in_error(self):
+        # one encoder cell halves 2 px once, but the segmenter's two down
+        # layers need 4 px
+        with pytest.raises(ConfigError, match="img_size"):
+            parse_config("img_size = 2\nenc_cells = 1")
 
     def test_smallest_extent_for_enc_cells_accepted(self):
         cfg = parse_config("img_size = 4\nenc_cells = 2\nbase_channels = 1")
@@ -1314,9 +1320,8 @@ class TestHypergradOracle:
         # ``warmup`` training iterations the next chain agrees with the
         # oracle. Where a large generator step has saturated every generator
         # output (eta_g 0.1 with lambda_l1 100), the hypergradient is below
-        # the oracle's resolution, about eps / ORACLE_STEP of the loss per
-        # logit, and neither vector has a direction: there the chain must be
-        # as small
+        # the oracle's resolution, and neither vector has a direction: there
+        # the chain must be as small (checks.hypergrad_agreement)
         cfg = TrainConfig(mode="genseg", seed=0, iters=warmup, img_size=extent,
                           enc_cells=enc_cells, base_channels=base_channels, eta_g=eta_g,
                           eta_s=eta_s, eta_a=eta_a, gamma=gamma, lambda_l1=lambda_l1)
@@ -1327,11 +1332,16 @@ class TestHypergradOracle:
         state.iteration = warmup + 1
         chain, saved = trainer.search_step(state, train.masks(), train.images())
         oracle = eng.hypergrad_fd_oracle(trainer, *saved[:3], state.A, *saved[4:])
-        resolution = 100 * np.finfo(float).eps / eng.ORACLE_STEP
-        if np.linalg.norm(oracle) < resolution:
-            assert np.linalg.norm(chain) < resolution
-        else:
-            assert cosine(chain, oracle) >= HYPER_COSINE_TOL
+        assert hypergrad_agreement(chain, oracle) >= HYPER_COSINE_TOL
+
+    @pytest.mark.parametrize("chain, oracle, score", [
+        ([1e-6, 0.0], [0.0, 0.0], 0.0),  # a chain with a direction, an oracle without one
+        ([1e-14, 0.0], [0.0, 0.0], 1.0),  # both below the oracle's resolution
+        ([1e-14, 0.0], [0.0, 1e-14], 1.0),
+        ([1.0, 1.0], [1.0, 0.0], math.sqrt(0.5)),  # above it, the cosine
+    ])
+    def test_agreement_floor(self, chain, oracle, score):
+        assert hypergrad_agreement(np.array(chain), np.array(oracle)) == pytest.approx(score)
 
 
 class TestAbort:
