@@ -30,16 +30,17 @@ whose base gradient the caller may already hold; the exact double-backward
 product (:func:`mixed_hvp_exact`) is kept as its oracle.
 
 Three nodes make up the convolution family: a convolution, a transposed
-convolution and a kernel gradient, each an im2col gather and one matrix
-product (see :mod:`genseg.tensor`, which also adds a bias in the product's
-own layout). The family is closed under
-differentiation: each node's gradients are built from the other two, so
-second-order products need no separate patch gather or scatter on the tape.
-A forward convolution on the tape holds its input and kernel, not its patch
-matrix: the kernel-gradient rule gathers the patches again, so a pass whose
-kernel gradient is never taken gathers them once. Patches stay on the tape
-only where a gradient rule under ``create_graph`` builds a kernel gradient
-and a convolution that share one gather.
+convolution and a kernel gradient, each an im2col gather (a width-unfolded
+lowering of the input, not a full patch matrix) and one product stacked
+over output rows (see :mod:`genseg.tensor`, which also adds a bias in the
+product's own layout). The family is closed under differentiation: each
+node's gradients are built from the other two, so second-order products
+need no separate gather or scatter on the tape. A forward convolution on
+the tape holds its input and kernel, not its gathered patches: the
+kernel-gradient rule gathers them again, so a pass whose kernel gradient is
+never taken gathers them once. Patches stay on the tape only where a
+gradient rule under ``create_graph`` builds a kernel gradient and a
+convolution that share one gather.
 
 What a taped layer holds: every network layer that ends in tanh is one
 :func:`conv2d_tanh` node, which holds its tanh output and links to the
@@ -342,7 +343,7 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     :func:`_kernel_grad` of ``g`` against ``x``. The patch columns of ``x``
     are gathered for the product and dropped; the kernel-gradient rule
     gathers them again from ``x``'s value, which the node holds anyway, so
-    a forward on the tape keeps no patch matrix. A caller that passes
+    a forward on the tape keeps no gathered patches. A caller that passes
     ``cols`` (``im2col(x)``) shares that one gather with the kernel gradient.
     """
     k = w.value.shape[2]
@@ -394,7 +395,7 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
     :func:`_conv` of ``b`` (reusing ``cols``) and :func:`_conv_transpose`
     of ``a``, both with ``g`` as the kernel.
     """
-    out = T.kernel_grad(a.value, cols, kernel)
+    out = T.kernel_grad(a.value, cols, kernel, stride)
 
     def vjp(_, g):
         return (lambda: _conv(b, g, None, stride, padding, cols),

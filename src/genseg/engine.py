@@ -52,14 +52,13 @@ ARCH_WEIGHT_DECAY = 1e-5
 ARCH_EPS = 1e-8
 
 # images per segmenter forward in evaluate_segmenter. Sizing rule: the
-# largest temporary of a forward-only chunk, up2's transposed-convolution
-# patch matrix (17*17*64 doubles, about 148 KB per 32 px image: 4.7 MB at 32
-# images), must stay below training's own high-water, so that scoring never
-# sets a run's peak memory. 16 gave the same peak RSS but 7-10% more time per
-# image in the benchmark's eval phase, whose cache-clearing calibration
-# precedes each chunk. Stage III's taped validation forwards take half a
-# chunk each (VAL_GRAD_CHUNK): their backward holds the patch matrices that
-# set training's high-water.
+# largest temporary of a forward-only chunk, up2's lowered input to its
+# transposed convolution (17*18*2*16 doubles, about 78 KB per 32 px image:
+# 2.5 MB at 32 images), must stay below training's own high-water, so that
+# scoring never sets a run's peak memory. 16 gave the same peak RSS but 7-10%
+# more time per image in the benchmark's eval phase, whose cache-clearing
+# calibration precedes each chunk. Stage III's taped validation forwards take
+# half a chunk each (VAL_GRAD_CHUNK), so their backward gathers over 16 images.
 EVAL_CHUNK = 32
 
 # images per taped validation forward in stage III's validation gradient. Two
@@ -698,10 +697,10 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[fl
     """Mean dice and jaccard of a segmenter's argmax predictions over a dataset.
 
     Each chunk of ``EVAL_CHUNK`` images is one forward under
-    :func:`autodiff.no_tape`: no node keeps a parent, a rule or a patch
-    matrix, so each layer's arrays are freed as soon as the next layer has
-    read them. The chunk is sized so that the largest temporary, up2's patch
-    matrix (about 148 KB per 32 px image, 4.7 MB per chunk), stays below
+    :func:`autodiff.no_tape`: no node keeps a parent, a rule or gathered
+    patches, so each layer's arrays are freed as soon as the next layer has
+    read them. The chunk is sized so that the largest temporary, up2's
+    lowered input (about 78 KB per 32 px image, 2.5 MB per chunk), stays below
     training's own high-water: scoring does not set a run's peak memory. The
     scores equal a taped forward's to the bit, and over 64 images those of a
     single forward. Keeps freed heap (:func:`retain_heap`) like training.

@@ -3,23 +3,31 @@ softplus, the convolution spec, the im2col/col2im pair, and the convolution
 kernels built on im2col.
 
 Every convolution, forward or adjoint, is an :func:`im2col` gather followed
-by one matrix product. :func:`conv` gathers strided patches of its input.
-:func:`conv_transpose`, the input gradient of :func:`conv`, splits a stride-s
-kernel into s*s flipped sub-pixel phases, runs them as one stride-1
+by one stacked matrix product. The gather is the MEC lowering (Cho & Brand,
+arXiv 1706.06873): it unfolds the input by width only, so each output
+column holds its K padded input columns for every input row, about
+Hp/(OH*K) of the bytes of a full patch matrix (a quarter for 8x8 stride 2).
+An output pixel's patch is then a contiguous run of K lowered rows, and the
+product runs one output row per stack item over a strided view of the
+lowered array, without a copy. :func:`conv` gathers strided patches of its
+input. :func:`conv_transpose`, the input gradient of :func:`conv`, splits a
+stride-s kernel into s*s flipped sub-pixel phases, runs them as one stride-1
 convolution and interleaves the phases (depth-to-space). :func:`kernel_grad`
-multiplies a gradient by patch columns. No autodiff node calls the
-scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint reference.
+multiplies a gradient by the patches row by row and sums. No autodiff node
+calls the scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint
+reference.
 
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW
 indexing for image-shaped data). Convolution outputs are NCHW views of
-channels-last memory, which the next :func:`im2col` reads in place or copies
-once. A convolution's bias is added to the contiguous product before the
-NCHW view or the phase interleave, in one pass over rows that each hold a
-whole image row of output channels (the bias tiled to the row's width); each
-output element gets the same one addition as a broadcast over the NCHW view,
-so the values are the same to the bit. :func:`conv_transpose` frees its
-padded channels-last copy once :func:`im2col` has read it, and its patch
-matrix once the product has, before the phase interleave copies the result.
+(H, N, W, C) memory, the product's own row-major order; the next
+:func:`im2col` copies them once, and a 1x1 head reads them in place. A
+convolution's bias is added to the contiguous product before the NCHW view
+or the phase interleave, in one pass over rows that each hold a whole image
+row of output channels (the bias tiled to the row's width); each output
+element gets the same one addition as a broadcast over the NCHW view, so the
+values are the same to the bit. :func:`conv_transpose` frees its padded
+channels-last copy once :func:`im2col` has read it, and its lowered input
+once the product has, before the phase interleave copies the result.
 Every operation here is pure: inputs are never mutated, and finite inputs
 produce finite outputs.
 """
@@ -85,24 +93,44 @@ class ConvSpec:
 
 
 def im2col(x: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
-    """Unfold NCHW input into a (N*OH*OW, K*K*C) patch matrix (zero padding).
+    """Unfold NCHW input by width into an (N, OW, Hp, K, C) array (MEC
+    lowering, zero padding): entry [n, j, r] holds the K padded input
+    columns j*stride .. j*stride+K-1 of padded row r, channels innermost.
 
-    Channel is the innermost patch axis, so patches are gathered from a
-    channels-last copy of the padded input in runs of K*C doubles; an
-    unpadded input whose memory is already channels-last is read in place.
+    Output pixel (i, j)'s K*K*C patch is then the run of K rows from row
+    i*stride, contiguous in memory; :func:`_patch_rows` views all patches as
+    a stack of matrices, one per output row. The array holds about
+    Hp/(OH*K) of the bytes of a full (N*OH*OW, K*K*C) patch matrix. It is
+    copied from a channels-last copy of the padded input in runs of K*C
+    doubles; an unpadded input whose memory is already channels-last is read
+    in place. A 1x1, stride-1, unpadded layer whose input memory is
+    (H, N, W, C), as convolution outputs are, returns a view of that memory.
     """
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"im2col: kernel {kernel} too large for padded input {x.shape}")
+    if kernel == stride == 1 and not padding and x.transpose(2, 0, 3, 1).flags.c_contiguous:
+        return x.transpose(0, 3, 2, 1)[:, :, :, None]
     rows = x.transpose(0, 2, 3, 1)
     if padding or not rows.flags.c_contiguous:
         rows = _pad_channels_last(x, padding, padding, padding)
     sn, sh, sw, sc = rows.strides
-    win = np.ndarray((n, oh, ow, kernel, kernel, c), np.float64, rows, 0,
-                     (sn, sh * stride, sw * stride, sh, sw, sc))
-    return win.reshape(n * oh * ow, kernel * kernel * c)
+    win = np.ndarray((n, ow, rows.shape[1], kernel, c), np.float64, rows, 0,
+                     (sn, sw * stride, sh, sw, sc))
+    return win.copy()
+
+
+def _patch_rows(cols: Tensor, stride: int) -> Tensor:
+    """(OH, N*OW, K*K*C) view of :func:`im2col`'s ``cols``: item i holds the
+    patches of output row i, one per (image, output column), each a run of K
+    lowered rows. Its row stride is Hp*K*C, so ``np.matmul`` hands every item
+    to BLAS with that leading dimension, without a copy."""
+    n, ow, hp, k, c = cols.shape
+    _, sw, sh, _, sc = cols.strides
+    return np.lib.stride_tricks.as_strided(cols, ((hp - k) // stride + 1, n * ow, k * k * c),
+                                           (sh * stride, sw, sc), writeable=False)
 
 
 def _pad_channels_last(x: Tensor, lo: int, hi_h: int, hi_w: int) -> Tensor:
@@ -119,16 +147,12 @@ def _pad_channels_last(x: Tensor, lo: int, hi_h: int, hi_w: int) -> Tensor:
 
 
 def col2im(cols: Tensor, x_shape, kernel: int, stride: int, padding: int) -> Tensor:
-    """Adjoint of :func:`im2col`: scatter-add patches back to NCHW shape."""
+    """Adjoint of :func:`im2col`: scatter-add lowered columns back to NCHW shape."""
     n, c, h, w = x_shape
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    hp, wp = h + 2 * padding, w + 2 * padding
-    g = cols.reshape(n, oh, ow, kernel, kernel, c)
-    acc = np.zeros((n, hp, wp, c), dtype=np.float64)
-    for kh in range(kernel):
-        for kw in range(kernel):
-            acc[:, kh:kh + stride * oh:stride, kw:kw + stride * ow:stride, :] += g[:, :, :, kh, kw, :]
+    ow = cols.shape[1]
+    acc = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=np.float64)
+    for kw in range(kernel):
+        acc[:, :, kw:kw + stride * ow:stride] += cols[:, :, :, kw].transpose(0, 2, 1, 3)
     out = np.empty((n, c, h, w), dtype=np.float64)
     np.copyto(out, acc[:, padding:padding + h, padding:padding + w, :].transpose(0, 3, 1, 2))
     return out
@@ -140,26 +164,33 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
     unless ``b`` is None, a bias of one entry per output channel.
 
     ``cols`` is ``im2col(x, k, stride, padding)``; the caller gathers it, so
-    it may share one gather with a kernel gradient. The result is an NCHW
-    view of channels-last memory.
+    it may share one gather with a kernel gradient. The product runs one
+    output row at a time, so the result is an NCHW view of (H, N, W, C)
+    memory.
     """
-    n, _, h, wd = x.shape
-    co, k = w.shape[0], w.shape[2]
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (wd + 2 * padding - k) // stride + 1
-    y = cols @ w.transpose(0, 2, 3, 1).reshape(co, -1).T
+    n = x.shape[0]
+    co = w.shape[0]
+    y = _patch_rows(cols, stride) @ w.transpose(0, 2, 3, 1).reshape(co, -1).T
+    oh, ow = y.shape[0], cols.shape[1]
     if b is not None:
-        rows = y.reshape(n * oh, ow * co)  # a view: ow copies of the bias per row
+        rows = y.reshape(oh * n, ow * co)  # a view: ow copies of the bias per row
         rows += np.tile(b, ow)
-    return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    return y.reshape(oh, n, ow, co).transpose(1, 3, 0, 2)
 
 
-def kernel_grad(a: Tensor, cols: Tensor, kernel: int) -> Tensor:
-    """(C_a, C_cols, k, k) kernel gradient: NCHW ``a`` flattened to pixels
-    times the matching (pixels, k*k*C_cols) patch matrix ``cols``."""
-    ch = a.shape[1]
-    flat = a.transpose(0, 2, 3, 1).reshape(-1, ch)
-    return (flat.T @ cols).reshape(ch, kernel, kernel, -1).transpose(0, 3, 1, 2)
+def kernel_grad(a: Tensor, cols: Tensor, kernel: int, stride: int) -> Tensor:
+    """(C_a, C_cols, k, k) kernel gradient: for each output row, NCHW ``a``'s
+    pixels of that row times the row's patches in ``cols``
+    (``im2col(b, kernel, stride, padding)``), summed over the rows in order.
+    The sum accumulates row by row, so no (OH, C_a, k*k*C_cols) stack of
+    products is held."""
+    oh, ch = a.shape[2], a.shape[1]
+    per_row = a.transpose(2, 1, 0, 3).reshape(oh, ch, -1)  # a view for (H, N, W, C) memory
+    patches = _patch_rows(cols, stride)
+    grad = per_row[0] @ patches[0]
+    for i in range(1, oh):
+        grad += per_row[i] @ patches[i]
+    return grad.reshape(ch, kernel, kernel, -1).transpose(0, 3, 1, 2)
 
 
 def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
@@ -174,6 +205,7 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     Full-output position q * s + r takes kernel taps r + m * s from input
     q - m, so each phase r is a stride-1 convolution with k/s taps; all
     s * s phases run as one product, then interleave and crop to ``extent``.
+    The result, like :func:`conv`'s, is an NCHW view of (H, N, W, C) memory.
     """
     n, ci, h, wd = x.shape
     co, k = w.shape[1], w.shape[2]
@@ -189,10 +221,10 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     # tap r + m * s of w -> row (kk-1-m) of phase r; columns ordered (rh, rw, out)
     phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
     phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)
-    y = (cols @ phases).reshape(n, qh, qw, s, s, co)
-    del cols  # spent: free the patch matrix before the interleave copies y
+    y = _patch_rows(cols, 1) @ phases  # (qh, n * qw, s * s * co)
+    del cols  # spent: free the lowered input before the interleave copies y
     if b is not None:
-        rows = y.reshape(n * qh, qw * s * s * co)  # a view, as in conv
+        rows = y.reshape(qh * n, qw * s * s * co)  # a view, as in conv
         rows += np.tile(b, qw * s * s)
-    y = y.transpose(0, 1, 3, 2, 4, 5).reshape(n, qh * s, qw * s, co)
-    return y[:, crop:crop + oh, crop:crop + ow].transpose(0, 3, 1, 2)
+    y = y.reshape(qh, n, qw, s, s, co).transpose(0, 3, 1, 2, 4, 5).reshape(qh * s, n, qw * s, co)
+    return y[crop:crop + oh, :, crop:crop + ow].transpose(1, 3, 0, 2)

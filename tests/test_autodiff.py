@@ -451,7 +451,7 @@ class TestConvPatches:
         g = rng.normal(size=(2, 4, n, n))
         y = ad.conv2d(x, w, b, spec)
         gw, gx = backward(ad.dot(y, constant(g)), [w, x], create_graph=create_graph)
-        want = tensor.kernel_grad(g, tensor.im2col(x.value, k, s, p), k)
+        want = tensor.kernel_grad(g, tensor.im2col(x.value, k, s, p), k, s)
         got = gw.value if create_graph else gw
         assert got.tobytes() == want.tobytes()
         if create_graph:
@@ -464,13 +464,14 @@ class TestConvPatches:
             assert got2.tobytes() == want2.tobytes()
 
     def test_taped_forward_keeps_no_patch_matrix(self):
-        # the fused cells' 8x8 stride-2 layer, whose patch matrix is 16x its input
+        # the fused cells' 8x8 stride-2 layer, whose full patch matrix
+        # (N*OH*OW rows of K*K*C doubles) is 16x its input
         spec = ConvSpec(8, 2, 3)
         rng = np.random.default_rng(0)
         x = tanh(constant(rng.normal(size=(4, 4, 16, 16))))
         w = constant(rng.normal(size=spec.weight_shape(4, 8)))
         b = constant(rng.normal(size=8))
-        cols = tensor.im2col(x.value, spec.kernel, spec.stride, spec.padding).nbytes
+        cols = 4 * 8 * 8 * spec.kernel ** 2 * 4 * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -480,6 +481,29 @@ class TestConvPatches:
             tracemalloc.stop()
         assert y.parents and y.vjp is not None
         assert grown < cols
+
+    def test_transposed_backward_peaks_below_half_a_patch_matrix(self):
+        # a value-only backward through the generator's dec3 layer, an 8x8
+        # stride-2 transposed convolution (8, 16, 16, 16) -> (8, 8, 32, 32):
+        # both kernel and input gradient gather the (8, 8, 32, 32) gradient,
+        # whose full patch matrix is 8*16*16 rows of 8*8*8 doubles, 8.4 MB
+        spec = UP_CANDIDATES[-1]
+        rng = np.random.default_rng(0)
+        x = constant(rng.normal(size=(8, 16, 16, 16)))
+        w = constant(rng.normal(0, 0.1, size=spec.weight_shape(16, 8)))
+        b = constant(rng.normal(0, 0.1, size=8))
+        probe = constant(rng.normal(size=(8, 8, 32, 32)))
+        loss = ad.dot(ad.conv2d_tanh(x, w, b, spec), probe)
+        full = 8 * 16 * 16 * spec.kernel ** 2 * 8 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = backward(loss, [x, w, b])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(np.any(g) for g in grads)
+        assert peak < full / 2
 
 
 def held_by_forward(forward) -> int:

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from genseg import autodiff as ad
@@ -209,19 +211,111 @@ class TestConv2d:
         np.testing.assert_array_equal(x, np.ones((1, 1, 4, 4)))
 
 
+def im2col_reference(x, kernel, stride, padding):
+    """The full (N*OH*OW, K*K*C) patch matrix, channel innermost: the
+    lowering that :func:`tensor.im2col` replaces, kept as its oracle."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))).transpose(0, 2, 3, 1)
+    cols = np.empty((n, oh, ow, kernel, kernel, c))
+    for kh in range(kernel):
+        for kw in range(kernel):
+            cols[:, :, :, kh, kw] = xp[:, kh:kh + stride * oh:stride, kw:kw + stride * ow:stride]
+    return cols.reshape(n * oh * ow, -1)
+
+
+def col2im_reference(cols, x_shape, kernel, stride, padding):
+    """Adjoint of :func:`im2col_reference`: scatter-add patches to NCHW."""
+    n, c, h, w = x_shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    g = cols.reshape(n, oh, ow, kernel, kernel, c)
+    acc = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    for kh in range(kernel):
+        for kw in range(kernel):
+            acc[:, kh:kh + stride * oh:stride, kw:kw + stride * ow:stride] += g[:, :, :, kh, kw]
+    return acc[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+
+
+# every gather the models run: the strided and 1x1 convolutions, and the
+# stride-1 phase convolutions (kernels 2-4) inside conv_transpose
+GATHERS = [(4, 2, 1), (6, 2, 2), (8, 2, 3), (1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 1, 0)]
+# the forward convolutions; conv_transpose runs each as its adjoint
+LOWERED = [ConvSpec(4, 2, 1), ConvSpec(6, 2, 2), ConvSpec(8, 2, 3), ConvSpec(1, 1, 0)]
+
+
+def assert_close_to(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestIm2col:
-    @given(st.integers(0, 10))
-    @settings(max_examples=20, deadline=None)
-    def test_col2im_is_adjoint(self, seed):
+    def test_col2im_is_adjoint(self):
         # <im2col(x), c> == <x, col2im(c)> characterizes the adjoint pair
-        rng = np.random.default_rng(seed)
-        k, s, p = [(4, 2, 1), (6, 2, 2), (3, 1, 1)][seed % 3]
-        x = rng.normal(size=(2, 3, 8, 8))
-        cols_shape = im2col(x, k, s, p).shape
-        c = rng.normal(size=cols_shape)
-        lhs = np.sum(im2col(x, k, s, p) * c)
-        rhs = np.sum(x * col2im(c, x.shape, k, s, p))
-        assert abs(lhs - rhs) < 1e-9
+        rng = np.random.default_rng(0)
+        for (k, s, p), extent in itertools.product(GATHERS, (7, 8)):
+            x = rng.normal(size=(2, 3, extent, extent))
+            cols = im2col(x, k, s, p)
+            c = rng.normal(size=cols.shape)
+            lhs = np.sum(cols * c)
+            rhs = np.sum(x * col2im(c, x.shape, k, s, p))
+            assert abs(lhs - rhs) < 1e-12 * np.sum(np.abs(cols * c)), (k, s, p, extent)
+
+    @pytest.mark.parametrize("layout", ["nchw", "hnwc"])
+    @pytest.mark.parametrize("extent", [7, 8])
+    @pytest.mark.parametrize("k, s, p", GATHERS, ids=lambda v: str(v))
+    def test_holds_the_reference_patches(self, k, s, p, extent, layout):
+        # output pixel (i, j)'s patch is the run of k lowered rows from row
+        # i * s of lowered column j, whatever the memory order of the input
+        # (convolution outputs are (H, N, W, C) memory)
+        x = np.random.default_rng(extent).normal(size=(3, 2, extent, extent))
+        if layout == "hnwc":
+            x = np.ascontiguousarray(x.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
+        cols = im2col(x, k, s, p)
+        hp = cols.shape[2]
+        assert hp == extent + 2 * p
+        oh = (hp - k) // s + 1
+        patches = np.stack([cols[:, :, i * s:i * s + k] for i in range(oh)], axis=1)
+        assert patches.tobytes() == im2col_reference(x, k, s, p).tobytes()
+
+    @pytest.mark.parametrize("spec", DOWN_SPECS + UP_SPECS, ids=lambda spec: spec.name)
+    def test_head_reads_a_layer_output_in_place(self, spec):
+        # a convolution's output, and its tanh, are (H, N, W, C) memory, which
+        # a 1x1 head reads without a copy
+        rng = np.random.default_rng(spec.kernel)
+        x = constant(rng.normal(size=(3, 2, 8, 8)))
+        y = ad.conv2d_tanh(x, constant(rng.normal(size=spec.weight_shape(2, 4))),
+                           constant(rng.normal(size=4)), spec).value
+        assert np.shares_memory(im2col(y, 1, 1, 0), y)
+
+
+class TestLowering:
+    # the products on the lowered gather equal the full patch matrix's
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("extent", [7, 8])
+    @pytest.mark.parametrize("spec", LOWERED, ids=lambda spec: spec.name)
+    def test_products_match_the_full_patch_matrix(self, spec, extent, batch):
+        rng = np.random.default_rng(spec.kernel + extent + batch)
+        k, s, p = spec.kernel, spec.stride, spec.padding
+        x = rng.normal(size=(batch, 3, extent, extent))
+        w = rng.normal(size=(4, 3, k, k))
+        b = rng.normal(size=4)
+        o = spec.out_extent(extent)
+        full = im2col_reference(x, k, s, p)
+        w_mat = w.transpose(0, 2, 3, 1).reshape(4, -1)
+        want = (full @ w_mat.T).reshape(batch, o, o, 4).transpose(0, 3, 1, 2) + b.reshape(1, -1, 1, 1)
+        assert_close_to(tensor.conv(x, w, b, s, p, im2col(x, k, s, p)), want)
+        # the kernel gradient of a pixel-by-pixel gradient g
+        g = rng.normal(size=(batch, 4, o, o))
+        g_pix = g.transpose(0, 2, 3, 1).reshape(-1, 4)
+        want = (g_pix.T @ full).reshape(4, k, k, 3).transpose(0, 3, 1, 2)
+        assert_close_to(tensor.kernel_grad(g, im2col(x, k, s, p), k, s), want)
+        # the transposed convolution of g back to x's extent: the scatter of
+        # g's pixels times the kernel
+        want = col2im_reference(g_pix @ w_mat, x.shape, k, s, p) + 0.5
+        assert_close_to(tensor.conv_transpose(g, w, np.full(3, 0.5), s, p, (extent, extent)),
+                        want)
 
 
 class TestBiasInGemmLayout:
