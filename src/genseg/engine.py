@@ -51,20 +51,12 @@ ARCH_BETA2 = 0.999
 ARCH_WEIGHT_DECAY = 1e-5
 ARCH_EPS = 1e-8
 
-# images per segmenter forward in evaluate_segmenter. Sizing rule: the
-# largest temporary of a forward-only chunk, up2's lowered input to its
-# transposed convolution (17*18*2*16 doubles, about 78 KB per 32 px image:
-# 2.5 MB at 32 images), must stay below training's own high-water, so that
-# scoring never sets a run's peak memory. 16 gave the same peak RSS but 7-10%
-# more time per image in the benchmark's eval phase, whose cache-clearing
-# calibration precedes each chunk. Stage III's taped validation forwards take
-# half a chunk each (VAL_GRAD_CHUNK), so their backward gathers over 16 images.
-EVAL_CHUNK = 32
-
-# images per taped validation forward in stage III's validation gradient. Two
-# such forwards give logits equal to the bit to one forward of EVAL_CHUNK
-# images (tests/test_engine.py checks this), so _validate can score them
-VAL_GRAD_CHUNK = EVAL_CHUNK // 2
+# images per segmenter forward over a split, taped in stage III's validation
+# gradient and tape-free in evaluate_segmenter, so _validate can score stage
+# III's logits. Sizing rule: a chunk's largest temporary, up2's lowered input
+# (17*18*2*16 doubles, about 78 KB per 32 px image: 1.25 MB at 16 images),
+# must stay below training's own high-water, so scoring never sets the peak
+EVAL_CHUNK = 16
 
 ORACLE_STEP = 1e-4  # hypergrad_fd_oracle's central-difference step per architecture logit
 
@@ -139,8 +131,9 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> TrainConfig:
-    """Parse ``key = value`` lines (``#`` comments); unknown keys are errors."""
+    """Parse ``key = value`` lines (``#`` comments); unknown or repeated keys are errors."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -150,6 +143,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> TrainCon
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: '{key}' already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = _coerce(key, raw)
     for key, raw in (overrides or {}).items():
         if key not in _TYPES:
@@ -348,7 +344,7 @@ class Trainer:
         #   "synth": synth_batch's graph (images node, G and A bindings), which
         #     stage III differentiates in G and in A
         #   "val_logits": stage III's validation logits, which the epoch
-        #     validation scores where they are bit-equal to evaluation's
+        #     validation scores in place of evaluation's
         self._kept: dict[str, object] = {}
 
     def init_state(self) -> TrainState:
@@ -482,15 +478,15 @@ class Trainer:
         runs inside :meth:`search_step`, after this iteration's stage I and
         synth; called on its own it raises KeyError naming the missing entry.
 
-        v is taken over consecutive chunks of ``VAL_GRAD_CHUNK`` validation
-        images, one taped forward and backward each, and each chunk's graph is
-        freed before the next is built. The loss is a per-pixel mean, so v is
-        the sum of the chunks' gradients, each weighted by its share of the
-        images: the whole split's gradient up to summation order. A split of
-        one chunk is one forward, weighted 1. Writes the chunks' validation
-        logits, concatenated, to ``_kept["val_logits"]`` for the epoch
-        validation at ``state.S``; the synthetic graph is freed once u and d
-        are taken.
+        v is taken over the chunks of ``EVAL_CHUNK`` validation images that
+        :func:`evaluate_segmenter` forwards, one taped forward and backward
+        each, and each chunk's graph is freed before the next is built. The
+        loss is a per-pixel mean, so v is the sum of the chunks' gradients,
+        each weighted by its share of the images: the whole split's gradient
+        up to summation order. A split of one chunk is one forward, weighted
+        1. Writes the chunks' validation logits, concatenated, to
+        ``_kept["val_logits"]`` for the epoch validation at ``state.S``; the
+        synthetic graph is freed once u and d are taken.
         """
         cfg = self.config
         synth = self._kept.pop("synth")
@@ -498,8 +494,8 @@ class Trainer:
         sb = bind(state.S)
         n = len(val_images)
         v, logits = None, []
-        for start in range(0, n, VAL_GRAD_CHUNK):
-            part = slice(start, start + VAL_GRAD_CHUNK)
+        for start in range(0, n, EVAL_CHUNK):
+            part = slice(start, start + EVAL_CHUNK)
             chunk = self.seg.forward(sb, constant(val_images[part]))
             grad = ad.flat_grad(seg_cross_entropy(chunk, val_masks[part]), sb)
             share = len(chunk.value) / n
@@ -639,7 +635,9 @@ class Trainer:
                     self.stage1_update(state, masks, images)
                 else:
                     ops = self._sample_ops(state.rng, len(masks))
-                    m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
+                    # no stage III differentiates the rendering: build no graph
+                    with ad.no_tape():
+                        m_hats, synth_images = self.synth_batch(state.G, state.A, masks, ops)
                     self.stage2_update(state, m_hats, synth_images, masks, images)
             else:
                 # the hypergradient only: stage III's arguments would keep
@@ -665,21 +663,14 @@ class Trainer:
     def _validate(self, state: TrainState) -> tuple[float, float]:
         """Validation dice and jaccard of ``state.S``.
 
-        Scores the logits of stage III's taped validation forwards at this
-        same S where they equal, to the bit, those of the tape-free forwards
-        ``evaluate_segmenter`` would run over the split, so no second forward
-        is spent. That holds for a split of at most ``VAL_GRAD_CHUNK``
-        images, one forward of the same batch either way, and for a split of
-        exactly ``EVAL_CHUNK``, whose two ``VAL_GRAD_CHUNK`` forwards equal
-        one (tests/test_engine.py checks this). Any other split is scored
-        again: forwards over other batch sizes can round some logits
-        differently (seen at 16 + 1 and 16 + 4 images against 17 and 20, and
-        at 33 and 65 against chunks of 32), and the recorded dice must be what
-        ``genseg eval`` of the checkpoint reads.
+        Scores the logits stage III's validation forwards left at this same
+        S, so no second forward is spent. Those are taped forwards over
+        :func:`evaluate_segmenter`'s chunks, so the recorded dice is to the bit
+        what ``genseg eval`` of the checkpoint reads. Without them
+        (``baseline``, ``separate``, or no stage III) the split is evaluated.
         """
         logits = self._kept.pop("val_logits", None)
-        n = len(self.val_images)
-        if logits is not None and (n <= VAL_GRAD_CHUNK or n == EVAL_CHUNK):
+        if logits is not None:
             dices, jacs = _scores(logits, self.val_masks)
             return float(np.mean(dices)), float(np.mean(jacs))
         return evaluate_segmenter(self.seg, state.S, self.val_ds)
@@ -699,11 +690,10 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[fl
     Each chunk of ``EVAL_CHUNK`` images is one forward under
     :func:`autodiff.no_tape`: no node keeps a parent, a rule or gathered
     patches, so each layer's arrays are freed as soon as the next layer has
-    read them. The chunk is sized so that the largest temporary, up2's
-    lowered input (about 78 KB per 32 px image, 2.5 MB per chunk), stays below
-    training's own high-water: scoring does not set a run's peak memory. The
-    scores equal a taped forward's to the bit, and over 64 images those of a
-    single forward. Keeps freed heap (:func:`retain_heap`) like training.
+    read them; the chunk is sized so that scoring does not set a run's peak
+    memory. The scores equal those of taped forwards over the same chunks,
+    stage III's validation forwards, to the bit, and over 64 images those of
+    a single forward. Keeps freed heap (:func:`retain_heap`) like training.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")

@@ -177,6 +177,19 @@ class TestTrain:
         assert main(["train", "--config", str(cfgp)]) == 1
         assert "wibble" in capsys.readouterr().err
 
+    def test_key_set_twice_in_file_named_with_both_lines(self, tmp_path, dataset_dir, capsys):
+        # a second value for a key is refused, not silently taken; --set still
+        # overrides the file's one value
+        out = tmp_path / "run"
+        cfgp = tmp_path / "twice.cfg"
+        cfgp.write_text("mode = baseline\niters = 1\n# comment\niters = 2\n")
+        assert main(["train", "--config", str(cfgp), "--out", str(out)]) == 1
+        assert "line 4: 'iters' already set on line 2" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(engine.ConfigError, match="line 2: 'seed' already set on line 1"):
+            engine.parse_config("seed = 1\nseed = 1", {"seed": "3"})
+        assert engine.parse_config("seed = 1", {"seed": "3"}).seed == 3
+
     @pytest.mark.parametrize("key, via_set", [("direct_path", False), ("augment.flip", False),
                                               ("augment.translate", True), ("batch", False),
                                               ("batch", True)],

@@ -630,19 +630,18 @@ def holds_node(x) -> bool:
 
 class TestForwardReuse:
     @pytest.mark.parametrize("n_val, seg_forwards",
-                             [(2, 5), (20, 7), (32, 6), (33, 9), (65, 12)])
+                             [(2, 5), (17, 6), (20, 6), (32, 6), (33, 7), (48, 7), (65, 9)])
     def test_forwards_per_genseg_iteration(self, monkeypatch, n_val, seg_forwards):
         # generator: stage I, synth, and the perturbed point of the stage-III
         # generator-loss difference (stage III differentiates synth's graph
         # and takes the base point's gradient from stage I); segmenter: two
-        # in stage II, one validation forward per chunk of 16 images (20: 16
-        # + 4; 32: 16 + 16; 33: 16 + 16 + 1; 65: four of 16 + 1) and two in
-        # stage III's difference. The epoch validation scores stage III's
-        # logits when they equal the evaluation chunks' to the bit, at most
-        # 16 images or 16 + 16, and otherwise runs its own forwards in chunks
-        # of 32 (20: one; 33: 32 + 1; 65: 32 + 32 + 1). The benchmark's
-        # search32 validates 32 pairs every iteration
-        assert (eng.EVAL_CHUNK, eng.VAL_GRAD_CHUNK) == (32, 16)
+        # in stage II, one validation forward per chunk of 16 images (17: 16
+        # + 1; 20: 16 + 4; 33: 16 + 16 + 1; 48: three of 16; 65: four of 16
+        # + 1) and two in stage III's difference. The epoch validation scores
+        # stage III's logits, which come from the chunks evaluation runs, for
+        # every split size. The benchmark's search32 validates 32 pairs every
+        # iteration
+        assert eng.EVAL_CHUNK == 16
         trainer, _, val = small_setup(n_val=n_val)
         trainer.config.iters = 1
         start_from_noisy_segmenter(monkeypatch, trainer)
@@ -745,6 +744,25 @@ class TestForwardReuse:
         assert 0.0 < record.dice < 1.0
         assert (record.dice, record.jaccard) == eng.evaluate_segmenter(trainer.seg, state.S, val)
 
+    def test_separate_renders_without_a_tape(self, monkeypatch):
+        # no stage III runs in separate, so its second half renders the
+        # synthetic images as values only and no generator graph is held
+        # through stage II
+        trainer, _, _ = small_setup(mode="separate")
+        trainer.config.iters = 4
+        synth = []
+        stage2 = Trainer.stage2_update
+
+        def spied_stage2(self, *args):
+            synth.append(self._kept["synth"][0])
+            stage2(self, *args)
+
+        monkeypatch.setattr(Trainer, "stage2_update", spied_stage2)
+        trainer.train()
+        assert len(synth) == 2
+        assert all(images.parents == () and images.vjp is None for images in synth)
+        assert ad._recording
+
     @pytest.mark.parametrize("mode", ["genseg", "separate"])
     def test_no_graph_outlives_train(self, mode):
         trainer, _, _ = small_setup(mode=mode)
@@ -780,7 +798,7 @@ class TestCol2imOffTrainingPath:
 
 class TestTapeFreeEvaluation:
     def test_equals_taped_forward_scored_pair_by_pair(self, monkeypatch):
-        # 70 pairs, so two chunks of EVAL_CHUNK = 32 images and one of 6; one
+        # 70 pairs, so four chunks of EVAL_CHUNK = 16 images and one of 6; one
         # truth mask is empty and one is not binary
         rng = np.random.default_rng(7)
         pairs = gen_task(seed=7, n=70, size=8).pairs
@@ -794,7 +812,8 @@ class TestTapeFreeEvaluation:
 
         sb = bind(S)
         dices, jacs = [], []
-        for chunk in (range(0, 32), range(32, 64), range(64, 70)):
+        for start in range(0, 70, 16):
+            chunk = range(start, min(start + 16, 70))
             logits = seg.forward(sb, constant(ds.images(chunk)))
             assert logits.parents
             for pred, truth in zip(predict_mask(logits.value), ds.masks(chunk)):
@@ -812,13 +831,13 @@ class TestTapeFreeEvaluation:
             return forward(net, params, image)
 
         monkeypatch.setattr(SegNet, "forward", watched)
-        assert eng.EVAL_CHUNK == 32
+        assert eng.EVAL_CHUNK == 16
         assert eng.evaluate_segmenter(seg, S, ds) == taped
-        assert recording == [False] * 3
+        assert recording == [False] * 5
         assert ad._recording
 
     def test_chunks_equal_one_forward_over_the_split(self, monkeypatch):
-        # 64 pairs at the benchmark's 32 px score in two forwards of 32
+        # 64 pairs at the benchmark's 32 px score in four forwards of 16
         # images, to the bit as one forward of all 64 scored pair by pair: the
         # chunk does not move dice
         rng = np.random.default_rng(3)
@@ -844,27 +863,7 @@ class TestTapeFreeEvaluation:
 
         monkeypatch.setattr(SegNet, "forward", watched)
         assert eng.evaluate_segmenter(seg, S, ds) == whole
-        assert batches == [32, 32]
-
-    def test_two_gradient_chunks_equal_one_evaluation_chunk(self):
-        # stage III's taped validation forwards run VAL_GRAD_CHUNK images
-        # each, and _validate scores two of them as one tape-free forward of
-        # EVAL_CHUNK images. At the benchmark's shape (default SegNet, 32 px)
-        # they must agree to the bit: a BLAS build that rounds them
-        # differently fails here instead of drifting the recorded dice
-        assert 2 * eng.VAL_GRAD_CHUNK == eng.EVAL_CHUNK
-        rng = np.random.default_rng(5)
-        images = Dataset(gen_task(seed=5, n=eng.EVAL_CHUNK, size=32).pairs).images()
-        seg = SegNet()
-        S = seg.init_params(0)
-        sb = bind(S.unflatten(rng.normal(size=S.size)))
-        with ad.no_tape():
-            whole = seg.forward(sb, constant(images)).value
-        halves = [seg.forward(sb, constant(images[start:start + eng.VAL_GRAD_CHUNK]))
-                  for start in (0, eng.VAL_GRAD_CHUNK)]
-        assert all(half.parents for half in halves)
-        assert np.any(whole)
-        assert np.array_equal(np.concatenate([half.value for half in halves]), whole)
+        assert batches == [16] * 4
 
 
 class TestOuterUpdate:
@@ -1283,7 +1282,7 @@ class TestHypergradOracle:
     def test_chunked_validation_gradient_matches_oracle(self, monkeypatch):
         # 33 val pairs: stage III takes v over chunks of 16 + 16 + 1 images,
         # weighted by their shares, where the oracle scores one forward
-        assert eng.VAL_GRAD_CHUNK == 16
+        assert eng.EVAL_CHUNK == 16
         trainer, train, _ = small_setup(seed=2, n_val=33)
         vs = []
         seg_hvp = Trainer._seg_hvp_fd
