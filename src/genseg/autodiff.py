@@ -351,11 +351,11 @@ def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     def patches():
         return T.im2col(x.value, k, stride, padding) if cols is None else cols
 
-    out = T.conv(x.value, w.value, None if b is None else b.value, stride, padding, patches())
+    out = T.conv(patches(), w.value, None if b is None else b.value, stride)
 
     def vjp(_, g):
         return (lambda: _conv_transpose(g, w, None, stride, padding, x.value.shape[2:]),
-                lambda: _kernel_grad(g, x, patches(), k, stride, padding),
+                lambda: _kernel_grad(g, x, patches(), stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
     return Node(out, (x, w) if b is None else (x, w, b), vjp)
@@ -379,14 +379,13 @@ def _conv_transpose(x: Node, w: Node, b: Node | None, stride: int, padding: int,
     def vjp(_, g):
         g_cols = functools.cache(lambda: T.im2col(g.value, k, stride, padding))
         return (lambda: _conv(g, w, None, stride, padding, g_cols()),
-                lambda: _kernel_grad(x, g, g_cols(), k, stride, padding),
+                lambda: _kernel_grad(x, g, g_cols(), stride, padding),
                 lambda: sum_(g, axes=(0, 2, 3)))
 
     return Node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
-def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
-                 padding: int) -> Node:
+def _kernel_grad(a: Node, b: Node, cols: np.ndarray, stride: int, padding: int) -> Node:
     """Kernel gradient (a's channels, b's channels, k, k) of the convolution
     of ``b`` whose output meets the NCHW node ``a`` pixel by pixel; ``cols``
     is ``im2col(b)``.
@@ -395,7 +394,7 @@ def _kernel_grad(a: Node, b: Node, cols: np.ndarray, kernel: int, stride: int,
     :func:`_conv` of ``b`` (reusing ``cols``) and :func:`_conv_transpose`
     of ``a``, both with ``g`` as the kernel.
     """
-    out = T.kernel_grad(a.value, cols, kernel, stride)
+    out = T.kernel_grad(a.value, cols, stride)
 
     def vjp(_, g):
         return (lambda: _conv(b, g, None, stride, padding, cols),

@@ -171,7 +171,7 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
 
         def kg_loss(bi, k=k, s=s, p=p, w_k=w_k):
             cols = im2col(bi["b"].value, k, s, p)
-            return ad.dot(ad._kernel_grad(bi["a"], bi["b"], cols, k, s, p), constant(w_k))
+            return ad.dot(ad._kernel_grad(bi["a"], bi["b"], cols, s, p), constant(w_k))
 
         out[tag] = _param_rel_error(kg_loss, group)
 

@@ -371,17 +371,6 @@ class Trainer:
                       ad.scale(l1_mean(fake, images), self.config.lambda_l1))
         return loss, d_fake
 
-    def _gan_graph(self, G: ParamGroup, H: ParamGroup, A: ParamGroup,
-                   masks: np.ndarray, images: np.ndarray):
-        gb, hb, ab = bind(G), bind(H), bind(A)
-        m, i = constant(masks), constant(images)
-        l_gen, d_fake = self.generator_loss(gb, ab, hb, m, i)
-        # one discriminator pass on the fakes serves both losses: the H-gradient
-        # of l_disc is taken by itself, so it never flows into G
-        l_disc = ad.add(bce_with_logits(self.disc.forward(hb, m, i), 1.0),
-                        bce_with_logits(d_fake, 0.0))
-        return l_disc, l_gen, gb, hb, ab
-
     def stage1_update(self, state: TrainState, masks: np.ndarray, images: np.ndarray):
         """One plain descent step on G (generator loss) and H (discriminator loss),
         both from the same graph at the old weights.
@@ -393,7 +382,13 @@ class Trainer:
         if len(masks) == 0:
             raise ValueError("stage1_update needs a non-empty batch")
         cfg, it = self.config, state.iteration
-        l_disc, l_gen, gb, hb, ab = self._gan_graph(state.G, state.H, state.A, masks, images)
+        gb, hb, ab = bind(state.G), bind(state.H), bind(state.A)
+        m, i = constant(masks), constant(images)
+        l_gen, d_fake = self.generator_loss(gb, ab, hb, m, i)
+        # one discriminator pass on the fakes serves both losses: the H-gradient
+        # of l_disc is taken by itself, so it never flows into G
+        l_disc = ad.add(bce_with_logits(self.disc.forward(hb, m, i), 1.0),
+                        bce_with_logits(d_fake, 0.0))
         # both losses are checked before either backward, so non-finite real
         # images, which spoil both, are named as the discriminator's
         _check_loss(l_disc, "discriminator loss", it)

@@ -9,10 +9,12 @@ column holds its K padded input columns for every input row, about
 Hp/(OH*K) of the bytes of a full patch matrix (a quarter for 8x8 stride 2).
 An output pixel's patch is then a contiguous run of K lowered rows, and the
 product runs one output row per stack item over a strided view of the
-lowered array, without a copy. :func:`conv` gathers strided patches of its
-input. :func:`conv_transpose`, the input gradient of :func:`conv`, splits a
-stride-s kernel into s*s flipped sub-pixel phases, runs them as one stride-1
-convolution and interleaves the phases (depth-to-space). :func:`kernel_grad`
+lowered array, without a copy. :func:`_product` is that product and its
+bias add, the one step of every forward and transposed convolution.
+:func:`conv` runs it on a caller's gather of strided patches.
+:func:`conv_transpose`, the input gradient of :func:`conv`, splits a stride-s
+kernel into s*s flipped sub-pixel phases, runs them as one stride-1 product
+and interleaves the phases (depth-to-space). :func:`kernel_grad`
 multiplies a gradient by the patches row by row and sums. No autodiff node
 calls the scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint
 reference.
@@ -20,14 +22,14 @@ reference.
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW
 indexing for image-shaped data). Convolution outputs are NCHW views of
 (H, N, W, C) memory, the product's own row-major order; the next
-:func:`im2col` copies them once, and a 1x1 head reads them in place. A
-convolution's bias is added to the contiguous product before the NCHW view
-or the phase interleave, in one pass over rows that each hold a whole image
-row of output channels (the bias tiled to the row's width); each output
-element gets the same one addition as a broadcast over the NCHW view, so the
-values are the same to the bit. :func:`conv_transpose` frees its padded
-channels-last copy once :func:`im2col` has read it, and its lowered input
-once the product has, before the phase interleave copies the result.
+:func:`im2col` copies them once, and a 1x1 head reads them in place. The
+bias is added to the contiguous product before the NCHW view or the phase
+interleave, in one pass over rows that each hold a whole image row of output
+channels (the bias tiled to the row's width); each output element gets the
+same one addition as a broadcast over the NCHW view, so the values are the
+same to the bit. :func:`conv_transpose` frees its padded channels-last copy
+once :func:`im2col` has read it, and its lowered input once the product has,
+before the phase interleave copies the result.
 Every operation here is pure: inputs are never mutated, and finite inputs
 produce finite outputs.
 """
@@ -158,39 +160,45 @@ def col2im(cols: Tensor, x_shape, kernel: int, stride: int, padding: int) -> Ten
     return out
 
 
-def conv(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
-         cols: Tensor) -> Tensor:
-    """Strided convolution of NCHW ``x`` with an (out, in, k, k) kernel and,
-    unless ``b`` is None, a bias of one entry per output channel.
-
-    ``cols`` is ``im2col(x, k, stride, padding)``; the caller gathers it, so
-    it may share one gather with a kernel gradient. The product runs one
-    output row at a time, so the result is an NCHW view of (H, N, W, C)
-    memory.
-    """
-    n = x.shape[0]
-    co = w.shape[0]
-    y = _patch_rows(cols, stride) @ w.transpose(0, 2, 3, 1).reshape(co, -1).T
-    oh, ow = y.shape[0], cols.shape[1]
+def _product(cols: Tensor, stride: int, wmat: Tensor, b: Tensor | None) -> Tensor:
+    """(OH, N*OW, M) product of :func:`im2col`'s ``cols`` and a (K*K*C, M)
+    kernel matrix whose columns run over the output channels innermost, plus
+    the bias ``b`` (unless None) tiled along each image row of the product."""
+    y = _patch_rows(cols, stride) @ wmat
     if b is not None:
-        rows = y.reshape(oh * n, ow * co)  # a view: ow copies of the bias per row
-        rows += np.tile(b, ow)
-    return y.reshape(oh, n, ow, co).transpose(1, 3, 0, 2)
+        rows = y.reshape(y.shape[0] * cols.shape[0], -1)  # a view: one image row per row
+        rows += np.tile(b, rows.shape[1] // b.size)
+    return y
 
 
-def kernel_grad(a: Tensor, cols: Tensor, kernel: int, stride: int) -> Tensor:
+def conv(cols: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
+    """Strided convolution with an (out, in, k, k) kernel and, unless ``b``
+    is None, a bias of one entry per output channel.
+
+    ``cols`` is ``im2col(x, k, stride, padding)`` of the NCHW input ``x``;
+    the caller gathers it, so it may share one gather with a kernel
+    gradient. The product runs one output row at a time, so the result is
+    an NCHW view of (H, N, W, C) memory.
+    """
+    n, ow = cols.shape[:2]
+    co = w.shape[0]
+    y = _product(cols, stride, w.transpose(0, 2, 3, 1).reshape(co, -1).T, b)
+    return y.reshape(y.shape[0], n, ow, co).transpose(1, 3, 0, 2)
+
+
+def kernel_grad(a: Tensor, cols: Tensor, stride: int) -> Tensor:
     """(C_a, C_cols, k, k) kernel gradient: for each output row, NCHW ``a``'s
     pixels of that row times the row's patches in ``cols``
-    (``im2col(b, kernel, stride, padding)``), summed over the rows in order.
-    The sum accumulates row by row, so no (OH, C_a, k*k*C_cols) stack of
-    products is held."""
-    oh, ch = a.shape[2], a.shape[1]
+    (``im2col(b, k, stride, padding)``, which holds k), summed over the rows
+    in order. The sum accumulates row by row, so no (OH, C_a, k*k*C_cols)
+    stack of products is held."""
+    oh, ch, k = a.shape[2], a.shape[1], cols.shape[3]
     per_row = a.transpose(2, 1, 0, 3).reshape(oh, ch, -1)  # a view for (H, N, W, C) memory
     patches = _patch_rows(cols, stride)
     grad = per_row[0] @ patches[0]
     for i in range(1, oh):
         grad += per_row[i] @ patches[i]
-    return grad.reshape(ch, kernel, kernel, -1).transpose(0, 3, 1, 2)
+    return grad.reshape(ch, k, k, -1).transpose(0, 3, 1, 2)
 
 
 def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,
@@ -204,7 +212,7 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     (h - 1) * stride - 2 * padding + k by up to stride - 1 rows or columns.
     Full-output position q * s + r takes kernel taps r + m * s from input
     q - m, so each phase r is a stride-1 convolution with k/s taps; all
-    s * s phases run as one product, then interleave and crop to ``extent``.
+    s * s phases run as one :func:`_product`, then interleave and crop.
     The result, like :func:`conv`'s, is an NCHW view of (H, N, W, C) memory.
     """
     n, ci, h, wd = x.shape
@@ -221,10 +229,7 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     # tap r + m * s of w -> row (kk-1-m) of phase r; columns ordered (rh, rw, out)
     phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
     phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)
-    y = _patch_rows(cols, 1) @ phases  # (qh, n * qw, s * s * co)
+    y = _product(cols, 1, phases, b)  # (qh, n * qw, s * s * co)
     del cols  # spent: free the lowered input before the interleave copies y
-    if b is not None:
-        rows = y.reshape(qh * n, qw * s * s * co)  # a view, as in conv
-        rows += np.tile(b, qw * s * s)
     y = y.reshape(qh, n, qw, s, s, co).transpose(0, 3, 1, 2, 4, 5).reshape(qh * s, n, qw * s, co)
     return y[crop:crop + oh, :, crop:crop + ow].transpose(1, 3, 0, 2)

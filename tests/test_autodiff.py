@@ -451,14 +451,14 @@ class TestConvPatches:
         g = rng.normal(size=(2, 4, n, n))
         y = ad.conv2d(x, w, b, spec)
         gw, gx = backward(ad.dot(y, constant(g)), [w, x], create_graph=create_graph)
-        want = tensor.kernel_grad(g, tensor.im2col(x.value, k, s, p), k, s)
+        want = tensor.kernel_grad(g, tensor.im2col(x.value, k, s, p), s)
         got = gw.value if create_graph else gw
         assert got.tobytes() == want.tobytes()
         if create_graph:
             # second order through the re-gathered patches equals second
             # order through a kernel-gradient node given the patches
             r = constant(rng.normal(size=gw.value.shape))
-            by_hand = ad._kernel_grad(constant(g), x, tensor.im2col(x.value, k, s, p), k, s, p)
+            by_hand = ad._kernel_grad(constant(g), x, tensor.im2col(x.value, k, s, p), s, p)
             got2, = backward(ad.dot(gw, r), [x])
             want2, = backward(ad.dot(by_hand, r), [x])
             assert got2.tobytes() == want2.tobytes()

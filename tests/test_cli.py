@@ -336,6 +336,29 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "msk_00000.gstn" in err and "(2, 8, 8)" in err
 
+    @pytest.mark.parametrize("name, value", [("img_00001.gstn", np.nan),
+                                             ("msk_00001.gstn", 0.5)],
+                             ids=["image-nan", "mask-half"])
+    def test_bad_values_are_one_error_line_naming_the_file(self, tmp_path, dataset_dir,
+                                                           capsys, name, value):
+        # train refuses before it writes a metric, and eval before it scores
+        path = dataset_dir / "val" / name
+        grid = synthdata.load_tensor(path).copy()
+        grid.flat[5] = value
+        synthdata.save_tensor(path, grid)
+        S = SegNet(base_channels=2).init_params(0)
+        save_checkpoint(tmp_path / "s.ckpt", {g: S if g == "S" else ParamGroup(g, [])
+                                              for g in ("G", "H", "S", "A")})
+        out = tmp_path / "o"
+        cfgp = write_config(tmp_path / "c.cfg", dataset_dir, out)
+        for argv in (["train", "--config", str(cfgp)],
+                     ["eval", "--ckpt", str(tmp_path / "s.ckpt"), "--data", str(path.parent)]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert not (out / "metrics.csv").exists()
+
     def test_flat_dataset_dir_is_split(self, tmp_path, capsys):
         flat = tmp_path / "flat"
         assert main(["gen-data", "--n", "10", "--size", "8", "--out", str(flat)]) == 0

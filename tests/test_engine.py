@@ -244,7 +244,10 @@ class TestLossFromClassPlanes:
 
 def gan_losses(trainer, G, A, H, masks, images) -> tuple[float, float]:
     """Discriminator and generator loss values of the stage-I graph."""
-    l_disc, l_gen, *_ = trainer._gan_graph(G, H, A, masks, images)
+    hb, m, i = bind(H), constant(masks), constant(images)
+    l_gen, d_fake = trainer.generator_loss(bind(G), bind(A), hb, m, i)
+    l_disc = ad.add(bce_with_logits(trainer.disc.forward(hb, m, i), 1.0),
+                    bce_with_logits(d_fake, 0.0))
     return float(l_disc.value), float(l_gen.value)
 
 
@@ -322,7 +325,9 @@ class TestStage1:
         trainer, train, _ = small_setup(eta_g=1e-3, eta_h=0.0)
         state = trainer.init_state()
         masks, images = train.masks(), train.images()
-        _, l_gen, gb, _, _ = trainer._gan_graph(state.G, state.H, state.A, masks, images)
+        gb = bind(state.G)
+        l_gen, _ = trainer.generator_loss(gb, bind(state.A), bind(state.H), constant(masks),
+                                          constant(images))
         grads = ad.backward(l_gen, list(gb.values()))
         expect = state.G.entries[0][1] - 1e-3 * grads[0]
         trainer.stage1_update(state, masks, images)
@@ -333,7 +338,9 @@ class TestStage1:
         state = trainer.init_state()
         masks, images = train.masks(), train.images()
         G_before = state.G.flatten()
-        _, l_gen, gb, _, _ = trainer._gan_graph(state.G, state.H, state.A, masks, images)
+        gb = bind(state.G)
+        l_gen, _ = trainer.generator_loss(gb, bind(state.A), bind(state.H), constant(masks),
+                                          constant(images))
         gnorm = np.linalg.norm(ad.flat_grad(l_gen, gb))
         trainer.stage1_update(state, masks, images)
         step = np.linalg.norm(state.G.flatten() - G_before)
@@ -794,6 +801,51 @@ class TestCol2imOffTrainingPath:
         ad.mixed_hvp_exact(lambda xb, sb: seg_cross_entropy(
             trainer.seg.forward(sb, xb["x"]), val.masks()), images, state.S, np.ones(state.S.size))
         assert calls == []
+
+
+class TestWorkPerIteration:
+    # the work one iteration does at each benchmark workload's shape: tape
+    # nodes, im2col calls and the bytes they copy (a view of the input
+    # copies none), backward calls and forwards per network. These counts do
+    # not depend on the data's values or the BLAS build; a change that moves
+    # one updates it here and names the change
+    def count_work(self, monkeypatch, mode, n_train, n_val, iters) -> dict[str, int]:
+        data = gen_task(seed=1, n=n_train + n_val, size=32)
+        trainer = Trainer(TrainConfig(mode=mode, iters=iters, img_size=32, seed=1),
+                          Dataset(data.pairs[:n_train], split="train"),
+                          Dataset(data.pairs[n_train:], split="val"))
+        work = {"im2col": 0, "im2col_bytes": 0, "backward": 0}
+        im2col, backward = tensor.im2col, ad.backward
+
+        def counted_im2col(x, *args):
+            out = im2col(x, *args)
+            work["im2col"] += 1
+            work["im2col_bytes"] += 0 if np.shares_memory(out, x) else out.nbytes
+            return out
+
+        def counted_backward(*args, **kwargs):
+            work["backward"] += 1
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "im2col", counted_im2col)
+        monkeypatch.setattr(ad, "backward", counted_backward)
+        forwards = count_forwards(monkeypatch)
+        before = ad._next_id
+        trainer.train()
+        return {"nodes": ad._next_id - before, **work, **forwards}
+
+    def test_one_genseg_iteration_at_the_search32_shape(self, monkeypatch):
+        # default networks, 32 px, 8 train and 32 val pairs: one iteration
+        # with its validation
+        assert self.count_work(monkeypatch, "genseg", 8, 32, 1) == {
+            "nodes": 1642, "im2col": 152, "im2col_bytes": 62_812_160, "backward": 7,
+            "gen": 3, "disc": 3, "seg": 6}
+
+    def test_one_baseline_epoch_at_the_segment_shape(self, monkeypatch):
+        # 64 train and 16 val pairs: four minibatches of 16 and one validation
+        assert self.count_work(monkeypatch, "baseline", 64, 16, 4) == {
+            "nodes": 273, "im2col": 53, "im2col_bytes": 29_720_576, "backward": 4,
+            "gen": 0, "disc": 0, "seg": 5}
 
 
 class TestTapeFreeEvaluation:

@@ -421,6 +421,25 @@ class TestDatasetDir:
                                                        f"expected (C, H, W)")):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name, index, value, allowed", [
+        ("img_00001.gstn", 37, np.nan, "finite"),
+        ("img_00001.gstn", 0, np.inf, "finite"),
+        ("img_00001.gstn", 62, -np.inf, "finite"),
+        ("msk_00001.gstn", 10, 0.5, "0 or 1"),
+        ("msk_00001.gstn", 0, 2.0, "0 or 1"),
+    ], ids=["image-nan", "image-inf", "image-minus-inf", "mask-half", "mask-two"])
+    def test_bad_value_named_with_its_flat_index(self, tmp_path, name, index, value, allowed):
+        # a second bad value further on: the error names the first
+        save_dataset(tmp_path, gen_task(seed=2, n=2, size=8))
+        grid = load_tensor(tmp_path / name).copy()
+        grid.flat[index] = value
+        grid.flat[index + 1] = -7.0 if allowed == "0 or 1" else np.nan
+        save_tensor(tmp_path / name, grid)
+        what = "image" if name.startswith("img") else "mask"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: {what} value {value} at flat index {index} is not {allowed}")):
+            load_dataset(tmp_path)
+
     def test_two_d_grids_are_one_channel(self, tmp_path):
         ds = gen_task(seed=2, n=2, size=8)
         save_dataset(tmp_path, ds)

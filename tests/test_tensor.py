@@ -305,12 +305,12 @@ class TestLowering:
         full = im2col_reference(x, k, s, p)
         w_mat = w.transpose(0, 2, 3, 1).reshape(4, -1)
         want = (full @ w_mat.T).reshape(batch, o, o, 4).transpose(0, 3, 1, 2) + b.reshape(1, -1, 1, 1)
-        assert_close_to(tensor.conv(x, w, b, s, p, im2col(x, k, s, p)), want)
+        assert_close_to(tensor.conv(im2col(x, k, s, p), w, b, s), want)
         # the kernel gradient of a pixel-by-pixel gradient g
         g = rng.normal(size=(batch, 4, o, o))
         g_pix = g.transpose(0, 2, 3, 1).reshape(-1, 4)
         want = (g_pix.T @ full).reshape(4, k, k, 3).transpose(0, 3, 1, 2)
-        assert_close_to(tensor.kernel_grad(g, im2col(x, k, s, p), k, s), want)
+        assert_close_to(tensor.kernel_grad(g, im2col(x, k, s, p), s), want)
         # the transposed convolution of g back to x's extent: the scatter of
         # g's pixels times the kernel
         want = col2im_reference(g_pix @ w_mat, x.shape, k, s, p) + 0.5
@@ -347,8 +347,8 @@ class TestBiasInGemmLayout:
             want = tensor.conv_transpose(x, w, None, s, p, ext)
         else:
             cols = im2col(x, k, s, p)
-            got = tensor.conv(x, w, b, s, p, cols)
-            want = tensor.conv(x, w, None, s, p, cols)
+            got = tensor.conv(cols, w, b, s)
+            want = tensor.conv(cols, w, None, s)
         want += b.reshape(1, -1, 1, 1)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
