@@ -134,16 +134,16 @@ def _load_splits(data_dir: str, seed: int):
 
 
 def cmd_train(args) -> int:
-    overrides = {}
+    items = [(key, val) for key, val in (("mode", args.mode), ("out_dir", args.out)) if val]
     for item in args.set or []:
         if "=" not in item:
             return _fail(f"--set needs key=value, got '{item}'")
-        key, val = item.split("=", 1)
-        overrides[key.strip()] = val.strip()
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.out:
-        overrides["out_dir"] = args.out
+        items.append([part.strip() for part in item.split("=", 1)])
+    overrides = {}  # one value per key, as in a config file
+    for key, val in items:
+        if key in overrides:
+            return _fail(f"config key '{key}' is set twice on the command line")
+        overrides[key] = val
     with open(args.config, encoding="utf-8") as f:
         cfg = engine.parse_config(f.read(), overrides)
     if not cfg.out_dir:

@@ -38,7 +38,7 @@ from . import autodiff as ad
 from . import metrics as met
 from .autodiff import Node, ParamGroup, bind, constant
 from .models import SEG_DEPTH, DiscriminatorNet, GeneratorNet, SegNet, predict_mask
-from .synthdata import Dataset
+from .synthdata import IMAGE_VALUES, MASK_CHANNELS, MASK_VALUES, Dataset, check_values
 
 MODES = ("genseg", "separate", "baseline")
 
@@ -304,7 +304,12 @@ class TrainState:
 
 
 class Trainer:
-    """Owns the networks, the configuration, and the per-iteration stages."""
+    """Owns the networks, the configuration, and the per-iteration stages.
+
+    Construction is the run's one data check; the networks and stages take its
+    shapes and values as given. Every pair must hold a (C, ``img_size``,
+    ``img_size``) image of finite values, C that of the first training image,
+    and a (``MASK_CHANNELS``, ``img_size``, ``img_size``) mask of 0s and 1s."""
 
     def __init__(self, config: TrainConfig, train_ds: Dataset, val_ds: Dataset,
                  test_ds: Dataset | None = None):
@@ -316,25 +321,20 @@ class Trainer:
         self.train_ds = train_ds
         self.val_ds = val_ds
         self.test_ds = test_ds
-        extent = train_ds[0].image.shape[-1]
-        if extent != config.img_size:
-            raise ValueError(f"img_size {config.img_size} does not match data extent {extent}")
-        # load_dataset makes each split uniform, so the first pairs stand for all
-        for split, ds in (("val", val_ds), ("test", test_ds)):
-            if not ds:
-                continue
-            for what in ("image", "mask"):
-                shape = getattr(ds[0], what).shape
-                want = getattr(train_ds[0], what).shape
-                if shape != want:
-                    raise ValueError(f"{split} split {what} shape {shape} differs from "
-                                     f"train's {want}")
-        img_channels = train_ds[0].image.shape[0]
+        img_channels, size = train_ds[0].image.shape[0], config.img_size
+        rules = {"image": ((img_channels, size, size), IMAGE_VALUES),
+                 "mask": ((MASK_CHANNELS, size, size), MASK_VALUES)}
+        for split, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
+            for i, pair in enumerate(ds.pairs if ds else ()):
+                for what, (want, rule) in rules.items():
+                    t, where = getattr(pair, what), f"{split} split pair {i}: {what}"
+                    if t.shape != want:
+                        raise ValueError(f"{where} shape {t.shape} is not {want} for img_size {size}")
+                    check_values(t, rule, where)
         self.gen = GeneratorNet(img_channels=img_channels, enc_cells=config.enc_cells,
                                 base_channels=config.base_channels)
-        disc_depth = min(3, int(math.log2(config.img_size)) - 1)
         self.disc = DiscriminatorNet(img_channels=img_channels, base_channels=config.base_channels,
-                                     depth=max(1, disc_depth))
+                                     depth=min(3, int(math.log2(size)) - 1))
         self.seg = SegNet(img_channels=img_channels, base_channels=config.base_channels)
         self.val_masks, self.val_images = val_ds.masks(), val_ds.images()
         # what one iteration's passes hand on, by name, each written once and
@@ -379,8 +379,6 @@ class Trainer:
         gradient in A and writes it to ``_kept["grad_a"]``, the base point of
         stage III's generator product.
         """
-        if len(masks) == 0:
-            raise ValueError("stage1_update needs a non-empty batch")
         cfg, it = self.config, state.iteration
         gb, hb, ab = bind(state.G), bind(state.H), bind(state.A)
         m, i = constant(masks), constant(images)
@@ -431,8 +429,6 @@ class Trainer:
                       synth_images: np.ndarray, real_masks: np.ndarray,
                       real_images: np.ndarray):
         """One plain descent step of S on the combined segmentation objective."""
-        if len(synth_masks) == 0 or len(real_masks) == 0:
-            raise ValueError("stage2_update needs non-empty synthetic and real batches")
         sb = bind(state.S)
         obj = self.stage2_objective(sb, synth_masks, constant(synth_images),
                                     real_masks, real_images)

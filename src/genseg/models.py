@@ -5,6 +5,10 @@ derivation from the learned mixture logits.
 Parameters live in :class:`~genseg.autodiff.ParamGroup` objects (G, H, S, A);
 forward passes take label-to-node bindings so the same code serves training,
 evaluation, and second-order products.
+
+The generator and discriminator take their inputs' shapes as given, because
+``engine.Trainer`` checks a run's data once; only :meth:`SegNet.forward`
+checks its input, which ``genseg eval`` feeds from outside any run.
 """
 from __future__ import annotations
 
@@ -46,10 +50,6 @@ def _conv(params: dict[str, Node], layer: tuple[str, ConvSpec, int, int], x: Nod
     layer followed by tanh."""
     name, spec = layer[:2]
     return op(x, params[f"{name}.w"], params[f"{name}.b"], spec)
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _unet_channels(in_ch: int, base_channels: int, depth: int):
@@ -157,11 +157,6 @@ class GeneratorNet:
         return g, a
 
     def forward(self, g: dict[str, Node], a: dict[str, Node], mask: Node) -> Node:
-        n, c, h, w = mask.value.shape
-        if c != MASK_CHANNELS:
-            raise ValueError(f"mask has {c} channels, expected {MASK_CHANNELS}")
-        if h != w or not _is_power_of_two(h) or h < 2 ** self.enc_cells:
-            raise ValueError(f"mask extent {h}x{w} must be a square power of two >= {2 ** self.enc_cells}")
         # looked up per call, so a wrapper put on SearchableCell.forward later still runs
         down, up = ([partial(cell.forward, g, a[cell.logit_label()]) for cell in cells]
                     for cells in (self.encoders, self.decoders))
@@ -192,8 +187,6 @@ class DiscriminatorNet:
         return h
 
     def forward(self, h: dict[str, Node], mask: Node, image: Node) -> Node:
-        if mask.value.shape[2:] != image.value.shape[2:]:
-            raise ValueError(f"mask {mask.value.shape} and image {image.value.shape} are not spatially aligned")
         x = ad.concat([mask, image], axis=1)
         for layer in self.layers:
             x = _conv(h, layer, x, ad.conv2d_tanh)

@@ -35,6 +35,20 @@ NOISE_SIGMA = 0.05
 
 MASK_CHANNELS = 1  # every mask, the generator's input and the segmenter's target
 
+# the values a pair may hold, as (description, elementwise test) rules that
+# load_dataset applies to every file and Trainer to every in-memory pair
+IMAGE_VALUES = ("finite", np.isfinite)
+MASK_VALUES = ("0 or 1", lambda t: (t == 0) | (t == 1))
+
+
+def check_values(t: np.ndarray, rule, where: str):
+    """A ValueError naming ``where``, and the first value of ``t`` that fails ``rule``."""
+    allowed, test = rule
+    ok = test(t)
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first False
+        raise ValueError(f"{where} value {float(t.flat[k])} at flat index {k} is not {allowed}")
+
 
 @dataclass
 class MaskImagePair:
@@ -282,10 +296,8 @@ def load_checkpoint(path) -> tuple[dict[str, ParamGroup], str]:
 # dataset directory layout: manifest.txt with one 'image mask' filename pair
 # per line; GSTN tensors, or binary PGM (P5, maxval 255) for imports. Every
 # mask has MASK_CHANNELS channels, and every pair the first pair's image and
-# mask shapes. Loading checks the values too: every image value is finite and
-# every mask value 0 or 1, else a ValueError names the file, the first bad
-# flat index and its value. PGM inputs pass by construction, because they are
-# scaled and thresholded as they load.
+# mask shapes. Loading checks the values too (IMAGE_VALUES, MASK_VALUES), which
+# PGM inputs pass by construction: they are scaled and thresholded as they load.
 # ---------------------------------------------------------------------------
 
 # magic, width, height and maxval separated by whitespace or '#' comment
@@ -315,18 +327,13 @@ def _load_grid(path, from_pgm, what: str, valid, channels: int | None = None) ->
     a 2-d (H, W) grid is one channel. Any other rank, or a channel count other
     than ``channels`` when that is given, is a ValueError naming the file,
     ``what`` it holds and the shape it has on disk. So is a value that fails
-    ``valid``, a (description, elementwise test) pair: the error names the
-    first such value and its flat index in the file."""
+    ``valid``, one of the value rules (:func:`check_values`)."""
     t = from_pgm(read_pgm(path)) if str(path).endswith(".pgm") else load_tensor(path)
     grid = t[None] if t.ndim == 2 else t
     if grid.ndim != 3 or (channels is not None and grid.shape[0] != channels):
         raise ValueError(f"{path}: {what} has shape {t.shape}, "
                          f"expected ({'C' if channels is None else channels}, H, W)")
-    allowed, test = valid
-    bad = np.flatnonzero(~test(grid))
-    if bad.size:
-        raise ValueError(f"{path}: {what} value {float(grid.flat[bad[0]])} at flat index "
-                         f"{bad[0]} is not {allowed}")
+    check_values(grid, valid, f"{path}: {what}")
     return grid
 
 
@@ -359,10 +366,10 @@ def load_dataset(dirpath) -> Dataset:
                                  f"got {len(names)} names")
             img_name, msk_name = names
             image = _load_grid(os.path.join(dirpath, img_name), lambda p: p / 255.0 * 2.0 - 1.0,
-                               "image", ("finite", np.isfinite))
+                               "image", IMAGE_VALUES)
             mask = _load_grid(os.path.join(dirpath, msk_name),
                               lambda p: (p >= 128.0).astype(np.float64), "mask",
-                              ("0 or 1", lambda t: (t == 0) | (t == 1)), MASK_CHANNELS)
+                              MASK_VALUES, MASK_CHANNELS)
             if image.shape[1:] != mask.shape[1:]:
                 raise ValueError(f"{img_name}/{msk_name}: image {image.shape} vs mask {mask.shape}")
             if pairs and (image.shape, mask.shape) != (pairs[0].image.shape, pairs[0].mask.shape):

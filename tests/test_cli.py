@@ -218,8 +218,15 @@ class TestTrain:
         ("data_dir", "", [], "no data directory (set data_dir in the config)"),
         ("iters", "iters 3\n", [], "line 3: expected 'key = value', got 'iters 3'"),
         ("eta_s", "eta_s = abc\n", [], "key 'eta_s': not a number: 'abc'"),
+        (None, None, ["--set", "iters=1", "--set", "iters=2", "--set", "mode=baseline",
+                      "--mode", "separate"],
+         "config key 'iters' is set twice on the command line"),
+        (None, None, ["--set", "mode=baseline", "--mode", "separate"],
+         "config key 'mode' is set twice on the command line"),
+        (None, None, ["--out", "p", "--set", "out_dir=q"],
+         "config key 'out_dir' is set twice on the command line"),
     ], ids=["set-without-value", "no-out-dir", "no-data-dir", "line-without-equals",
-            "value-not-a-number"])
+            "value-not-a-number", "set-twice", "mode-flag-and-set", "out-flag-and-set"])
     def test_bad_config_is_one_error_line(self, tmp_path, dataset_dir, capsys, monkeypatch,
                                           line, edited, argv, message):
         # the config line of key ``line`` is replaced by ``edited``
@@ -321,8 +328,8 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--config", str(cfgp)]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: test split image shape (1, 16, 16) differs from "
-                       "train's (1, 8, 8)\n")
+        assert err == ("error: test split pair 0: image shape (1, 16, 16) is not (1, 8, 8) "
+                       "for img_size 8\n")
         assert steps == [] and not (out / "metrics.csv").exists()
 
     def test_two_channel_masks_named(self, tmp_path, dataset_dir, capsys):
