@@ -13,7 +13,6 @@ import numpy as np
 from . import autodiff as ad
 from . import engine as eng
 from .autodiff import ParamGroup, bind, constant
-from .models import DiscriminatorNet, GeneratorNet, SegNet
 from .synthdata import gen_task
 from .tensor import ConvSpec, im2col
 
@@ -187,20 +186,13 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
     return out
 
 
-def _tiny_nets(seed: int):
-    gen = GeneratorNet(enc_cells=1, base_channels=2)
-    disc = DiscriminatorNet(base_channels=2, depth=2)
-    seg = SegNet(base_channels=2)
-    G, A = gen.init_params(seed)
-    H = disc.init_params(seed + 1)
-    S = seg.init_params(seed + 2)
-    return gen, disc, seg, G, A, H, S
-
-
 def check_net_grads(seed: int = 0) -> dict[str, float]:
-    """FD check of full-network parameter gradients on small instances."""
+    """FD check of full-network parameter gradients on :func:`tiny_instance`'s networks."""
     rng = np.random.default_rng(seed)
-    gen, disc, seg, G, A, H, S = _tiny_nets(seed)
+    trainer = tiny_instance(seed)[0]
+    gen, disc, seg = trainer.gen, trainer.disc, trainer.seg
+    state = trainer.init_state()
+    G, A, H, S = state.G, state.A, state.H, state.S
     masks = (rng.uniform(size=(2, 1, 8, 8)) < 0.3).astype(np.float64)
     images = rng.uniform(-0.9, 0.9, size=(2, 1, 8, 8))
     target = rng.normal(0, 1, size=(2, 1, 8, 8))

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import engine, metrics, synthdata
-from .models import SegNet
+from .models import SEG_DEPTH, SegNet
 from .synthdata import load_checkpoint, load_dataset, save_checkpoint, save_dataset
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -178,10 +178,21 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     groups, _ = load_checkpoint(args.ckpt)
+    seg = SegNet.from_params(groups["S"])
     ds = load_dataset(args.data)
     if len(ds) == 0:
         return _fail(f"dataset at {args.data} is empty")
-    d, j = engine.evaluate_segmenter(SegNet.from_params(groups["S"]), groups["S"], ds)
+    # load_dataset gives every pair the first pair's shape
+    c, h, w = ds[0].image.shape
+    if c != seg.img_channels:
+        return _fail(f"dataset at {args.data} has {c}-channel images, "
+                     f"the checkpoint's segmenter takes {seg.img_channels}")
+    # each down layer halves the extent, and each skip must meet its up layer's output
+    scale = 2 ** SEG_DEPTH
+    if h < scale or h % scale or w < scale or w % scale:
+        return _fail(f"image extent {h}x{w} is not a positive multiple of "
+                     f"2**SEG_DEPTH = {scale} in both axes")
+    d, j = engine.evaluate_segmenter(seg, groups["S"], ds)
     print(f"dice={d:.9f} jaccard={j:.9f} n={len(ds)}")
     return 0
 

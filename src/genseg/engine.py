@@ -387,8 +387,8 @@ class Trainer:
         # of l_disc is taken by itself, so it never flows into G
         l_disc = ad.add(bce_with_logits(self.disc.forward(hb, m, i), 1.0),
                         bce_with_logits(d_fake, 0.0))
-        # both losses are checked before either backward, so non-finite real
-        # images, which spoil both, are named as the discriminator's
+        # Trainer refuses non-finite real images, but a diverged discriminator
+        # spoils both losses; checking l_disc before either backward names it
         _check_loss(l_disc, "discriminator loss", it)
         if cfg.mode == "genseg":
             state.G, self._kept["grad_a"] = _descend(state.G, l_gen, gb, cfg.eta_g,
@@ -676,7 +676,8 @@ def _scores(logits: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[float, float]:
-    """Mean dice and jaccard of a segmenter's argmax predictions over a dataset.
+    """Mean dice and jaccard of a segmenter's argmax predictions over a
+    non-empty dataset.
 
     Each chunk of ``EVAL_CHUNK`` images is one forward under
     :func:`autodiff.no_tape`: no node keeps a parent, a rule or gathered
@@ -686,8 +687,6 @@ def evaluate_segmenter(seg: SegNet, S: ParamGroup, dataset: Dataset) -> tuple[fl
     stage III's validation forwards, to the bit, and over 64 images those of
     a single forward. Keeps freed heap (:func:`retain_heap`) like training.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     retain_heap()
     sb = bind(S)
     dices, jacs = [], []

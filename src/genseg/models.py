@@ -6,9 +6,9 @@ Parameters live in :class:`~genseg.autodiff.ParamGroup` objects (G, H, S, A);
 forward passes take label-to-node bindings so the same code serves training,
 evaluation, and second-order products.
 
-The generator and discriminator take their inputs' shapes as given, because
-``engine.Trainer`` checks a run's data once; only :meth:`SegNet.forward`
-checks its input, which ``genseg eval`` feeds from outside any run.
+Every network takes its inputs as given: ``engine.Trainer`` checks a run's
+data once, and ``genseg eval`` checks its dataset against the checkpoint's
+segmenter.
 """
 from __future__ import annotations
 
@@ -41,6 +41,13 @@ def _conv_params(rng: np.random.Generator, name: str, spec: ConvSpec,
     s = 1.0 / np.sqrt(in_ch * spec.kernel ** 2)
     return [(f"{name}.w", rng.uniform(-s, s, size=spec.weight_shape(in_ch, out_ch))),
             (f"{name}.b", np.zeros(out_ch, dtype=np.float64))]
+
+
+def _layer_params(name: str, layers, seed: int | np.random.SeedSequence) -> ParamGroup:
+    """Group ``name`` of :func:`_conv_params` for each ``(name, spec, in_ch,
+    out_ch)`` layer, in table order, all drawn from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return ParamGroup(name, [entry for layer in layers for entry in _conv_params(rng, *layer)])
 
 
 def _conv(params: dict[str, Node], layer: tuple[str, ConvSpec, int, int], x: Node,
@@ -180,11 +187,7 @@ class DiscriminatorNet:
         self.head = ("head", HEAD, in_ch, 1)
 
     def init_params(self, seed: int | np.random.SeedSequence) -> ParamGroup:
-        rng = np.random.default_rng(seed)
-        h = ParamGroup("H")
-        for layer in self.layers + [self.head]:
-            h.entries.extend(_conv_params(rng, *layer))
-        return h
+        return _layer_params("H", self.layers + [self.head], seed)
 
     def forward(self, h: dict[str, Node], mask: Node, image: Node) -> Node:
         x = ad.concat([mask, image], axis=1)
@@ -204,11 +207,7 @@ class SegNet:
         self.head = ("head", HEAD, base_channels, SEG_CLASSES)
 
     def init_params(self, seed: int | np.random.SeedSequence) -> ParamGroup:
-        rng = np.random.default_rng(seed)
-        s = ParamGroup("S")
-        for layer in self.down + self.up + [self.head]:
-            s.entries.extend(_conv_params(rng, *layer))
-        return s
+        return _layer_params("S", self.down + self.up + [self.head], seed)
 
     @classmethod
     def from_params(cls, group: ParamGroup) -> "SegNet":
@@ -220,25 +219,15 @@ class SegNet:
             raise ValueError("segmenter parameters lack a 4-d 'down1.w'")
         base_channels, img_channels = shapes["down1.w"][:2]
         net = cls(img_channels=img_channels, base_channels=base_channels)
-        for name, spec, in_ch, out_ch in net.down + net.up + [net.head]:
-            for label, shape in ((f"{name}.w", spec.weight_shape(in_ch, out_ch)),
-                                 (f"{name}.b", (out_ch,))):
-                if label not in shapes:
-                    raise ValueError(f"segmenter parameters lack '{label}'")
-                if shapes[label] != shape:
-                    raise ValueError(f"segmenter parameter '{label}' has shape {shapes[label]}, "
-                                     f"expected {shape}")
+        for label, arr in net.init_params(0).entries:
+            if label not in shapes:
+                raise ValueError(f"segmenter parameters lack '{label}'")
+            if shapes[label] != arr.shape:
+                raise ValueError(f"segmenter parameter '{label}' has shape {shapes[label]}, "
+                                 f"expected {arr.shape}")
         return net
 
     def forward(self, s: dict[str, Node], image: Node) -> Node:
-        n, c, h, w = image.value.shape
-        if c != self.img_channels:
-            raise ValueError(f"image has {c} channels, expected {self.img_channels}")
-        # each down layer halves the extent, and each skip must meet its up layer's output
-        scale = 2 ** SEG_DEPTH
-        if h < scale or h % scale or w < scale or w % scale:
-            raise ValueError(f"image extent {h}x{w} is not a positive multiple of "
-                             f"2**SEG_DEPTH = {scale} in both axes")
         down, up = ([partial(_conv, s, layer) for layer in layers] for layers in (self.down, self.up))
         return _conv(s, self.head, _unet(down, up, image))
 

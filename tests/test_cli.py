@@ -29,6 +29,12 @@ def write_config(path, data_dir, out_dir, **overrides):
     return path
 
 
+def save_segmenter(path, S):
+    """A checkpoint whose only parameters are the segmenter group ``S``."""
+    save_checkpoint(path, {name: S if name == "S" else ParamGroup(name, [])
+                           for name in ("G", "H", "S", "A")})
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     root = tmp_path / "data"
@@ -397,10 +403,7 @@ class TestEval:
         assert main(["eval", "--ckpt", str(out / "best.ckpt"), "--data", str(empty)]) == 1
 
     def test_extent_segmenter_cannot_round_trip(self, tmp_path, capsys):
-        S = SegNet(base_channels=2).init_params(0)
-        groups = {name: ParamGroup(name, S.entries if name == "S" else [])
-                  for name in ("G", "H", "S", "A")}
-        save_checkpoint(tmp_path / "s.ckpt", groups)
+        save_segmenter(tmp_path / "s.ckpt", SegNet(base_channels=2).init_params(0))
         data = gen_task(seed=1, n=2, size=16)
         pairs = [MaskImagePair(p.mask[:, :10, :10], p.image[:, :10, :10]) for p in data]
         save_dataset(tmp_path / "d10", Dataset(pairs))
@@ -409,9 +412,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "10x10" in err
 
+    def test_extent_multiple_of_two_to_the_depth_evaluates(self, tmp_path, capsys):
+        # 12 halves to 6 then 3, and 3 doubles back to 6 then 12
+        save_segmenter(tmp_path / "s.ckpt", SegNet(base_channels=2).init_params(0))
+        data = gen_task(seed=1, n=2, size=16)
+        pairs = [MaskImagePair(p.mask[:, :12, :12], p.image[:, :12, :12]) for p in data]
+        save_dataset(tmp_path / "d12", Dataset(pairs))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "s.ckpt"),
+                     "--data", str(tmp_path / "d12")]) == 0
+        assert capsys.readouterr().out.endswith(" n=2\n")
+
+    def test_channel_mismatch_names_both_counts(self, tmp_path, capsys):
+        S = SegNet(img_channels=2, base_channels=2).init_params(0)
+        save_segmenter(tmp_path / "c2.ckpt", S)
+        save_dataset(tmp_path / "d8", gen_task(seed=1, n=2, size=8))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "c2.ckpt"),
+                     "--data", str(tmp_path / "d8")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1-channel" in err and "takes 2" in err
+
+    def test_bad_checkpoint_fails_before_reading_data(self, tmp_path, dataset_dir, monkeypatch,
+                                                      capsys):
+        save_segmenter(tmp_path / "empty.ckpt", ParamGroup("S", []))
+        calls = []
+        monkeypatch.setattr("genseg.cli.load_dataset",
+                            lambda *a: calls.append(a) or load_dataset(*a))
+        assert main(["eval", "--ckpt", str(tmp_path / "empty.ckpt"),
+                     "--data", str(dataset_dir / "val")]) == 1
+        assert calls == []
+        assert "'down1.w'" in capsys.readouterr().err
+
     def test_segmenter_layer_missing_from_checkpoint(self, tmp_path, capsys):
-        groups = {name: ParamGroup(name, []) for name in ("G", "H", "S", "A")}
-        save_checkpoint(tmp_path / "empty.ckpt", groups)
+        save_segmenter(tmp_path / "empty.ckpt", ParamGroup("S", []))
         save_dataset(tmp_path / "d8", gen_task(seed=1, n=2, size=8))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(tmp_path / "empty.ckpt"),
@@ -425,8 +461,7 @@ class TestEval:
         S = SegNet(base_channels=2).init_params(0)
         S.entries = [(lbl, rng.normal(size=(3, *arr.shape[1:])) if lbl.startswith("head.") else arr)
                      for lbl, arr in S.entries]
-        groups = {name: S if name == "S" else ParamGroup(name, []) for name in ("G", "H", "S", "A")}
-        save_checkpoint(tmp_path / "c3.ckpt", groups)
+        save_segmenter(tmp_path / "c3.ckpt", S)
         save_dataset(tmp_path / "d8", gen_task(seed=1, n=2, size=8))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(tmp_path / "c3.ckpt"),
