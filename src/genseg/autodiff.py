@@ -52,7 +52,14 @@ the convolution's rule gathers the scaled gradient's patches. A searchable
 cell's softmax-weighted sums of candidate kernels and of candidate biases
 are one :func:`mixture` node each. Each of these nodes stands for a chain
 of ops whose value it equals to the bit; its rule builds the chain's
-gradients from ops, so it can be differentiated again.
+gradients from ops, so it can be differentiated again. A mixture's
+gradient in its weights is one :func:`window_dots` node, each part's dot
+product with its window of the gradient. The two are each other's
+adjoint, so, like the convolution family, the pair is closed under
+differentiation; the weights' gradient sums over the parts' windows only,
+and rounds differently from the chain's sums over the whole embedding.
+A bias gradient sums a convolution's (H, N, W, C) memory in its own order
+(:func:`genseg.tensor.channel_sums`).
 
 Parameters come in named groups (G, H, S and A), each an ordered list of
 labelled arrays (:class:`ParamGroup`). :func:`bind` makes one leaf per entry,
@@ -224,7 +231,12 @@ def absval(a: Node) -> Node:
 
 
 def sum_(a: Node, axes=None, keepdims: bool = False) -> Node:
-    out = np.sum(a.value, axis=axes, keepdims=keepdims)
+    """Sum over ``axes``; over (0, 2, 3) of an NCHW value, a bias gradient,
+    it sums in the value's memory order (:func:`genseg.tensor.channel_sums`)."""
+    if axes == (0, 2, 3) and a.value.ndim == 4 and not keepdims:
+        out = T.channel_sums(a.value)
+    else:
+        out = np.sum(a.value, axis=axes, keepdims=keepdims)
     shape = a.value.shape
 
     def vjp(_, g):
@@ -295,44 +307,68 @@ def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
     return Node(out, (a,), lambda _, g: (lambda: slice_axis(g, axis, start, stop),))
 
 
+def _region(start, shape) -> tuple[slice, ...]:
+    """The index of the window of ``shape`` whose first element is at ``start``."""
+    return tuple(slice(s, s + n) for s, n in zip(start, shape))
+
+
+def _window(a: Node, start, shape) -> Node:
+    """``a``'s window of ``shape`` at ``start``: a :func:`slice_axis` per
+    axis the window narrows."""
+    for axis, (s, n) in enumerate(zip(start, shape)):
+        if n != a.value.shape[axis]:
+            a = slice_axis(a, axis, s, s + n)
+    return a
+
+
 def mixture(weights: Node, parts: Sequence[Node], shape, starts) -> Node:
     """Sum over k of ``weights[k]`` times ``parts[k]`` embedded into zeros of
     ``shape`` with its first element at index ``starts[k]``, added up in
     part order.
 
     One node for what would otherwise be, per part, a slice of ``weights``, a
-    :func:`pad_insert` per widened axis, a :func:`mul` and an :func:`add`;
-    its value and gradients equal those ops' to the bit. Its rule builds the
-    gradients those ops' rules would, from the same ops, so under
-    ``backward(create_graph=True)`` they can be differentiated again.
+    :func:`pad_insert` per widened axis, a :func:`mul` and an :func:`add`.
+    Its value and its gradients in the parts equal those ops' to the bit:
+    a part's gradient is its window of the incoming gradient times its
+    weight. The weights' gradient is one :func:`window_dots` node, which
+    sums each part's products over the part's own window rather than over
+    the zero-embedded whole, so it rounds differently from those ops. The
+    two nodes are each other's adjoint, so under
+    ``backward(create_graph=True)`` the gradients can be differentiated again.
     """
     shape = tuple(shape)
     out = np.zeros(shape, dtype=np.float64)
     for k, (start, part) in enumerate(zip(starts, parts)):
-        region = tuple(slice(s, s + n) for s, n in zip(start, part.value.shape))
-        out[region] += weights.value[k:k + 1] * part.value
-
-    def embed(k: int) -> Node:
-        node = parts[k]
-        for axis, start in enumerate(starts[k]):
-            if node.value.shape[axis] != shape[axis]:
-                node = pad_insert(node, (*shape[:axis + 1], *node.value.shape[axis + 1:]),
-                                  axis, start)
-        return node
-
-    def d_part(g: Node, k: int) -> Node:
-        gk = mul(g, slice_axis(weights, 0, k, k + 1))
-        for axis, (start, n) in enumerate(zip(starts[k], parts[k].value.shape)):
-            if n != shape[axis]:
-                gk = slice_axis(gk, axis, start, start + n)
-        return gk
+        out[_region(start, part.value.shape)] += weights.value[k:k + 1] * part.value
 
     def vjp(_, g):
-        return (lambda: concat([_unbroadcast(mul(g, embed(k)), (1,))
-                                for k in range(len(parts))], 0),
-                *(lambda k=k: d_part(g, k) for k in range(len(parts))))
+        return (lambda: window_dots(g, parts, starts),
+                *(lambda k=k: mul(_window(g, starts[k], parts[k].value.shape),
+                                  slice_axis(weights, 0, k, k + 1))
+                  for k in range(len(parts))))
 
     return Node(out, (weights, *parts), vjp)
+
+
+def window_dots(a: Node, parts: Sequence[Node], starts) -> Node:
+    """(K,) vector whose entry k is the sum of ``parts[k]`` times ``a``'s
+    window of the part's shape at ``starts[k]``: the adjoint of
+    :func:`mixture` in its weights, and the gradient :func:`mixture` sends
+    them.
+
+    Its gradient into ``a`` is :func:`mixture` of the incoming gradient and
+    the parts; into part k, ``a``'s window times the gradient's entry k.
+    """
+    out = np.array([np.sum(a.value[_region(start, part.value.shape)] * part.value)
+                    for start, part in zip(starts, parts)])
+
+    def vjp(_, g):
+        return (lambda: mixture(g, parts, a.value.shape, starts),
+                *(lambda k=k: mul(_window(a, starts[k], parts[k].value.shape),
+                                  slice_axis(g, 0, k, k + 1))
+                  for k in range(len(parts))))
+
+    return Node(out, (a, *parts), vjp)
 
 
 def _conv(x: Node, w: Node, b: Node | None, stride: int, padding: int,

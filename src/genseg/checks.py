@@ -183,6 +183,20 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
     out["mixture"] = _param_rel_error(
         lambda bi: ad.dot(ad.mixture(bi["alpha"], [bi["p0"], bi["p1"], bi["p2"]], shape, starts),
                           constant(w_mix)), group)
+    # its adjoint in the weights, in the full array and in every part
+    group = ParamGroup("G", [("a", x(shape)), *group.entries[1:]])
+    w_dots = rng.normal(0, 1, size=3)
+    out["window_dots"] = _param_rel_error(
+        lambda bi: ad.dot(ad.window_dots(bi["a"], [bi["p0"], bi["p1"], bi["p2"]], starts),
+                          constant(w_dots)), group)
+
+    # a bias gradient's sum over an NCHW view of (H, N, W, C) memory, the
+    # layout of every conv2d_tanh output and of its gradient
+    group = ParamGroup("G", [("x", x((3, 2, 4, 5)))])
+    w_sum = rng.normal(0, 1, size=5)
+    out["sum_channels_last"] = _param_rel_error(
+        lambda bi: ad.dot(ad.sum_(ad.transpose(bi["x"], (1, 3, 0, 2)), axes=(0, 2, 3)),
+                          constant(w_sum)), group)
     return out
 
 

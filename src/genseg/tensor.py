@@ -29,7 +29,8 @@ channels (the bias tiled to the row's width); each output element gets the
 same one addition as a broadcast over the NCHW view, so the values are the
 same to the bit. :func:`conv_transpose` frees its padded channels-last copy
 once :func:`im2col` has read it, and its lowered input once the product has,
-before the phase interleave copies the result.
+before the phase interleave copies the result. :func:`channel_sums`, a bias
+gradient, sums such (H, N, W, C) memory in its own order, as long rows.
 Every operation here is pure: inputs are never mutated, and finite inputs
 produce finite outputs.
 """
@@ -196,6 +197,20 @@ def kernel_grad(a: Tensor, cols: Tensor, stride: int) -> Tensor:
     for i in range(1, oh):
         grad += per_row[i] @ patches[i]
     return grad.reshape(ch, k, k, -1).transpose(0, 3, 1, 2)
+
+
+def channel_sums(x: Tensor) -> Tensor:
+    """Per-channel sums of NCHW ``x`` over images, rows and columns: a bias
+    gradient. When ``x``'s memory is (H, N, W, C), as a convolution's output
+    is, it sums that memory as H*N rows of W*C doubles, then the W blocks of
+    C, so each pass runs along long contiguous rows; otherwise it is
+    ``np.sum(x, axis=(0, 2, 3))``. Summed by numpy, not by a BLAS product,
+    whose rounding depends on how many threads split it."""
+    n, c, h, w = x.shape
+    rows = x.transpose(2, 0, 3, 1)
+    if rows.flags.c_contiguous:
+        return rows.reshape(h * n, w * c).sum(axis=0).reshape(w, c).sum(axis=0)
+    return np.sum(x, axis=(0, 2, 3))
 
 
 def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding: int,

@@ -671,6 +671,46 @@ class TestTanhDerivativeNode:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+
+class TestWindowDots:
+    # parts at their own offsets in a (2, 3, 4, 4) array, one of them
+    # unwidened, as in checks.check_op_grads
+    SHAPE = (2, 3, 4, 4)
+    STARTS = ((0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0))
+    PART_SHAPES = ((2, 3, 2, 2), (2, 3, 3, 2), (2, 3, 4, 4))
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        return (constant(rng.normal(size=self.SHAPE)),
+                [constant(rng.normal(size=shape)) for shape in self.PART_SHAPES],
+                constant(rng.normal(size=len(self.STARTS))))
+
+    def embed(self, part, start):
+        for axis, s in enumerate(start):
+            if part.value.shape[axis] != self.SHAPE[axis]:
+                part = ad.pad_insert(part, (*self.SHAPE[:axis + 1], *part.value.shape[axis + 1:]),
+                                     axis, s)
+        return part
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_is_the_dot_with_each_embedded_part(self, seed):
+        g, parts, _ = self.operands(seed)
+        got = ad.window_dots(g, parts, self.STARTS).value
+        assert got.shape == (len(parts),)
+        for dot, part, start in zip(got, parts, self.STARTS):
+            embedded = self.embed(part, start)
+            want = ad.sum_(ad.mul(g, embedded)).value
+            assert abs(dot - want) <= 1e-13 * np.sum(np.abs(g.value * embedded.value))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adjoint_of_the_mixture_in_its_weights(self, seed):
+        # <mixture(c), g> = <c, window_dots(g)>
+        g, parts, c = self.operands(seed)
+        lhs = ad.dot(ad.mixture(c, parts, self.SHAPE, self.STARTS), g).value
+        rhs = ad.dot(c, ad.window_dots(g, parts, self.STARTS)).value
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
 class TestPerOpFiniteDifferences:
     def test_every_op_under_tolerance(self):
         from genseg.checks import check_op_grads

@@ -828,7 +828,7 @@ class TestWorkPerIteration:
         # default networks, 32 px, 8 train and 32 val pairs: one iteration
         # with its validation
         assert self.count_work(monkeypatch, "genseg", 8, 32, 1) == {
-            "nodes": 1642, "im2col": 152, "im2col_bytes": 62_812_160, "backward": 7,
+            "nodes": 1300, "im2col": 152, "im2col_bytes": 62_812_160, "backward": 7,
             "gen": 3, "disc": 3, "seg": 6}
 
     def test_one_baseline_epoch_at_the_segment_shape(self, monkeypatch):

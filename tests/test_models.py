@@ -107,8 +107,19 @@ def chain_forward(cell, params, logits, x):
 
 class TestMixtureNodeEqualsChain:
     """``SearchableCell.forward``'s mixture nodes against the chain of ops they
-    replace, compared with ``==``: values, value-only gradients, and a
-    create_graph gradient differentiated again."""
+    replace: values, value-only gradients, and a create_graph gradient
+    differentiated again. Values and the parts' gradients are compared with
+    ``==``. The logits' gradient comes from ``window_dots``, which sums each
+    part's products over its own window where the chain sums over the
+    zero-embedded kernel, so it is compared within ``ROUNDOFF`` of the largest
+    entry (at most 2.6e-15 over 40 cases, seeds 0-19 each way)."""
+
+    ROUNDOFF = 1e-13
+
+    @classmethod
+    def assert_within_roundoff(cls, got, want):
+        assert np.any(want)
+        assert np.max(np.abs(got - want)) <= cls.ROUNDOFF * np.max(np.abs(want))
 
     @staticmethod
     def case(transposed, seed, squash=True):
@@ -143,7 +154,8 @@ class TestMixtureNodeEqualsChain:
         (chain_loss, chain_grads), (mix_loss, mix_grads) = results
         assert np.array_equal(mix_loss, chain_loss)
         assert len(mix_grads) == 1 + 2 * len(cell.candidates)
-        for got, want in zip(mix_grads, chain_grads):
+        self.assert_within_roundoff(mix_grads[0], chain_grads[0])
+        for got, want in zip(mix_grads[1:], chain_grads[1:]):
             assert np.array_equal(got, want)
 
     @staticmethod
@@ -161,12 +173,15 @@ class TestMixtureNodeEqualsChain:
     def test_graph_gradient_differentiated_again(self, transposed, seed):
         # a loss linear in the cell output: the second backward reaches the
         # softmax weights only through the gradient graph, two terms per weight
+        # the architecture's product is a logits gradient; the generator
+        # weights' product reaches the parts through elementwise products only
         cell, G, A, loss_fn = self.case(transposed, seed, squash=False)
-        chain = self.second_order(loss_fn(chain_forward), A, G, seed)
-        mixed = self.second_order(loss_fn(SearchableCell.forward), A, G, seed)
-        for got, want in zip(mixed, chain):
-            assert np.any(got)
-            assert np.array_equal(got, want)
+        (arch, weights), (chain_arch, chain_weights) = (
+            self.second_order(loss_fn(forward), A, G, seed)
+            for forward in (SearchableCell.forward, chain_forward))
+        self.assert_within_roundoff(arch, chain_arch)
+        assert np.any(weights)
+        assert np.array_equal(weights, chain_weights)
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["down", "up"])
     @pytest.mark.parametrize("seed", [0, 1])

@@ -290,6 +290,24 @@ class TestIm2col:
         assert np.shares_memory(im2col(y, 1, 1, 0), y)
 
 
+
+class TestChannelSums:
+    @pytest.mark.parametrize("c", [1, 2, 8])
+    @pytest.mark.parametrize("layout", ["nchw", "hnwc"])
+    def test_matches_numpy_sum(self, layout, c):
+        rng = np.random.default_rng(c)
+        n, h, w = 3, 5, 6
+        if layout == "nchw":
+            x = rng.normal(size=(n, c, h, w))
+        else:
+            # an NCHW view of (H, N, W, C) memory, as convolutions return
+            x = rng.normal(size=(h, n, w, c)).transpose(1, 3, 0, 2)
+        got = tensor.channel_sums(x)
+        assert got.shape == (c,)
+        np.testing.assert_array_less(np.abs(got - np.sum(x, axis=(0, 2, 3))),
+                                     1e-13 * np.sum(np.abs(x), axis=(0, 2, 3)))
+
+
 class TestLowering:
     # the products on the lowered gather equal the full patch matrix's
     @pytest.mark.parametrize("batch", [1, 3])
