@@ -49,31 +49,36 @@ once tanh has read it. In a value-only backward its rule scales the
 incoming gradient by 1 - out**2 with one :func:`_dtanh` node, whose value
 is the one new array of that pass, and lets the incoming gradient go before
 the convolution's rule gathers the scaled gradient's patches. A searchable
-cell's softmax-weighted sums of candidate kernels and of candidate biases
-are one :func:`mixture` node each. Each of these nodes stands for a chain
-of ops whose value it equals to the bit; its rule builds the chain's
-gradients from ops, so it can be differentiated again. A mixture's
-gradient in its weights is one :func:`window_dots` node, each part's dot
-product with its window of the gradient. The two are each other's
-adjoint, so, like the convolution family, the pair is closed under
+cell's :func:`softmax` is one node, and its softmax-weighted sums of
+candidate kernels and of candidate biases are one :func:`mixture` node
+each, summed from the smallest nested kernel outward; the gradient a
+mixture sends each part is one :func:`_weighted_window` node. Each of these
+nodes stands for a chain of ops whose value it equals to the bit; its rule
+builds the chain's gradients from ops, so it can be differentiated again.
+A mixture's gradient in its weights is one :func:`window_dots` node, each
+part's dot product with its window of the gradient. The two are each
+other's adjoint, so, like the convolution family, the pair is closed under
 differentiation; the weights' gradient sums over the parts' windows only,
 and rounds differently from the chain's sums over the whole embedding.
-A bias gradient sums a convolution's (H, N, W, C) memory in its own order
-(:func:`genseg.tensor.channel_sums`).
+Where each part sits is worked out once per layout (:func:`windows`), not
+per call. A bias gradient sums a convolution's (H, N, W, C) memory in its
+own order (:func:`genseg.tensor.channel_sums`), and a channel
+:func:`concat` writes that memory too.
 
 Parameters come in named groups (G, H, S and A), each an ordered list of
-labelled arrays (:class:`ParamGroup`). :func:`bind` makes one leaf per entry,
-keyed by label, in entry order, and every gradient call takes its leaves from
-that binding, so ``backward(loss, list(binding.values()))`` and
-:func:`flat_grad` line up with the group's entries.
+labelled arrays held in one buffer (:class:`ParamGroup`), so a descent
+step over a whole group is one numpy call. :func:`bind` makes one leaf per
+entry, keyed by label, in entry order, and every gradient call takes its
+leaves from that binding, so ``backward(loss, list(binding.values()))`` and
+:func:`flat_grad` line up with the group's entries and its flat buffer.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -277,14 +282,26 @@ def matmul(a: Node, b: Node) -> Node:
 
 
 def concat(nodes: Sequence[Node], axis: int) -> Node:
-    out = np.concatenate([n.value for n in nodes], axis=axis)
+    """Join along ``axis``. Joined along the channel axis, 4-d values are
+    written to (H, N, W, C) memory, the layout a convolution writes and that
+    the next one's gather reads in runs of channels, and the result is an
+    NCHW view of it; otherwise the result is ``np.concatenate``'s."""
     sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    if axis == 1 and nodes[0].value.ndim == 4:
+        n, _, h, w = nodes[0].value.shape
+        hnwc = np.empty((h, n, w, sum(sizes)), dtype=np.float64)
+        out = hnwc.transpose(1, 3, 0, 2)
+        start = 0
+        for node, size in zip(nodes, sizes):
+            out[:, start:start + size] = node.value
+            start += size
+    else:
+        out = np.concatenate([n.value for n in nodes], axis=axis)
+    offsets = list(itertools.accumulate(sizes, initial=0))
 
     def vjp(_, g):
-        return tuple(
-            (lambda s=start, e=end: slice_axis(g, axis, int(s), int(e)))
-            for start, end in zip(offsets[:-1], offsets[1:]))
+        return tuple((lambda s=start, e=end: slice_axis(g, axis, s, e))
+                     for start, end in zip(offsets, offsets[1:]))
 
     return Node(out, tuple(nodes), vjp)
 
@@ -307,66 +324,116 @@ def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
     return Node(out, (a,), lambda _, g: (lambda: slice_axis(g, axis, start, stop),))
 
 
-def _region(start, shape) -> tuple[slice, ...]:
-    """The index of the window of ``shape`` whose first element is at ``start``."""
-    return tuple(slice(s, s + n) for s, n in zip(start, shape))
+class Windows(NamedTuple):
+    """Where each part of a :func:`mixture` sits in the whole, worked out once
+    per layout by :func:`windows`."""
+
+    shape: tuple[int, ...]  # the whole's
+    regions: tuple  # per part, the index of its window in the whole
+    narrowed: tuple  # per part, (axis, start, stop) of each axis its window narrows
+    inner: tuple  # per part after the first, the index of the part before it within it
 
 
-def _window(a: Node, start, shape) -> Node:
-    """``a``'s window of ``shape`` at ``start``: a :func:`slice_axis` per
-    axis the window narrows."""
-    for axis, (s, n) in enumerate(zip(start, shape)):
-        if n != a.value.shape[axis]:
-            a = slice_axis(a, axis, s, s + n)
+def windows(shape, starts, part_shapes) -> Windows:
+    """The :class:`Windows` of parts of ``part_shapes`` whose first elements
+    sit at ``starts`` in a whole of ``shape``. The parts must nest, as a
+    searchable cell's kernels do: each part's window holds the one before
+    it, and the last part is the whole."""
+    shape = tuple(shape)
+    regions = tuple(tuple(slice(s, s + n) for s, n in zip(start, part))
+                    for start, part in zip(starts, part_shapes))
+    narrowed = tuple(tuple((axis, r.start, r.stop) for axis, r in enumerate(region)
+                           if r.stop - r.start != shape[axis]) for region in regions)
+    pairs = list(zip(regions, regions[1:]))
+    if narrowed[-1] or any(a.start < b.start or a.stop > b.stop
+                           for inner, outer in pairs for a, b in zip(inner, outer)):
+        raise ValueError(f"parts {tuple(part_shapes)} at {tuple(starts)} do not nest "
+                         f"in a whole of {shape}")
+    inner = tuple(tuple(slice(a.start - b.start, a.stop - b.start) for a, b in zip(i, o))
+                  for i, o in pairs)
+    return Windows(shape, regions, narrowed, inner)
+
+
+def _window(a: Node, narrowed) -> Node:
+    """``a``'s window: a :func:`slice_axis` per ``(axis, start, stop)`` it narrows."""
+    for axis, start, stop in narrowed:
+        a = slice_axis(a, axis, start, stop)
     return a
 
 
-def mixture(weights: Node, parts: Sequence[Node], shape, starts) -> Node:
+def _weighted_window(a: Node, weights: Node, k: int, where: Windows) -> Node:
+    """``a``'s window ``where.regions[k]`` times ``weights[k]``: one node for
+    ``mul(_window(a, where.narrowed[k]), slice_axis(weights, 0, k, k + 1))``,
+    the gradient :func:`mixture` sends part k, whose value it equals to the
+    bit. Its rule builds the gradients those ops' rules would, from the same
+    ops, so it can be differentiated again."""
+    narrowed = where.narrowed[k]
+
+    def vjp(_, g):
+        def d_a():
+            d = mul(g, slice_axis(weights, 0, k, k + 1))
+            shapes = [a.value.shape]  # the shape each slice of the window cuts
+            for axis, start, stop in narrowed[:-1]:
+                shapes.append(shapes[-1][:axis] + (stop - start,) + shapes[-1][axis + 1:])
+            for (axis, start, _), shape in zip(reversed(narrowed), reversed(shapes)):
+                d = pad_insert(d, shape, axis, start)
+            return d
+
+        return (d_a, lambda: pad_insert(_unbroadcast(mul(g, _window(a, narrowed)), (1,)),
+                                        weights.value.shape, 0, k))
+
+    return Node(a.value[where.regions[k]] * weights.value[k:k + 1], (a, weights), vjp)
+
+
+def mixture(weights: Node, parts: Sequence[Node], where: Windows) -> Node:
     """Sum over k of ``weights[k]`` times ``parts[k]`` embedded into zeros of
-    ``shape`` with its first element at index ``starts[k]``, added up in
-    part order.
+    ``where.shape`` in its window ``where.regions[k]``, added up in part
+    order.
 
     One node for what would otherwise be, per part, a slice of ``weights``, a
     :func:`pad_insert` per widened axis, a :func:`mul` and an :func:`add`.
     Its value and its gradients in the parts equal those ops' to the bit:
     a part's gradient is its window of the incoming gradient times its
-    weight. The weights' gradient is one :func:`window_dots` node, which
-    sums each part's products over the part's own window rather than over
-    the zero-embedded whole, so it rounds differently from those ops. The
-    two nodes are each other's adjoint, so under
+    weight. The windows nest (:func:`windows`), so the value needs no zero
+    canvas: each weighted part is added to the sum of the parts inside it,
+    from the smallest outward, and a final ``+ 0.0`` turns -0.0 into the
+    0.0 that adding onto a zero gives. Each element is then the same sum in
+    the same order as the chain's. The weights' gradient is one
+    :func:`window_dots` node, which sums each part's products over the
+    part's own window rather than over the zero-embedded whole, so it rounds
+    differently from those ops. The two nodes are each other's adjoint, so
+    under
     ``backward(create_graph=True)`` the gradients can be differentiated again.
     """
-    shape = tuple(shape)
-    out = np.zeros(shape, dtype=np.float64)
-    for k, (start, part) in enumerate(zip(starts, parts)):
-        out[_region(start, part.value.shape)] += weights.value[k:k + 1] * part.value
+    w = weights.value
+    out = w[0:1] * parts[0].value
+    for k, inner in enumerate(where.inner, start=1):
+        term = w[k:k + 1] * parts[k].value
+        term[inner] += out
+        out = term
+    out += 0.0
 
     def vjp(_, g):
-        return (lambda: window_dots(g, parts, starts),
-                *(lambda k=k: mul(_window(g, starts[k], parts[k].value.shape),
-                                  slice_axis(weights, 0, k, k + 1))
-                  for k in range(len(parts))))
+        return (lambda: window_dots(g, parts, where),
+                *(lambda k=k: _weighted_window(g, weights, k, where) for k in range(len(parts))))
 
     return Node(out, (weights, *parts), vjp)
 
 
-def window_dots(a: Node, parts: Sequence[Node], starts) -> Node:
+def window_dots(a: Node, parts: Sequence[Node], where: Windows) -> Node:
     """(K,) vector whose entry k is the sum of ``parts[k]`` times ``a``'s
-    window of the part's shape at ``starts[k]``: the adjoint of
-    :func:`mixture` in its weights, and the gradient :func:`mixture` sends
-    them.
+    window ``where.regions[k]``: the adjoint of :func:`mixture` in its
+    weights, and the gradient :func:`mixture` sends them.
 
     Its gradient into ``a`` is :func:`mixture` of the incoming gradient and
     the parts; into part k, ``a``'s window times the gradient's entry k.
     """
-    out = np.array([np.sum(a.value[_region(start, part.value.shape)] * part.value)
-                    for start, part in zip(starts, parts)])
+    out = np.array([np.sum(a.value[region] * part.value)
+                    for region, part in zip(where.regions, parts)])
 
     def vjp(_, g):
-        return (lambda: mixture(g, parts, a.value.shape, starts),
-                *(lambda k=k: mul(_window(a, starts[k], parts[k].value.shape),
-                                  slice_axis(g, 0, k, k + 1))
-                  for k in range(len(parts))))
+        return (lambda: mixture(g, parts, where),
+                *(lambda k=k: _weighted_window(a, g, k, where) for k in range(len(parts))))
 
     return Node(out, (a, *parts), vjp)
 
@@ -482,10 +549,33 @@ def conv2d_tanh(x: Node, weight: Node, bias: Node, spec: T.ConvSpec) -> Node:
 
 
 def softmax(a: Node) -> Node:
-    """Softmax over the last axis, shifted by its max as a gradient-free constant."""
-    z = sub(a, constant(np.max(a.value, axis=-1, keepdims=True)))
-    e = exp(z)
-    return div(e, sum_(e, axes=-1, keepdims=True))
+    """Softmax over the last axis, shifted by its max as a gradient-free
+    constant.
+
+    One node for ``div(e, sum_(e, axes=-1, keepdims=True))`` with ``e =
+    exp(sub(a, constant(top)))``, whose value it equals to the bit. Its rule
+    builds the gradient those ops' rules would, from the same ops in the
+    same order, on a node standing for ``e`` (value ``e``, parent ``a``,
+    exp's rule), so it can be differentiated again; a second-order
+    gradient in ``a`` then adds up its terms in another order than the
+    chain's.
+    """
+    top = np.max(a.value, axis=-1, keepdims=True)
+    e = np.exp(a.value - top)
+
+    def vjp(_, g):
+        def grad():
+            # exp(sub(a, top)): exp's rule, and sub's hands a its gradient as is
+            en = Node(e, (a,), lambda out, ge: (lambda: mul(ge, out),))
+            s = sum_(en, axes=-1, keepdims=True)
+            # div's rule, then sum_'s, then exp's
+            g_e = div(g, s)
+            g_s = _unbroadcast(neg(div(mul(g, en), mul(s, s))), s.value.shape)
+            return mul(add(g_e, broadcast_to(g_s, e.shape)), en)
+
+        return (grad,)
+
+    return Node(e / np.sum(e, axis=-1, keepdims=True), (a,), vjp)
 
 
 def dot(a: Node, b: Node) -> Node:
@@ -573,29 +663,59 @@ def backward(loss: Node, wrt: Sequence[Node], create_graph: bool = False):
 # parameter groups
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ParamGroup:
-    """Named, ordered collection of parameter tensors (one of G, H, S, A)."""
+    """Named, ordered collection of parameter tensors (one of G, H, S, A).
 
-    name: str
-    entries: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    The group holds one read-only float64 buffer, its entries raveled and
+    joined in entry order, and each entry is a view of its stretch of it. So
+    :meth:`flatten` hands out the buffer itself, and a descent step, a
+    finiteness check or :meth:`unflatten` is one numpy call over the whole
+    group rather than one or two per entry.
+    """
+
+    def __init__(self, name: str, entries: Sequence[tuple[str, np.ndarray]] = ()):
+        self.name = name
+        entries = [(lbl, np.asarray(arr, dtype=np.float64)) for lbl, arr in entries]
+        layout, off = [], 0
+        for lbl, arr in entries:
+            layout.append((lbl, arr.shape, off, off + arr.size))
+            off += arr.size
+        flat = np.concatenate([arr for _, arr in entries], axis=None) if entries else np.zeros(0)
+        self._adopt(tuple(layout), flat)
+
+    @property
+    def entries(self) -> tuple[tuple[str, np.ndarray], ...]:
+        return self._entries
+
+    def _adopt(self, layout, flat: np.ndarray):
+        """Take ``flat``, a fresh buffer that no one else writes, laid out as ``layout``."""
+        flat.flags.writeable = False
+        self._layout, self._flat = layout, flat
+        self._entries = tuple([(lbl, flat[start:stop].reshape(shape))
+                               for lbl, shape, start, stop in layout])
 
     @property
     def size(self) -> int:
-        return sum(arr.size for _, arr in self.entries)
+        return self._flat.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([np.ravel(arr) for _, arr in self.entries])
+        """The group's buffer: every entry raveled, in entry order (read-only)."""
+        return self._flat
 
     def unflatten(self, vec: np.ndarray) -> "ParamGroup":
-        vec = np.asarray(vec, dtype=np.float64)
+        """A group of this one's name and entry layout whose buffer is ``vec``
+        (a contiguous float64 copy if it is not one), made read-only: the
+        caller hands it over and writes it no more."""
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
         if vec.shape != (self.size,):
             raise ValueError(f"flat vector length {vec.shape} != ({self.size},)")
-        out, off = [], 0
-        for lbl, arr in self.entries:
-            out.append((lbl, vec[off:off + arr.size].reshape(arr.shape).copy()))
-            off += arr.size
-        return ParamGroup(self.name, out)
+        group = ParamGroup.__new__(ParamGroup)
+        group.name = self.name
+        group._adopt(self._layout, vec)
+        return group
+
+    def __repr__(self):
+        return f"ParamGroup({self.name!r}, {[lbl for lbl, _ in self.entries]})"
 
 
 def bind(group: ParamGroup) -> dict[str, Node]:
@@ -608,8 +728,7 @@ def bind(group: ParamGroup) -> dict[str, Node]:
 def flat_grad(loss: Node, binding: dict[str, Node]) -> np.ndarray:
     """The loss's gradient in the binding's leaves, raveled and concatenated
     in entry order."""
-    gs = backward(loss, list(binding.values()))
-    return np.concatenate([np.ravel(g) for g in gs])
+    return np.concatenate(backward(loss, list(binding.values())), axis=None)
 
 
 def default_eps(v: np.ndarray) -> float:

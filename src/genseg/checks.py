@@ -176,18 +176,19 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
 
     # the searchable cells' mixture: the weights and every part, each part
     # embedded at its own offset, one of them unwidened
-    shape, starts = (2, 3, 4, 4), ((0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0))
-    group = ParamGroup("G", [("alpha", x((3,))), ("p0", x((2, 3, 2, 2))),
-                             ("p1", x((2, 3, 3, 2))), ("p2", x(shape))])
+    shape, part_shapes = (2, 3, 4, 4), ((2, 3, 2, 2), (2, 3, 3, 2), (2, 3, 4, 4))
+    where = ad.windows(shape, ((0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0)), part_shapes)
+    group = ParamGroup("G", [("alpha", x((3,))),
+                             *((f"p{k}", x(ps)) for k, ps in enumerate(part_shapes))])
     w_mix = rng.normal(0, 1, size=shape)
     out["mixture"] = _param_rel_error(
-        lambda bi: ad.dot(ad.mixture(bi["alpha"], [bi["p0"], bi["p1"], bi["p2"]], shape, starts),
+        lambda bi: ad.dot(ad.mixture(bi["alpha"], [bi["p0"], bi["p1"], bi["p2"]], where),
                           constant(w_mix)), group)
     # its adjoint in the weights, in the full array and in every part
     group = ParamGroup("G", [("a", x(shape)), *group.entries[1:]])
     w_dots = rng.normal(0, 1, size=3)
     out["window_dots"] = _param_rel_error(
-        lambda bi: ad.dot(ad.window_dots(bi["a"], [bi["p0"], bi["p1"], bi["p2"]], starts),
+        lambda bi: ad.dot(ad.window_dots(bi["a"], [bi["p0"], bi["p1"], bi["p2"]], where),
                           constant(w_dots)), group)
 
     # a bias gradient's sum over an NCHW view of (H, N, W, C) memory, the

@@ -250,9 +250,11 @@ def l1_mean(a: Node, b: Node) -> Node:
     return ad.mean_(ad.absval(ad.sub(a, b)))
 
 
-def _gd_step(group: ParamGroup, grads, eta: float) -> ParamGroup:
-    entries = [(lbl, arr - eta * g) for (lbl, arr), g in zip(group.entries, grads, strict=True)]
-    return ParamGroup(group.name, entries)
+def _gd_step(group: ParamGroup, grad: np.ndarray, eta: float) -> ParamGroup:
+    """``group`` moved by ``-eta`` times its flat gradient ``grad``, in one step
+    over the group's buffer."""
+    step = eta * grad
+    return group.unflatten(np.subtract(group.flatten(), step, out=step))
 
 
 def _check_loss(loss: Node, what: str, iteration: int):
@@ -273,13 +275,13 @@ def _descend(group: ParamGroup, loss: Node, binding: dict[str, Node], eta: float
     """
     _check_loss(loss, what, iteration)
     grads = ad.backward(loss, [*binding.values(), *(also or {}).values()])
-    grads, also_grads = grads[:len(binding)], grads[len(binding):]
-    if not all(np.all(np.isfinite(g)) for g in grads):
+    grad = np.concatenate(grads[:len(binding)], axis=None)
+    if not np.isfinite(grad).all():
         raise TrainingAborted(f"gradient of {what} became non-finite at iteration {iteration}")
-    stepped = _gd_step(group, grads, eta)
+    stepped = _gd_step(group, grad, eta)
     if also is None:
         return stepped
-    return stepped, np.concatenate([np.ravel(g) for g in also_grads])
+    return stepped, np.concatenate(grads[len(binding):], axis=None)
 
 
 @dataclass
@@ -533,8 +535,8 @@ class Trainer:
 
         diff = ad.sub(loss_at(s0 + eps * v), loss_at(s0 - eps * v))
         grads = ad.backward(ad.scale(diff, 1.0 / (2.0 * eps)), [*gb.values(), *ab.values()])
-        flat = [np.ravel(g) for g in grads]
-        return np.concatenate(flat[:len(gb)]), np.concatenate(flat[len(gb):])
+        return (np.concatenate(grads[:len(gb)], axis=None),
+                np.concatenate(grads[len(gb):], axis=None))
 
     def outer_update_A(self, state: TrainState, hypergrad: np.ndarray):
         """Adaptive-moment step on the architecture logits with decoupled decay.
@@ -723,13 +725,13 @@ def hypergrad_fd_oracle(trainer: Trainer, G: ParamGroup, H: ParamGroup, S: Param
         gb = bind(G)
         l_gen, _ = trainer.generator_loss(gb, bind(A_pert), bind(H), constant(gan_masks),
                                           constant(gan_images))
-        G_prime = _gd_step(G, ad.backward(l_gen, list(gb.values())), cfg.eta_g)
+        G_prime = _gd_step(G, ad.flat_grad(l_gen, gb), cfg.eta_g)
 
         synth_images = trainer.gen.forward(bind(G_prime), bind(A_pert), constant(m_hats)).value
         sb = bind(S)
         obj = trainer.stage2_objective(sb, m_hats, constant(synth_images),
                                        gan_masks, gan_images)
-        S_prime = _gd_step(S, ad.backward(obj, list(sb.values())), cfg.eta_s)
+        S_prime = _gd_step(S, ad.flat_grad(obj, sb), cfg.eta_s)
 
         sb2 = bind(S_prime)
         val_loss = seg_cross_entropy(trainer.seg.forward(sb2, constant(val_images)), val_masks)

@@ -113,9 +113,16 @@ class SearchableCell:
                     or c.kernel + big.padding - c.padding > big.kernel:
                 raise ValueError(f"candidate {c} does not embed into {big}")
         self.fused_spec = big
-        # where each candidate's kernel starts inside the fused one
-        self.kernel_starts = [(0, 0, big.padding - c.padding, big.padding - c.padding)
-                              for c in self.candidates]
+        names = [f"{name}.{c.name}" for c in self.candidates]
+        self.weight_labels = [f"{n}.w" for n in names]
+        self.bias_labels = [f"{n}.b" for n in names]
+        # where each candidate's kernel, and its bias, sits in the fused one's
+        self.kernel_windows = ad.windows(
+            big.weight_shape(in_ch, out_ch),
+            [(0, 0, big.padding - c.padding, big.padding - c.padding) for c in self.candidates],
+            [c.weight_shape(in_ch, out_ch) for c in self.candidates])
+        self.bias_windows = ad.windows((out_ch,), [(0,)] * len(self.candidates),
+                                       [(out_ch,)] * len(self.candidates))
 
     def param_entries(self, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
         return [entry for spec in self.candidates
@@ -127,13 +134,9 @@ class SearchableCell:
     def forward(self, params: dict[str, Node], logits: Node, x: Node, op=ad.conv2d) -> Node:
         """The mixed convolution of ``x`` by ``op``, as in :func:`_conv`."""
         weights = ad.softmax(logits)
-        big = self.fused_spec
-        names = [f"{self.name}.{spec.name}" for spec in self.candidates]
-        w_eff = ad.mixture(weights, [params[f"{n}.w"] for n in names],
-                           big.weight_shape(self.in_ch, self.out_ch), self.kernel_starts)
-        b_eff = ad.mixture(weights, [params[f"{n}.b"] for n in names], (self.out_ch,),
-                           [(0,)] * len(names))
-        return op(x, w_eff, b_eff, big)
+        w_eff = ad.mixture(weights, [params[lbl] for lbl in self.weight_labels], self.kernel_windows)
+        b_eff = ad.mixture(weights, [params[lbl] for lbl in self.bias_labels], self.bias_windows)
+        return op(x, w_eff, b_eff, self.fused_spec)
 
 
 class GeneratorNet:
@@ -155,13 +158,11 @@ class GeneratorNet:
 
     def init_params(self, seed: int | np.random.SeedSequence) -> tuple[ParamGroup, ParamGroup]:
         rng = np.random.default_rng(seed)
-        g = ParamGroup("G")
-        a = ParamGroup("A")
-        for cell in self.encoders + self.decoders:
-            g.entries.extend(cell.param_entries(rng))
-            a.entries.append((cell.logit_label(), np.zeros(len(cell.candidates), dtype=np.float64)))
-        g.entries.extend(_conv_params(rng, *self.head))
-        return g, a
+        cells = self.encoders + self.decoders
+        g = [entry for cell in cells for entry in cell.param_entries(rng)]
+        a = [(cell.logit_label(), np.zeros(len(cell.candidates), dtype=np.float64))
+             for cell in cells]
+        return ParamGroup("G", g + _conv_params(rng, *self.head)), ParamGroup("A", a)
 
     def forward(self, g: dict[str, Node], a: dict[str, Node], mask: Node) -> Node:
         # looked up per call, so a wrapper put on SearchableCell.forward later still runs

@@ -11,7 +11,11 @@ An output pixel's patch is then a contiguous run of K lowered rows, and the
 product runs one output row per stack item over a strided view of the
 lowered array, without a copy. :func:`_product` is that product and its
 bias add, the one step of every forward and transposed convolution.
-:func:`conv` runs it on a caller's gather of strided patches.
+:func:`conv` runs it on a caller's gather of strided patches. A 1x1
+stride-1 layer (the networks' heads, forward and transposed) lowers to its
+input's (H, N, W, C) memory itself and runs one flat product, or, with a
+single input channel, a broadcast multiply, each element formed as in the
+stacked product.
 :func:`conv_transpose`, the input gradient of :func:`conv`, splits a stride-s
 kernel into s*s flipped sub-pixel phases, runs them as one stride-1 product
 and interleaves the phases (depth-to-space). :func:`kernel_grad`
@@ -106,13 +110,17 @@ def im2col(x: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
     Hp/(OH*K) of the bytes of a full (N*OH*OW, K*K*C) patch matrix. It is
     copied from a channels-last copy of the padded input in runs of K*C
     doubles; an unpadded input whose memory is already channels-last is read
-    in place. A 1x1, stride-1, unpadded layer whose input memory is
-    (H, N, W, C), as convolution outputs are, returns a view of that memory.
+    in place. A 1x1, stride-1, unpadded layer's array is a view of (H, N, W,
+    C) memory: the input's own, as convolution outputs are, or one copy of it
+    laid out so.
     """
     n, c, _, w = x.shape
     ow = (w + 2 * padding - kernel) // stride + 1
-    if kernel == stride == 1 and not padding and x.transpose(2, 0, 3, 1).flags.c_contiguous:
-        return x.transpose(0, 3, 2, 1)[:, :, :, None]
+    if kernel == stride == 1 and not padding:
+        rows = x.transpose(2, 0, 3, 1)
+        if not rows.flags.c_contiguous:
+            rows = rows.copy()
+        return rows.transpose(1, 2, 0, 3)[:, :, :, None]
     rows = x.transpose(0, 2, 3, 1)
     if padding or not rows.flags.c_contiguous:
         rows = _pad_channels_last(x, padding, padding, padding)
@@ -126,11 +134,18 @@ def _patch_rows(cols: Tensor, stride: int) -> Tensor:
     """(OH, N*OW, K*K*C) view of :func:`im2col`'s ``cols``: item i holds the
     patches of output row i, one per (image, output column), each a run of K
     lowered rows. Its row stride is Hp*K*C, so ``np.matmul`` hands every item
-    to BLAS with that leading dimension, without a copy."""
+    to BLAS with that leading dimension, without a copy. A contiguous
+    ``cols`` is viewed by ``np.ndarray`` over its buffer, several times
+    cheaper per call than ``as_strided``, which a 1x1 layer's view needs.
+    Its rows overlap for K > 1, so the view is read-only either way."""
     n, ow, hp, k, c = cols.shape
     _, sw, sh, _, sc = cols.strides
-    return np.lib.stride_tricks.as_strided(cols, ((hp - k) // stride + 1, n * ow, k * k * c),
-                                           (sh * stride, sw, sc), writeable=False)
+    shape, strides = ((hp - k) // stride + 1, n * ow, k * k * c), (sh * stride, sw, sc)
+    if not cols.flags.c_contiguous:
+        return np.lib.stride_tricks.as_strided(cols, shape, strides, writeable=False)
+    rows = np.ndarray(shape, np.float64, cols, 0, strides)
+    rows.flags.writeable = False
+    return rows
 
 
 def _pad_channels_last(x: Tensor, lo: int, hi_h: int, hi_w: int) -> Tensor:
@@ -161,11 +176,29 @@ def col2im(cols: Tensor, x_shape, kernel: int, stride: int, padding: int) -> Ten
 def _product(cols: Tensor, stride: int, wmat: Tensor, b: Tensor | None) -> Tensor:
     """(OH, N*OW, M) product of :func:`im2col`'s ``cols`` and a (K*K*C, M)
     kernel matrix whose columns run over the output channels innermost, plus
-    the bias ``b`` (unless None) tiled along each image row of the product."""
-    y = _patch_rows(cols, stride) @ wmat
+    the bias ``b`` (unless None) tiled along each image row of the product.
+
+    A 1x1 stride-1 layer's ``cols`` is (H, N, W, C) memory, so its product
+    is one flat (H*N*W, C) product, not one per output row. When that
+    product's inner length C is 1 it is a broadcast multiply, plus 0.0: BLAS
+    adds each single product to a zero, which turns -0.0 into 0.0. Every
+    element is formed by the same operations as in the stacked product, so
+    the values are the same to the bit.
+    """
+    n, ow, hp, k, c = cols.shape
+    if k == stride == 1:
+        flat = cols.transpose(2, 0, 1, 3, 4).reshape(hp * n * ow, c)  # a view
+        if c == 1:
+            y = flat * wmat
+            y += 0.0
+        else:
+            y = flat @ wmat
+        y = y.reshape(hp, n * ow, -1)
+    else:
+        y = _patch_rows(cols, stride) @ wmat
     if b is not None:
-        rows = y.reshape(y.shape[0] * cols.shape[0], -1)  # a view: one image row per row
-        rows += np.tile(b, rows.shape[1] // b.size)
+        rows = y.reshape(y.shape[0] * n, -1)  # a view: one image row per row
+        rows += b[None].repeat(rows.shape[1] // b.size, axis=0).reshape(-1)  # b tiled
     return y
 
 
@@ -235,9 +268,12 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     oh, ow = extent
     qh, qw = -(-(crop + oh) // s), -(-(crop + ow) // s)  # phase rows and columns kept
     lo = kk - 1 - shift
-    # the padded channels-last copy is freed once im2col has read it
-    cols = im2col(_pad_channels_last(x, lo, qh + kk - 1 - lo - h, qw + kk - 1 - lo - wd)
-                  .transpose(0, 3, 1, 2), kk, 1, 0)
+    hi_h, hi_w = qh + kk - 1 - lo - h, qw + kk - 1 - lo - wd
+    if lo == hi_h == hi_w == 0:  # nothing to pad, as for a 1x1 layer: no padded copy
+        cols = im2col(x, kk, 1, 0)
+    else:
+        # the padded channels-last copy is freed once im2col has read it
+        cols = im2col(_pad_channels_last(x, lo, hi_h, hi_w).transpose(0, 3, 1, 2), kk, 1, 0)
     # tap r + m * s of w -> row (kk-1-m) of phase r; columns ordered (rh, rw, out)
     phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
     phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)

@@ -148,7 +148,8 @@ class TestCreationOrder:
 
         monkeypatch.setattr(ad, "backward", spied)
         trainer.train()
-        assert len(sizes) == 7 and sum(sizes) > 500
+        # 463 nodes in all, leaves included: each cell's softmax is one node
+        assert len(sizes) == 7 and sum(sizes) == 463
 
     def test_a_gradient_graph(self):
         # create_graph builds the gradients' nodes after the forward's, and
@@ -433,6 +434,24 @@ class TestParamGroup:
         with pytest.raises(ValueError):
             g.unflatten(np.zeros(5))
 
+    def test_entries_are_views_of_one_read_only_buffer(self):
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(2, 3)), rng.normal(size=4), rng.normal(size=())]
+        g = ParamGroup("S", [(f"p{i}", a) for i, a in enumerate(arrays)])
+        flat = g.flatten()
+        assert flat.tobytes() == b"".join(a.tobytes() for a in arrays)
+        assert not flat.flags.writeable
+        for (_, entry), a in zip(g.entries, arrays):
+            assert entry.base is flat or entry.base is flat.base
+            assert entry.shape == a.shape and entry.tobytes() == a.tobytes()
+        with pytest.raises(ValueError):
+            g.entries[0][1][0, 0] = 1.0
+        # the vector handed to unflatten becomes the new group's buffer
+        vec = flat * 2.0
+        h = g.unflatten(vec)
+        assert h.flatten() is vec and not vec.flags.writeable
+        assert [lbl for lbl, _ in h.entries] == ["p0", "p1", "p2"]
+
 
 class TestConvPatches:
     # a forward convolution holds no patch matrix; its kernel-gradient rule
@@ -678,6 +697,7 @@ class TestWindowDots:
     SHAPE = (2, 3, 4, 4)
     STARTS = ((0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 0, 0))
     PART_SHAPES = ((2, 3, 2, 2), (2, 3, 3, 2), (2, 3, 4, 4))
+    WHERE = ad.windows(SHAPE, STARTS, PART_SHAPES)
 
     def operands(self, seed):
         rng = np.random.default_rng(seed)
@@ -695,7 +715,7 @@ class TestWindowDots:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_is_the_dot_with_each_embedded_part(self, seed):
         g, parts, _ = self.operands(seed)
-        got = ad.window_dots(g, parts, self.STARTS).value
+        got = ad.window_dots(g, parts, self.WHERE).value
         assert got.shape == (len(parts),)
         for dot, part, start in zip(got, parts, self.STARTS):
             embedded = self.embed(part, start)
@@ -706,9 +726,118 @@ class TestWindowDots:
     def test_adjoint_of_the_mixture_in_its_weights(self, seed):
         # <mixture(c), g> = <c, window_dots(g)>
         g, parts, c = self.operands(seed)
-        lhs = ad.dot(ad.mixture(c, parts, self.SHAPE, self.STARTS), g).value
-        rhs = ad.dot(c, ad.window_dots(g, parts, self.STARTS)).value
+        lhs = ad.dot(ad.mixture(c, parts, self.WHERE), g).value
+        rhs = ad.dot(c, ad.window_dots(g, parts, self.WHERE)).value
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
+def canvas_mixture(weights, parts, shape, starts):
+    """The mixture's value as weighted parts added onto a zero canvas, part
+    by part: the reference for the nested sum."""
+    out = np.zeros(shape)
+    for k, (start, part) in enumerate(zip(starts, parts)):
+        out[tuple(slice(s, s + n) for s, n in zip(start, part.shape))] += weights[k:k + 1] * part
+    return out
+
+
+class TestMixtureValue:
+    # the searchable cells' kernel layout: 4x4, 6x6 and 8x8 kernels centred
+    # in the 8x8 one, nested, and their biases, all of one window
+    LAYOUTS = {
+        "kernels": ((2, 3, 8, 8), ((0, 0, 2, 2), (0, 0, 1, 1), (0, 0, 0, 0)),
+                    ((2, 3, 4, 4), (2, 3, 6, 6), (2, 3, 8, 8))),
+        "biases": ((3,), ((0,), (0,), (0,)), ((3,), (3,), (3,))),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_equals_the_zero_canvas_to_the_byte(self, layout, seed):
+        shape, starts, part_shapes = self.LAYOUTS[layout]
+        where = ad.windows(shape, starts, part_shapes)
+        rng = np.random.default_rng(seed)
+        parts = [rng.normal(size=ps) for ps in part_shapes]
+        # signed zeros: where every part's product is -0.0 the canvas holds
+        # 0.0; exact zeros and negative weights elsewhere
+        for part in parts:
+            part[..., 1] = -0.0
+            part[..., 0] = 0.0
+            part[..., 2] = np.where(rng.uniform(size=part[..., 2].shape) < 0.5, 0.0, -0.0)
+        for weights in (rng.normal(size=len(parts)), np.array([0.5, -0.0, 2.0]),
+                        -np.abs(rng.normal(size=len(parts)))):
+            got = ad.mixture(constant(weights), [constant(p) for p in parts], where).value
+            want = canvas_mixture(weights, parts, shape, starts)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("starts, part_shapes", [
+        # side by side, neither holding the other
+        (((0, 0, 0, 0), (0, 0, 2, 2)), ((2, 3, 2, 2), (2, 3, 2, 2))),
+        # nested, but the last part is not the whole
+        (((0, 0, 1, 1), (0, 0, 0, 0)), ((2, 3, 2, 2), (2, 3, 3, 3))),
+        # the whole first, then a part inside it
+        (((0, 0, 0, 0), (0, 0, 1, 1)), ((2, 3, 4, 4), (2, 3, 2, 2))),
+    ], ids=["apart", "not_whole", "outside_in"])
+    def test_a_layout_that_does_not_nest_is_refused(self, starts, part_shapes):
+        with pytest.raises(ValueError, match="do not nest"):
+            ad.windows((2, 3, 4, 4), starts, part_shapes)
+
+
+class TestSoftmaxNode:
+    """``softmax``'s one node against the chain of ops it stands for."""
+
+    @staticmethod
+    def chain(a):
+        z = ad.sub(a, constant(np.max(a.value, axis=-1, keepdims=True)))
+        e = ad.exp(z)
+        return ad.div(e, ad.sum_(e, axes=-1, keepdims=True))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_and_value_only_gradient(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        a = constant(rng.normal(size=shape) * 3)
+        probe = constant(rng.normal(size=shape))
+        results = [(op(a).value, backward(ad.dot(ad.sigmoid(op(a)), probe), [a])[0])
+                   for op in (ad.softmax, self.chain)]
+        (value, grad), (chain_value, chain_grad) = results
+        assert value.tobytes() == chain_value.tobytes()
+        assert grad.tobytes() == chain_grad.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_graph_gradient_differentiated_again(self, seed):
+        # the second backward adds up the terms reaching the logits in
+        # another order than the chain's, so it may round apart
+        rng = np.random.default_rng(seed)
+        a, probe, v = (constant(rng.normal(size=4)) for _ in range(3))
+        results = []
+        for op in (ad.softmax, self.chain):
+            (g,) = backward(ad.dot(ad.sigmoid(op(a)), probe), [a], create_graph=True)
+            results.append(backward(ad.dot(g, v), [a])[0])
+        got, want = results
+        assert np.any(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_node(self):
+        a = constant(np.zeros(3))
+        before = ad._next_id
+        ad.softmax(a)
+        assert ad._next_id - before == 1
+
+
+class TestChannelConcat:
+    @pytest.mark.parametrize("layouts", [("hnwc", "hnwc"), ("nchw", "nchw"), ("hnwc", "nchw")])
+    def test_equals_np_concatenate_in_hnwc_memory(self, layouts):
+        rng = np.random.default_rng(len(layouts[0]) + len(layouts[1]))
+        values = []
+        for c, layout in zip((3, 5), layouts):
+            x = rng.normal(size=(2, c, 4, 6))
+            values.append(np.ascontiguousarray(x.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
+                          if layout == "hnwc" else x)
+        out = ad.concat([constant(v) for v in values], axis=1).value
+        want = np.concatenate(values, axis=1)
+        assert out.shape == want.shape
+        assert out.transpose(2, 0, 3, 1).flags.c_contiguous
+        assert np.ascontiguousarray(out).tobytes() == want.tobytes()
 
 
 class TestPerOpFiniteDifferences:

@@ -459,8 +459,8 @@ class TestEval:
         # a head with a third output would otherwise score argmax over two of them
         rng = np.random.default_rng(0)
         S = SegNet(base_channels=2).init_params(0)
-        S.entries = [(lbl, rng.normal(size=(3, *arr.shape[1:])) if lbl.startswith("head.") else arr)
-                     for lbl, arr in S.entries]
+        S = ParamGroup("S", [(lbl, rng.normal(size=(3, *arr.shape[1:]))
+                              if lbl.startswith("head.") else arr) for lbl, arr in S.entries])
         save_segmenter(tmp_path / "c3.ckpt", S)
         save_dataset(tmp_path / "d8", gen_task(seed=1, n=2, size=8))
         capsys.readouterr()

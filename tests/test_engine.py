@@ -1,6 +1,8 @@
 import gc
 import math
+import os
 import platform
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -305,11 +307,12 @@ class TestGanLosses:
 
 class TestGdStep:
     def test_gradient_list_must_match_the_group(self):
+        # the gradient is the group's flat one: every entry raveled, in order
         group = ParamGroup("S", [("a", np.ones(2)), ("b", np.ones(3))])
-        stepped = eng._gd_step(group, [np.ones(2), np.ones(3)], 0.5)
+        stepped = eng._gd_step(group, np.ones(5), 0.5)
         assert [arr.tolist() for _, arr in stepped.entries] == [[0.5] * 2, [0.5] * 3]
         with pytest.raises(ValueError):
-            eng._gd_step(group, [np.ones(2)], 0.5)
+            eng._gd_step(group, np.ones(2), 0.5)
 
 
 class TestStage1:
@@ -796,14 +799,31 @@ class TestCol2imOffTrainingPath:
 class TestWorkPerIteration:
     # the work one iteration does at each benchmark workload's shape: tape
     # nodes, im2col calls and the bytes they copy (a view of the input
-    # copies none), backward calls and forwards per network. These counts do
-    # not depend on the data's values or the BLAS build; a change that moves
-    # one updates it here and names the change
+    # copies none), backward calls, forwards per network, and Python calls
+    # into genseg's own functions. These counts do not depend on the data's
+    # values, the BLAS build or numpy's version; a change that moves one
+    # updates it here and names the change. The run is counted after a
+    # warm-up run of the same trainer
+    GENSEG = os.path.dirname(ad.__file__) + os.sep
+    # a comprehension is a function call in CPython 3.11 and inlined from
+    # 3.12 (PEP 709): left out, so the count is the same in both
+    COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
     def count_work(self, monkeypatch, mode, n_train, n_val, iters) -> dict[str, int]:
         data = gen_task(seed=1, n=n_train + n_val, size=32)
         trainer = Trainer(TrainConfig(mode=mode, iters=iters, img_size=32, seed=1),
                           Dataset(data.pairs[:n_train], split="train"),
                           Dataset(data.pairs[n_train:], split="val"))
+        trainer.train()
+        calls = 0
+
+        def profile(frame, event, _):
+            nonlocal calls
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(self.GENSEG) \
+                    and code.co_name not in self.COMPREHENSIONS:
+                calls += 1
+
         work = {"im2col": 0, "im2col_bytes": 0, "backward": 0}
         im2col, backward = tensor.im2col, ad.backward
 
@@ -821,21 +841,25 @@ class TestWorkPerIteration:
         monkeypatch.setattr(ad, "backward", counted_backward)
         forwards = count_forwards(monkeypatch)
         before = ad._next_id
-        trainer.train()
-        return {"nodes": ad._next_id - before, **work, **forwards}
+        sys.setprofile(profile)
+        try:
+            trainer.train()
+        finally:
+            sys.setprofile(None)
+        return {"nodes": ad._next_id - before, "calls": calls, **work, **forwards}
 
     def test_one_genseg_iteration_at_the_search32_shape(self, monkeypatch):
         # default networks, 32 px, 8 train and 32 val pairs: one iteration
         # with its validation
         assert self.count_work(monkeypatch, "genseg", 8, 32, 1) == {
-            "nodes": 1300, "im2col": 152, "im2col_bytes": 62_812_160, "backward": 7,
-            "gen": 3, "disc": 3, "seg": 6}
+            "nodes": 1144, "calls": 5427, "im2col": 152, "im2col_bytes": 62_611_456,
+            "backward": 7, "gen": 3, "disc": 3, "seg": 6}
 
     def test_one_baseline_epoch_at_the_segment_shape(self, monkeypatch):
         # 64 train and 16 val pairs: four minibatches of 16 and one validation
         assert self.count_work(monkeypatch, "baseline", 64, 16, 4) == {
-            "nodes": 273, "im2col": 53, "im2col_bytes": 29_720_576, "backward": 4,
-            "gen": 0, "disc": 0, "seg": 5}
+            "nodes": 273, "calls": 1425, "im2col": 53, "im2col_bytes": 29_720_576,
+            "backward": 4, "gen": 0, "disc": 0, "seg": 5}
 
 
 class TestTapeFreeEvaluation:

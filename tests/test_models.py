@@ -197,13 +197,12 @@ class TestMixtureNodeEqualsChain:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_one_node_per_mixture(self):
-        # softmax (its max constant, sub, exp, sum, div), the two mixtures and
-        # the convolution
+        # the softmax, the two mixtures and the convolution
         cell, G, A, _ = self.case(False, 0)
         args = bind(G), constant(A.flatten()), constant(np.zeros((1, 2, 6, 6)))
         before = ad._next_id
         cell.forward(*args)
-        assert ad._next_id - before == 8
+        assert ad._next_id - before == 4
 
 
 class TestGenerator:
@@ -354,13 +353,13 @@ class TestSegNet:
     @pytest.mark.parametrize("label", ["down1.w", "head.w", "down2.b", "up1.w", "up2.b"])
     def test_from_params_names_missing_layer(self, label):
         S = SegNet(base_channels=2).init_params(0)
-        S.entries = [(lbl, arr) for lbl, arr in S.entries if lbl != label]
+        S = ParamGroup("S", [(lbl, arr) for lbl, arr in S.entries if lbl != label])
         with pytest.raises(ValueError, match=f"'{label}'"):
             SegNet.from_params(S)
 
     def test_from_params_names_misshapen_layer(self):
         S = SegNet(base_channels=2).init_params(0)
-        S.entries = [(lbl, arr[:1] if lbl == "up1.b" else arr) for lbl, arr in S.entries]
+        S = ParamGroup("S", [(lbl, arr[:1] if lbl == "up1.b" else arr) for lbl, arr in S.entries])
         with pytest.raises(ValueError, match=r"'up1.b' has shape \(1,\)"):
             SegNet.from_params(S)
 

@@ -210,6 +210,19 @@ MISNAMED_BODIES = {
 
 
 class TestCheckpoint:
+    def test_bytes_of_a_trainer_state(self, tmp_path):
+        # a run's initial groups, G moved off its initial values: the file's
+        # sha256 as written when each entry was an array of its own
+        from genseg.engine import TrainConfig, Trainer
+        data = gen_task(seed=3, n=4, size=16)
+        trainer = Trainer(TrainConfig(img_size=16, seed=3), Dataset(data.pairs[:2]),
+                          Dataset(data.pairs[2:]))
+        state = trainer.init_state()
+        groups = {**state.groups(), "G": state.G.unflatten(state.G.flatten() * 1.5)}
+        save_checkpoint(tmp_path / "c.ckpt", groups, "abc")
+        assert hashlib.sha256((tmp_path / "c.ckpt").read_bytes()).hexdigest() == \
+            "88071f444286763ca947741bc85168e8085143bf7071d883ac0c726b4dbb132b"
+
     def test_round_trip(self, tmp_path):
         groups = make_groups()
         path = tmp_path / "x.ckpt"

@@ -279,6 +279,20 @@ class TestIm2col:
         patches = np.stack([cols[:, :, i * s:i * s + k] for i in range(oh)], axis=1)
         assert patches.tobytes() == im2col_reference(x, k, s, p).tobytes()
 
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("k, s, p", GATHERS, ids=lambda v: str(v))
+    def test_patch_rows_are_a_read_only_view(self, k, s, p, contiguous):
+        # the rows of a k > 1 view overlap in memory: a write through it would
+        # change every patch that shares the element
+        cols = im2col(np.random.default_rng(k).normal(size=(2, 3, 8, 8)), k, s, p)
+        cols = (np.ascontiguousarray(cols) if contiguous
+                else np.concatenate([cols, cols], axis=-1)[..., :cols.shape[-1]])
+        rows = tensor._patch_rows(cols, s)
+        assert cols.flags.c_contiguous == contiguous and np.shares_memory(rows, cols)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0, 0] = 1.0
+
     @pytest.mark.parametrize("spec", DOWN_SPECS + UP_SPECS, ids=lambda spec: spec.name)
     def test_head_reads_a_layer_output_in_place(self, spec):
         # a convolution's output, and its tanh, are (H, N, W, C) memory, which
@@ -380,3 +394,39 @@ class TestBiasInGemmLayout:
             want += b.reshape(1, -1, 1, 1)
             assert got.shape == (3, co, extent, extent)
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestOneByOneProducts:
+    # a 1x1 stride-1 layer's product is one flat product over (H, N, W, C)
+    # memory, and one with a single input channel a broadcast multiply; each
+    # equals, to the byte, the product stacked over output rows that every
+    # other layer runs. The input has exact and signed zeros
+    @staticmethod
+    def stacked(x, wmat):
+        n, _, h, w = x.shape
+        y = tensor._patch_rows(im2col(x, 1, 1, 0), 1) @ wmat
+        return y.reshape(h, n, w, -1).transpose(1, 3, 0, 2)
+
+    @pytest.mark.parametrize("layout", ["hnwc", "nchw"])
+    @pytest.mark.parametrize("c, m", [(8, 2), (8, 1), (1, 8), (1, 1), (3, 5)])
+    @pytest.mark.parametrize("n, h, w", [(8, 32, 32), (3, 5, 7)])
+    def test_conv_and_conv_transpose_heads(self, layout, c, m, n, h, w):
+        rng = np.random.default_rng(100 * c + 10 * m + h)
+        x = rng.normal(size=(n, c, h, w))
+        x[rng.uniform(size=x.shape) < 0.1] = 0.0
+        x[rng.uniform(size=x.shape) < 0.1] = -0.0
+        if layout == "hnwc":  # an NCHW view of (H, N, W, C) memory, as convolutions return
+            x = np.ascontiguousarray(x.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
+        wt = rng.normal(size=(m, c, 1, 1))
+        wt[0, 0] = -0.0
+        got = tensor.conv(im2col(x, 1, 1, 0), wt, None, 1)
+        want = self.stacked(x, wt.reshape(m, c).T)
+        assert got.shape == want.shape == (n, m, h, w)
+        assert got.transpose(2, 0, 3, 1).flags.c_contiguous
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        # the transposed head, with an (in, out) kernel, as an input gradient runs it
+        wt = rng.normal(size=(c, m, 1, 1))
+        got = tensor.conv_transpose(x, wt, None, 1, 0, (h, w))
+        want = self.stacked(x, wt.reshape(c, m))
+        assert got.shape == want.shape == (n, m, h, w)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
