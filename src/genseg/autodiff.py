@@ -62,8 +62,8 @@ differentiation; the weights' gradient sums over the parts' windows only,
 and rounds differently from the chain's sums over the whole embedding.
 Where each part sits is worked out once per layout (:func:`windows`), not
 per call. A bias gradient sums a convolution's (H, N, W, C) memory in its
-own order (:func:`genseg.tensor.channel_sums`), and a channel
-:func:`concat` writes that memory too.
+own order (:func:`genseg.tensor.channel_sums`), and :func:`concat`, the
+channel join, writes that memory too.
 
 Parameters come in named groups (G, H, S and A), each an ordered list of
 labelled arrays held in one buffer (:class:`ParamGroup`), so a descent
@@ -281,26 +281,19 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(a.value @ b.value, (a, b), vjp)
 
 
-def concat(nodes: Sequence[Node], axis: int) -> Node:
-    """Join along ``axis``. Joined along the channel axis, 4-d values are
-    written to (H, N, W, C) memory, the layout a convolution writes and that
-    the next one's gather reads in runs of channels, and the result is an
-    NCHW view of it; otherwise the result is ``np.concatenate``'s."""
-    sizes = [n.value.shape[axis] for n in nodes]
-    if axis == 1 and nodes[0].value.ndim == 4:
-        n, _, h, w = nodes[0].value.shape
-        hnwc = np.empty((h, n, w, sum(sizes)), dtype=np.float64)
-        out = hnwc.transpose(1, 3, 0, 2)
-        start = 0
-        for node, size in zip(nodes, sizes):
-            out[:, start:start + size] = node.value
-            start += size
-    else:
-        out = np.concatenate([n.value for n in nodes], axis=axis)
-    offsets = list(itertools.accumulate(sizes, initial=0))
+def concat(nodes: Sequence[Node]) -> Node:
+    """The channel join of 4-d (N, C, H, W) values. They are written to
+    (H, N, W, C) memory, the layout a convolution writes and that the next
+    one's gather reads in runs of channels, and the result is an NCHW view
+    of it."""
+    n, _, h, w = nodes[0].value.shape
+    offsets = list(itertools.accumulate([node.value.shape[1] for node in nodes], initial=0))
+    out = np.empty((h, n, w, offsets[-1]), dtype=np.float64).transpose(1, 3, 0, 2)
+    for node, start, end in zip(nodes, offsets, offsets[1:]):
+        out[:, start:end] = node.value
 
     def vjp(_, g):
-        return tuple((lambda s=start, e=end: slice_axis(g, axis, s, e))
+        return tuple((lambda s=start, e=end: slice_axis(g, 1, s, e))
                      for start, end in zip(offsets, offsets[1:]))
 
     return Node(out, tuple(nodes), vjp)

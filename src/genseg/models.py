@@ -2,9 +2,12 @@
 discriminator, and a small U-Net segmenter, plus discrete architecture
 derivation from the learned mixture logits.
 
-Parameters live in :class:`~genseg.autodiff.ParamGroup` objects (G, H, S, A);
-forward passes take label-to-node bindings so the same code serves training,
-evaluation, and second-order products.
+Parameters live in :class:`~genseg.autodiff.ParamGroup` objects (G, H, S, A).
+Every network draws its weights and biases through one layer walk,
+:func:`_layer_params` over its table of ``(name, spec, in_ch, out_ch)``
+layers, in which a searchable cell is one row per candidate. Forward passes
+take label-to-node bindings so the same code serves training, evaluation,
+and second-order products.
 
 Every network takes its inputs as given: ``engine.Trainer`` checks a run's
 data once, and ``genseg eval`` checks its dataset against the checkpoint's
@@ -86,7 +89,7 @@ def _unet(down, up, x: Node) -> Node:
         skips.append(x)
     for j, layer in enumerate(up):
         if j:
-            x = ad.concat([x, skips[-1 - j]], axis=1)
+            x = ad.concat([x, skips[-1 - j]])
         x = layer(x, ad.conv2d_tanh)
     return x
 
@@ -104,8 +107,6 @@ class SearchableCell:
 
     def __init__(self, name: str, in_ch: int, out_ch: int, transposed: bool):
         self.name = name
-        self.in_ch = in_ch
-        self.out_ch = out_ch
         self.candidates = UP_CANDIDATES if transposed else DOWN_CANDIDATES
         big = max(self.candidates, key=lambda c: c.kernel)
         for c in self.candidates:
@@ -113,9 +114,10 @@ class SearchableCell:
                     or c.kernel + big.padding - c.padding > big.kernel:
                 raise ValueError(f"candidate {c} does not embed into {big}")
         self.fused_spec = big
-        names = [f"{name}.{c.name}" for c in self.candidates]
-        self.weight_labels = [f"{n}.w" for n in names]
-        self.bias_labels = [f"{n}.b" for n in names]
+        # one layer-table row per candidate, as :func:`_layer_params` takes them
+        self.layers = [(f"{name}.{c.name}", c, in_ch, out_ch) for c in self.candidates]
+        self.weight_labels = [f"{row[0]}.w" for row in self.layers]
+        self.bias_labels = [f"{row[0]}.b" for row in self.layers]
         # where each candidate's kernel, and its bias, sits in the fused one's
         self.kernel_windows = ad.windows(
             big.weight_shape(in_ch, out_ch),
@@ -123,10 +125,6 @@ class SearchableCell:
             [c.weight_shape(in_ch, out_ch) for c in self.candidates])
         self.bias_windows = ad.windows((out_ch,), [(0,)] * len(self.candidates),
                                        [(out_ch,)] * len(self.candidates))
-
-    def param_entries(self, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        return [entry for spec in self.candidates
-                for entry in _conv_params(rng, f"{self.name}.{spec.name}", spec, self.in_ch, self.out_ch)]
 
     def logit_label(self) -> str:
         return f"{self.name}.logits"
@@ -157,12 +155,11 @@ class GeneratorNet:
         self.head = ("head", HEAD, base_channels, img_channels)
 
     def init_params(self, seed: int | np.random.SeedSequence) -> tuple[ParamGroup, ParamGroup]:
-        rng = np.random.default_rng(seed)
         cells = self.encoders + self.decoders
-        g = [entry for cell in cells for entry in cell.param_entries(rng)]
+        layers = [row for cell in cells for row in cell.layers] + [self.head]
         a = [(cell.logit_label(), np.zeros(len(cell.candidates), dtype=np.float64))
              for cell in cells]
-        return ParamGroup("G", g + _conv_params(rng, *self.head)), ParamGroup("A", a)
+        return _layer_params("G", layers, seed), ParamGroup("A", a)
 
     def forward(self, g: dict[str, Node], a: dict[str, Node], mask: Node) -> Node:
         # looked up per call, so a wrapper put on SearchableCell.forward later still runs
@@ -191,7 +188,7 @@ class DiscriminatorNet:
         return _layer_params("H", self.layers + [self.head], seed)
 
     def forward(self, h: dict[str, Node], mask: Node, image: Node) -> Node:
-        x = ad.concat([mask, image], axis=1)
+        x = ad.concat([mask, image])
         for layer in self.layers:
             x = _conv(h, layer, x, ad.conv2d_tanh)
         return _conv(h, self.head, x)

@@ -253,7 +253,7 @@ class TestNoTape:
         with ad.no_tape():
             sb = bind(s)
             logits = seg.forward(sb, constant(image))
-            built = [ad.sigmoid(logits), ad.concat([logits, logits], axis=1), ad.sum_(logits)]
+            built = [ad.sigmoid(logits), ad.concat([logits, logits]), ad.sum_(logits)]
         assert taped.parents and taped.vjp is not None
         assert logits.value.tobytes() == taped.value.tobytes()
         for node in [logits, *built, *sb.values()]:
@@ -833,7 +833,7 @@ class TestChannelConcat:
             x = rng.normal(size=(2, c, 4, 6))
             values.append(np.ascontiguousarray(x.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
                           if layout == "hnwc" else x)
-        out = ad.concat([constant(v) for v in values], axis=1).value
+        out = ad.concat([constant(v) for v in values]).value
         want = np.concatenate(values, axis=1)
         assert out.shape == want.shape
         assert out.transpose(2, 0, 3, 1).flags.c_contiguous

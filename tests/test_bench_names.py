@@ -8,6 +8,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
@@ -64,3 +66,20 @@ def test_one_genseg_iteration_runs_each_traced_product_once(monkeypatch):
     trainer.config.iters = 1
     trainer.train()
     assert sorted(calls) == ["_seg_hvp_fd", "mixed_hvp_fd"]
+
+
+def test_cell_spans_carry_the_benchmark_cell_labels():
+    # perfbench labels each cell's span from SearchableCell.name; BENCHMARK.json
+    # reads them as models.cell.enc1 ... models.cell.dec3
+    tracer = tracing.Tracer()
+    patches = tracing.layer_spans(tracer, engine, models, autodiff, tensor)
+    gen = models.GeneratorNet(base_channels=2)
+    G, A = gen.init_params(0)
+    mask = autodiff.constant(np.zeros((1, synthdata.MASK_CHANNELS, 8, 8)))
+    patches.apply(True)
+    try:
+        gen.forward(autodiff.bind(G), autodiff.bind(A), mask)
+    finally:
+        patches.apply(False)
+    cells = [span.name for span in tracer.spans if span.name.startswith("models.cell.")]
+    assert cells == [f"models.cell.{side}{i}" for side in ("enc", "dec") for i in (1, 2, 3)]

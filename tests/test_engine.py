@@ -852,13 +852,13 @@ class TestWorkPerIteration:
         # default networks, 32 px, 8 train and 32 val pairs: one iteration
         # with its validation
         assert self.count_work(monkeypatch, "genseg", 8, 32, 1) == {
-            "nodes": 1144, "calls": 5427, "im2col": 152, "im2col_bytes": 62_611_456,
+            "nodes": 1144, "calls": 5404, "im2col": 152, "im2col_bytes": 62_611_456,
             "backward": 7, "gen": 3, "disc": 3, "seg": 6}
 
     def test_one_baseline_epoch_at_the_segment_shape(self, monkeypatch):
         # 64 train and 16 val pairs: four minibatches of 16 and one validation
         assert self.count_work(monkeypatch, "baseline", 64, 16, 4) == {
-            "nodes": 273, "calls": 1425, "im2col": 53, "im2col_bytes": 29_720_576,
+            "nodes": 273, "calls": 1402, "im2col": 53, "im2col_bytes": 29_720_576,
             "backward": 4, "gen": 0, "disc": 0, "seg": 5}
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from genseg import autodiff as ad
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.models import (DiscriminatorNet, GeneratorNet, SearchableCell, SegNet,
-                           derive_architecture, predict_mask)
+                           _conv_params, derive_architecture, predict_mask)
 from genseg.tensor import ConvSpec
 
 
@@ -23,10 +23,15 @@ def softmax(logits):
     return e / np.sum(e)
 
 
+def cell_entries(cell, rng):
+    """The cell's candidate weights and biases, drawn from ``rng`` in row order."""
+    return [entry for layer in cell.layers for entry in _conv_params(rng, *layer)]
+
+
 def make_cell(seed=0, in_ch=2, out_ch=3, transposed=False):
     cell = SearchableCell("enc1", in_ch, out_ch, transposed)
     rng = np.random.default_rng(seed)
-    params = {lbl: constant(arr) for lbl, arr in cell.param_entries(rng)}
+    params = {lbl: constant(arr) for lbl, arr in cell_entries(cell, rng)}
     return cell, params
 
 
@@ -65,7 +70,7 @@ class TestSearchableCell:
     def test_mixture_gradient_reaches_logits(self):
         cell, _ = make_cell(seed=6)
         rng = np.random.default_rng(7)
-        entries = cell.param_entries(rng)
+        entries = cell_entries(cell, rng)
         params = {lbl: constant(arr) for lbl, arr in entries}
         a = ParamGroup("A", [("enc1.logits", rng.normal(size=3))])
         x = constant(rng.normal(size=(1, 2, 8, 8)))
@@ -127,7 +132,7 @@ class TestMixtureNodeEqualsChain:
         rng = np.random.default_rng(seed)
         # nonzero biases, so the bias mixture's gradient in the weights is too
         G = ParamGroup("G", [(lbl, arr + rng.normal(0, 0.1, arr.shape) if lbl.endswith(".b")
-                              else arr) for lbl, arr in cell.param_entries(rng)])
+                              else arr) for lbl, arr in cell_entries(cell, rng)])
         A = ParamGroup("A", [(cell.logit_label(), rng.normal(size=len(cell.candidates)))])
         x = rng.normal(size=(2, 2, 6, 6))
         probe = rng.normal(size=cell.forward(bind(G), bind(A)["enc1.logits"],
@@ -266,7 +271,7 @@ def fixed_generator_forward(gen, G, choice, mask):
         skips.append(x)
     for j, cell in enumerate(gen.decoders, start=1):
         if j > 1:
-            x = ad.concat([x, skips[gen.enc_cells - j]], axis=1)
+            x = ad.concat([x, skips[gen.enc_cells - j]])
         spec = cell.candidates[choice[cell.logit_label()]]
         x = layer(x, f"{cell.name}.{spec.name}", spec)
     return layer(x, "head", ConvSpec(1, 1, 0)).value
