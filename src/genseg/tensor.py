@@ -11,7 +11,10 @@ An output pixel's patch is then a contiguous run of K lowered rows, and the
 product runs one output row per stack item over a strided view of the
 lowered array, without a copy. :func:`_product` is that product and its
 bias add, the one step of every forward and transposed convolution.
-:func:`conv` runs it on a caller's gather of strided patches. A 1x1
+:func:`conv` runs it on a caller's gather of strided patches, with the
+kernel as a row-major (K*K*C, M) copy: the products are thin (1-32 output
+channels), and OpenBLAS runs them up to 1.8 times as fast from a row-major
+kernel matrix as from a column-major view of the kernel. A 1x1
 stride-1 layer (the networks' heads, forward and transposed) lowers to its
 input's (H, N, W, C) memory itself and runs one flat product, or, with a
 single input channel, a broadcast multiply, each element formed as in the
@@ -210,10 +213,17 @@ def conv(cols: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
     the caller gathers it, so it may share one gather with a kernel
     gradient. The product runs one output row at a time, so the result is
     an NCHW view of (H, N, W, C) memory.
+
+    The kernel matrix is one row-major (K*K*C, M) copy of ``w``, rows in
+    patch order (kh, kw, c): OpenBLAS runs these thin products of 1-32
+    output channels up to 1.8 times as fast from a row-major B operand as
+    from a column-major view of ``w``. It is a copy also where the reshape
+    alone would be a strided view: a 1x1 kernel, or one input channel.
     """
     n, ow = cols.shape[:2]
     co = w.shape[0]
-    y = _product(cols, stride, w.transpose(0, 2, 3, 1).reshape(co, -1).T, b)
+    wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)
+    y = _product(cols, stride, wmat, b)
     return y.reshape(y.shape[0], n, ow, co).transpose(1, 3, 0, 2)
 
 

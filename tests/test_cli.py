@@ -134,11 +134,13 @@ class TestTrain:
                           (out / "final.ckpt").read_bytes()))
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("mode", ["genseg", "separate"])
+    @pytest.mark.parametrize("mode", ["genseg", "separate", "baseline"])
     def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path, mode):
         # 32 px with base_channels 8: G has 179377 entries, enough for a
         # threaded BLAS to split a reduction over it. Seed 1 is one where such
-        # a split moved the finite-difference step of a norm taken by BLAS
+        # a split moved the finite-difference step of a norm taken by BLAS.
+        # baseline trains the segmenter alone, every product through conv's
+        # row-major kernel matrix or conv_transpose's phase matrix
         data = tmp_path / "data"
         for name, seed in (("train", 1), ("val", 2)):
             assert main(["gen-data", "--seed", str(seed), "--n", "4", "--size", "32",

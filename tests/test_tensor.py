@@ -420,7 +420,7 @@ class TestOneByOneProducts:
         wt = rng.normal(size=(m, c, 1, 1))
         wt[0, 0] = -0.0
         got = tensor.conv(im2col(x, 1, 1, 0), wt, None, 1)
-        want = self.stacked(x, wt.reshape(m, c).T)
+        want = self.stacked(x, np.ascontiguousarray(wt.reshape(m, c).T))  # row-major, as conv's
         assert got.shape == want.shape == (n, m, h, w)
         assert got.transpose(2, 0, 3, 1).flags.c_contiguous
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
@@ -430,3 +430,37 @@ class TestOneByOneProducts:
         want = self.stacked(x, wt.reshape(c, m))
         assert got.shape == want.shape == (n, m, h, w)
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestKernelMatrixLayout:
+    # conv hands _product its kernel as one row-major (K*K*C, M) array, the
+    # layout OpenBLAS runs these thin products fastest from: at every spec
+    # the networks run forward, and at each transposed spec's input gradient,
+    # which autodiff runs as conv. One input channel (the mask input) and
+    # the 1x1 heads are the kernels whose reshape would otherwise be a view
+    SPECS = tuple(dict.fromkeys(DOWN_CANDIDATES + UP_CANDIDATES + (HALVE, DOUBLE, HEAD)))
+
+    @pytest.mark.parametrize("c, m", [(1, 8), (8, 16), (16, 32), (8, 2), (32, 1)])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_conv_hands_a_row_major_kernel_matrix(self, monkeypatch, spec, c, m):
+        rng = np.random.default_rng(spec.kernel + c + m)
+        x = ad.Node(rng.normal(size=(2, c, 8, 8)))
+        w, b = constant(rng.normal(size=spec.weight_shape(c, m))), constant(rng.normal(size=m))
+        seen, product = [], tensor._product
+
+        def captured(cols, stride, wmat, bias):
+            seen.append(wmat)
+            return product(cols, stride, wmat, bias)
+
+        if spec.transposed:  # only the input gradient, a conv with the (in, out) kernel
+            y = ad.conv2d(x, w, b, spec)
+            monkeypatch.setattr(tensor, "_product", captured)
+            ad.backward(ad.sum_(y), [x])
+            shape = (spec.kernel ** 2 * m, c)
+        else:
+            monkeypatch.setattr(tensor, "_product", captured)
+            ad.conv2d(x, w, b, spec)
+            shape = (spec.kernel ** 2 * c, m)
+        assert len(seen) == 1
+        assert seen[0].shape == shape
+        assert seen[0].flags.c_contiguous
