@@ -63,7 +63,9 @@ and rounds differently from the chain's sums over the whole embedding.
 Where each part sits is worked out once per layout (:func:`windows`), not
 per call. A bias gradient sums a convolution's (H, N, W, C) memory in its
 own order (:func:`genseg.tensor.channel_sums`), and :func:`concat`, the
-channel join, writes that memory too.
+channel join, writes that memory too. So does the segmentation loss's
+gradient, a channel join of its two class planes, so the segmenter head's
+bias gradient sums in memory order like every other layer's.
 
 Parameters come in named groups (G, H, S and A), each an ordered list of
 labelled arrays held in one buffer (:class:`ParamGroup`), so a descent

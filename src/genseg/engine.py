@@ -222,10 +222,16 @@ def seg_cross_entropy(logits: Node, masks: np.ndarray) -> Node:
     the slices ``z0``, ``z1`` of ``logits``, and equals it to the bit. Its
     rule rebuilds the two planes' exponentials from ``logits`` and builds
     the gradient that chain's rules would, from the same ops, so under
-    ``backward(create_graph=True)`` it can be differentiated again.
+    ``backward(create_graph=True)`` it can be differentiated again. That
+    gradient is the channel join (:func:`genseg.autodiff.concat`) of the two
+    planes' gradients, the same values as the chain's sum of the two planes
+    embedded in zeros, since neither plane is -0.0. It is one node, written
+    to (H, N, W, C) memory, which the 1x1 head's backward reads in place:
+    its input gradient's gather is a view, its kernel gradient takes each
+    output row without a copy, and its bias gradient sums that memory in
+    order, as every other layer's does.
     """
     m = np.asarray(masks, dtype=np.float64)
-    shape = logits.value.shape
     v0, v1 = logits.value[:, 0:1], logits.value[:, 1:2]
     top = np.maximum(v0, v1)
     terms = np.log(np.exp(v0 - top) + np.exp(v1 - top)) + top - (m * v1 + (-m + 1.0) * v0)
@@ -241,7 +247,7 @@ def seg_cross_entropy(logits: Node, masks: np.ndarray) -> Node:
         mask = constant(m)
         g0 = ad.add(ad.mul(g_e, e0), ad.mul(g_zt, ad.shift(ad.neg(mask), 1.0)))
         g1 = ad.add(ad.mul(g_e, e1), ad.mul(g_zt, mask))
-        return ad.add(ad.pad_insert(g0, shape, 1, 0), ad.pad_insert(g1, shape, 1, 1))
+        return ad.concat([g0, g1])
 
     return Node(np.sum(terms) * per_pixel, (logits,), lambda _, g: (lambda: grad(g),))
 
@@ -338,6 +344,7 @@ class Trainer:
         self.disc = DiscriminatorNet(img_channels=img_channels, base_channels=config.base_channels,
                                      depth=min(3, int(math.log2(size)) - 1))
         self.seg = SegNet(img_channels=img_channels, base_channels=config.base_channels)
+        self.train_masks, self.train_images = train_ds.masks(), train_ds.images()
         self.val_masks, self.val_images = val_ds.masks(), val_ds.images()
         # what one iteration's passes hand on, by name, each written once and
         # popped once; train clears it at the end of every iteration
@@ -618,8 +625,7 @@ class Trainer:
         for it in range(1, cfg.iters + 1):
             state.iteration = it
             idx = np.arange(n) if batch == n else state.rng.choice(n, size=batch, replace=False)
-            masks = self.train_ds.masks(idx)
-            images = self.train_ds.images(idx)
+            masks, images = self.train_masks[idx], self.train_images[idx]
 
             if cfg.mode == "baseline":
                 self._baseline_update(state, masks, images)

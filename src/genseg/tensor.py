@@ -16,15 +16,17 @@ kernel as a row-major (K*K*C, M) copy: the products are thin (1-32 output
 channels), and OpenBLAS runs them up to 1.8 times as fast from a row-major
 kernel matrix as from a column-major view of the kernel. A 1x1
 stride-1 layer (the networks' heads, forward and transposed) lowers to its
-input's (H, N, W, C) memory itself and runs one flat product, or, with a
-single input channel, a broadcast multiply, each element formed as in the
-stacked product.
+input's (H, N, W, C) memory itself and runs one flat product, each element
+formed as in the stacked product.
 :func:`conv_transpose`, the input gradient of :func:`conv`, splits a stride-s
 kernel into s*s flipped sub-pixel phases, runs them as one stride-1 product
 and interleaves the phases (depth-to-space). :func:`kernel_grad`
-multiplies a gradient by the patches row by row and sums. No autodiff node
-calls the scatter-add :func:`col2im`; it stays as :func:`im2col`'s adjoint
-reference.
+multiplies a gradient by the patches of each output row and sums the rows
+in order: as one stacked product when its (OH, C_a, K*K*C) stack of
+products holds no more doubles than the gradient, else row by row, so the
+stack never adds more than the gradient's size to a pass's peak. No
+autodiff node calls the scatter-add :func:`col2im`; it stays as
+:func:`im2col`'s adjoint reference.
 
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW
 indexing for image-shaped data). Convolution outputs are NCHW views of
@@ -182,21 +184,14 @@ def _product(cols: Tensor, stride: int, wmat: Tensor, b: Tensor | None) -> Tenso
     the bias ``b`` (unless None) tiled along each image row of the product.
 
     A 1x1 stride-1 layer's ``cols`` is (H, N, W, C) memory, so its product
-    is one flat (H*N*W, C) product, not one per output row. When that
-    product's inner length C is 1 it is a broadcast multiply, plus 0.0: BLAS
-    adds each single product to a zero, which turns -0.0 into 0.0. Every
-    element is formed by the same operations as in the stacked product, so
-    the values are the same to the bit.
+    is one flat (H*N*W, C) product, not one per output row. Every element is
+    formed by the same operations as in the stacked product, so the values
+    are the same to the bit.
     """
     n, ow, hp, k, c = cols.shape
     if k == stride == 1:
         flat = cols.transpose(2, 0, 1, 3, 4).reshape(hp * n * ow, c)  # a view
-        if c == 1:
-            y = flat * wmat
-            y += 0.0
-        else:
-            y = flat @ wmat
-        y = y.reshape(hp, n * ow, -1)
+        y = (flat @ wmat).reshape(hp, n * ow, -1)
     else:
         y = _patch_rows(cols, stride) @ wmat
     if b is not None:
@@ -231,14 +226,25 @@ def kernel_grad(a: Tensor, cols: Tensor, stride: int) -> Tensor:
     """(C_a, C_cols, k, k) kernel gradient: for each output row, NCHW ``a``'s
     pixels of that row times the row's patches in ``cols``
     (``im2col(b, k, stride, padding)``, which holds k), summed over the rows
-    in order. The sum accumulates row by row, so no (OH, C_a, k*k*C_cols)
-    stack of products is held."""
+    in order.
+
+    Where the (OH, C_a, k*k*C_cols) stack of the rows' products holds no
+    more doubles than ``a`` (k*k*C_cols <= N*OW), the products run as one
+    stacked ``np.matmul``, one BLAS call per row as in the loop, summed
+    over the rows in order by ``np.add.reduce``; the stack is then no larger
+    than a gradient the pass already holds. A larger stack, as the
+    generator's 8x8 cells would make (dec3's is four times its input),
+    would raise the pass's peak, so there the sum accumulates row by row
+    and no stack is held. The two give the same values to the bit."""
     oh, ch, k = a.shape[2], a.shape[1], cols.shape[3]
     per_row = a.transpose(2, 1, 0, 3).reshape(oh, ch, -1)  # a view for (H, N, W, C) memory
     patches = _patch_rows(cols, stride)
-    grad = per_row[0] @ patches[0]
-    for i in range(1, oh):
-        grad += per_row[i] @ patches[i]
+    if patches.shape[2] <= per_row.shape[2]:
+        grad = np.add.reduce(per_row @ patches, axis=0)
+    else:
+        grad = per_row[0] @ patches[0]
+        for i in range(1, oh):
+            grad += per_row[i] @ patches[i]
     return grad.reshape(ch, k, k, -1).transpose(0, 3, 1, 2)
 
 

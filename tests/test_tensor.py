@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from genseg import autodiff as ad
 from genseg import tensor
 from genseg.autodiff import constant
+from genseg.engine import TrainConfig, Trainer
 from genseg.models import DOUBLE, DOWN_CANDIDATES, HALVE, HEAD, UP_CANDIDATES
+from genseg.synthdata import Dataset, gen_task
 from genseg.tensor import ConvSpec, im2col, col2im
 
 DOWN_SPECS = [ConvSpec(4, 2, 1), ConvSpec(6, 2, 2), ConvSpec(8, 2, 3)]
@@ -398,9 +400,9 @@ class TestBiasInGemmLayout:
 
 class TestOneByOneProducts:
     # a 1x1 stride-1 layer's product is one flat product over (H, N, W, C)
-    # memory, and one with a single input channel a broadcast multiply; each
-    # equals, to the byte, the product stacked over output rows that every
-    # other layer runs. The input has exact and signed zeros
+    # memory, also with a single input channel; each equals, to the byte, the
+    # product stacked over output rows that every other layer runs. The
+    # input has exact and signed zeros
     @staticmethod
     def stacked(x, wmat):
         n, _, h, w = x.shape
@@ -464,3 +466,43 @@ class TestKernelMatrixLayout:
         assert len(seen) == 1
         assert seen[0].shape == shape
         assert seen[0].flags.c_contiguous
+
+
+class TestKernelGradSum:
+    # kernel_grad runs its per-output-row products as one stacked product
+    # where that stack holds no more doubles than the gradient, and row by
+    # row otherwise; either way it equals, to the byte, the rows' products
+    # summed in order. Checked on every kernel gradient that one search32
+    # iteration and one baseline step run, as they run them
+    @staticmethod
+    def row_by_row(a, cols, stride):
+        oh, ch, k = a.shape[2], a.shape[1], cols.shape[3]
+        per_row = a.transpose(2, 1, 0, 3).reshape(oh, ch, -1)
+        patches = tensor._patch_rows(cols, stride)
+        grad = per_row[0] @ patches[0]
+        for i in range(1, oh):
+            grad += per_row[i] @ patches[i]
+        return grad.reshape(ch, k, k, -1).transpose(0, 3, 1, 2)
+
+    @pytest.mark.parametrize("mode, n_train, n_val", [("genseg", 8, 32), ("baseline", 16, 4)])
+    def test_equals_the_rows_summed_in_order(self, monkeypatch, mode, n_train, n_val):
+        data = gen_task(seed=2, n=n_train + n_val, size=32)
+        trainer = Trainer(TrainConfig(mode=mode, iters=1, img_size=32, seed=2),
+                          Dataset(data.pairs[:n_train], split="train"),
+                          Dataset(data.pairs[n_train:], split="val"))
+        sides, kernel_grad = set(), tensor.kernel_grad
+
+        def compared(a, cols, stride):
+            got = kernel_grad(a, cols, stride)
+            want = self.row_by_row(a, cols, stride)
+            stacked = cols.shape[3] ** 2 * cols.shape[4] <= a.shape[0] * a.shape[3]
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), \
+                (a.shape, cols.shape, stride, stacked)
+            sides.add(stacked)
+            return got
+
+        monkeypatch.setattr(tensor, "kernel_grad", compared)
+        trainer.train()
+        # search32's iteration runs both sides of the size rule (the
+        # generator's 8x8 cells row by row); a baseline step stacks every one
+        assert sides == ({True, False} if mode == "genseg" else {True})
