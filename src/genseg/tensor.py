@@ -3,14 +3,16 @@ softplus, the convolution spec, the im2col/col2im pair, and the convolution
 kernels built on im2col.
 
 Every convolution, forward or adjoint, is an :func:`im2col` gather followed
-by one stacked matrix product. The gather is the MEC lowering (Cho & Brand,
+by one stacked matrix product, or by one per phase row for a strided
+transposed convolution. The gather is the MEC lowering (Cho & Brand,
 arXiv 1706.06873): it unfolds the input by width only, so each output
 column holds its K padded input columns for every input row, about
 Hp/(OH*K) of the bytes of a full patch matrix (a quarter for 8x8 stride 2).
 An output pixel's patch is then a contiguous run of K lowered rows, and the
 product runs one output row per stack item over a strided view of the
 lowered array, without a copy. :func:`_product` is that product and its
-bias add, the one step of every forward and transposed convolution.
+bias add, the one step of every forward and stride-1 transposed
+convolution.
 :func:`conv` runs it on a caller's gather of strided patches, with the
 kernel as a row-major (K*K*C, M) copy: the products are thin (1-32 output
 channels), and OpenBLAS runs them up to 1.8 times as fast from a row-major
@@ -19,27 +21,27 @@ stride-1 layer (the networks' heads, forward and transposed) lowers to its
 input's (H, N, W, C) memory itself and runs one flat product, each element
 formed as in the stacked product.
 :func:`conv_transpose`, the input gradient of :func:`conv`, splits a stride-s
-kernel into s*s flipped sub-pixel phases, runs them as one stride-1 product
-and interleaves the phases (depth-to-space). :func:`kernel_grad`
-multiplies a gradient by the patches of each output row and sums the rows
-in order: as one stacked product when its (OH, C_a, K*K*C) stack of
-products holds no more doubles than the gradient, else row by row, so the
-stack never adds more than the gradient's size to a pass's peak. No
-autodiff node calls the scatter-add :func:`col2im`; it stays as
+kernel into s*s flipped sub-pixel phases. Each phase row's product runs over
+only the output rows kept and writes them in place, its phase columns
+already interleaved (depth-to-space), so no copy interleaves the phases.
+:func:`kernel_grad` multiplies a gradient by the patches of each output row
+and sums the rows in order: as one stacked product when its (OH, C_a,
+K*K*C) stack of products holds no more doubles than the gradient, else row
+by row, so the stack never adds more than the gradient's size to a pass's
+peak. No autodiff node calls the scatter-add :func:`col2im`; it stays as
 :func:`im2col`'s adjoint reference.
 
 Tensors are plain ``numpy.ndarray`` objects with dtype float64 (NCHW
 indexing for image-shaped data). Convolution outputs are NCHW views of
 (H, N, W, C) memory, the product's own row-major order; the next
 :func:`im2col` copies them once, and a 1x1 head reads them in place. The
-bias is added to the contiguous product before the NCHW view or the phase
-interleave, in one pass over rows that each hold a whole image row of output
-channels (the bias tiled to the row's width); each output element gets the
-same one addition as a broadcast over the NCHW view, so the values are the
-same to the bit. :func:`conv_transpose` frees its padded channels-last copy
-once :func:`im2col` has read it, and its lowered input once the product has,
-before the phase interleave copies the result. :func:`channel_sums`, a bias
-gradient, sums such (H, N, W, C) memory in its own order, as long rows.
+bias is added to the contiguous product memory before the NCHW view, in one
+pass over rows that each hold a whole image row of output channels (the
+bias tiled to the row's width); each output element gets the same one
+addition as a broadcast over the NCHW view, so the values are the same to
+the bit. :func:`conv_transpose` frees its padded channels-last copy once
+:func:`im2col` has read it. :func:`channel_sums`, a bias gradient, sums
+such (H, N, W, C) memory in its own order, as long rows.
 Every operation here is pure: inputs are never mutated, and finite inputs
 produce finite outputs.
 """
@@ -195,9 +197,16 @@ def _product(cols: Tensor, stride: int, wmat: Tensor, b: Tensor | None) -> Tenso
     else:
         y = _patch_rows(cols, stride) @ wmat
     if b is not None:
-        rows = y.reshape(y.shape[0] * n, -1)  # a view: one image row per row
-        rows += b[None].repeat(rows.shape[1] // b.size, axis=0).reshape(-1)  # b tiled
+        _add_bias(y, y.shape[0] * n, b)
     return y
+
+
+def _add_bias(y: Tensor, rows: int, b: Tensor) -> None:
+    """Add ``b`` in place to contiguous product memory ``y`` viewed as
+    ``rows`` rows, each one image row of output channels: ``b`` tiled to the
+    row's width, so each element gets the one addition of a broadcast."""
+    flat = y.reshape(rows, -1)  # a view
+    flat += b[None].repeat(flat.shape[1] // b.size, axis=0).reshape(-1)
 
 
 def conv(cols: Tensor, w: Tensor, b: Tensor | None, stride: int) -> Tensor:
@@ -272,9 +281,16 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     convolution input's, which may exceed the natural output extent
     (h - 1) * stride - 2 * padding + k by up to stride - 1 rows or columns.
     Full-output position q * s + r takes kernel taps r + m * s from input
-    q - m, so each phase r is a stride-1 convolution with k/s taps; all
-    s * s phases run as one :func:`_product`, then interleave and crop.
-    The result, like :func:`conv`'s, is an NCHW view of (H, N, W, C) memory.
+    q - m, so each phase r is a stride-1 convolution with k/s taps
+    (sub-pixel convolution, Shi et al., arXiv 1609.05158). Stride 1 is one
+    :func:`_product`. For stride s > 1, phase row rh gives the output rows
+    (rh - crop) mod s, s apart. One stacked product multiplies exactly the
+    patch rows those output rows read by rh's block of s phase columns and
+    writes it into those rows of an (oh, N, qw*s, C) buffer, each row's
+    phase columns already interleaved: no phase row is computed only to be
+    cropped, and no interleave copy follows. The bias is then added over the
+    buffer's rows, and the columns past the crop are cropped by a view. The
+    result, like :func:`conv`'s, is an NCHW view of (H, N, W, C) memory.
     """
     n, ci, h, wd = x.shape
     co, k = w.shape[1], w.shape[2]
@@ -282,7 +298,7 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     kk = k // s
     shift, crop = divmod(padding, s)
     oh, ow = extent
-    qh, qw = -(-(crop + oh) // s), -(-(crop + ow) // s)  # phase rows and columns kept
+    qh, qw = -(-(crop + oh) // s), -(-(crop + ow) // s)  # phase rows and columns read
     lo = kk - 1 - shift
     hi_h, hi_w = qh + kk - 1 - lo - h, qw + kk - 1 - lo - wd
     if lo == hi_h == hi_w == 0:  # nothing to pad, as for a 1x1 layer: no padded copy
@@ -290,10 +306,26 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int, padding:
     else:
         # the padded channels-last copy is freed once im2col has read it
         cols = im2col(_pad_channels_last(x, lo, hi_h, hi_w).transpose(0, 3, 1, 2), kk, 1, 0)
-    # tap r + m * s of w -> row (kk-1-m) of phase r; columns ordered (rh, rw, out)
-    phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
-    phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)
-    y = _product(cols, 1, phases, b)  # (qh, n * qw, s * s * co)
-    del cols  # spent: free the lowered input before the interleave copies y
-    y = y.reshape(qh, n, qw, s, s, co).transpose(0, 3, 1, 2, 4, 5).reshape(qh * s, n, qw * s, co)
-    return y[crop:crop + oh, :, crop:crop + ow].transpose(1, 3, 0, 2)
+    # tap r + m * s of w -> row (kk-1-m) of phase r; phase row rh's block is
+    # a row-major (kk*kk*in, s*out) matrix, columns ordered (rw, out)
+    phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :].transpose(3, 2, 4, 0, 5, 1)
+    phases = np.ascontiguousarray(phases).reshape(s, kk * kk * ci, s * co)
+    if s == 1:
+        y = _product(cols, 1, phases[0], b)
+        return y.reshape(oh, n, ow, co).transpose(1, 3, 0, 2)
+    patches = _patch_rows(cols, 1)  # (qh, n * qw, kk * kk * ci)
+    y = np.empty((oh, n, qw * s, co))
+    row = y.strides[0]
+    for rh in range(s):
+        first = (rh - crop) % s  # output rows first, first + s, ... read phase rows q0, q0 + 1, ...
+        count = len(range(first, oh, s))
+        if count:
+            q0 = (first + crop) // s
+            # those output rows as stacked (n * qw, s * co) matrices, viewed
+            # by explicit strides as _patch_rows views: never a temporary
+            out = np.ndarray((count, n * qw, s * co), np.float64, y, first * row,
+                             (s * row, s * co * y.itemsize, y.itemsize))
+            np.matmul(patches[q0:q0 + count], phases[rh], out=out)
+    if b is not None:
+        _add_bias(y, oh * n, b)
+    return y[:, :, crop:crop + ow].transpose(1, 3, 0, 2)

@@ -867,13 +867,13 @@ class TestWorkPerIteration:
         # default networks, 32 px, 8 train and 32 val pairs: one iteration
         # with its validation
         assert self.count_work(monkeypatch, "genseg", 8, 32, 1) == {
-            "nodes": 1132, "calls": 5378, "im2col": 152, "im2col_bytes": 61_562_880,
+            "nodes": 1132, "calls": 5396, "im2col": 152, "im2col_bytes": 61_562_880,
             "backward": 7, "gen": 3, "disc": 3, "seg": 6}
 
     def test_one_baseline_epoch_at_the_segment_shape(self, monkeypatch):
         # 64 train and 16 val pairs: four minibatches of 16 and one validation
         assert self.count_work(monkeypatch, "baseline", 64, 16, 4) == {
-            "nodes": 265, "calls": 1378, "im2col": 53, "im2col_bytes": 28_672_000,
+            "nodes": 265, "calls": 1389, "im2col": 53, "im2col_bytes": 28_672_000,
             "backward": 4, "gen": 0, "disc": 0, "seg": 5}
 
 

@@ -398,6 +398,71 @@ class TestBiasInGemmLayout:
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def conv_transpose_interleaved(x, w, b, stride, padding, extent):
+    """conv_transpose as all s*s sub-pixel phases over every phase row in one
+    product, then interleaved (depth-to-space) and cropped: the kernel that
+    the per-phase-row products replace, kept as their reference."""
+    n, ci, h, wd = x.shape
+    co, k = w.shape[1], w.shape[2]
+    s = stride
+    kk = k // s
+    shift, crop = divmod(padding, s)
+    oh, ow = extent
+    qh, qw = -(-(crop + oh) // s), -(-(crop + ow) // s)
+    lo = kk - 1 - shift
+    xp = tensor._pad_channels_last(x, lo, qh + kk - 1 - lo - h, qw + kk - 1 - lo - wd)
+    cols = im2col(xp.transpose(0, 3, 1, 2), kk, 1, 0)
+    phases = w.reshape(ci, co, kk, s, kk, s)[:, :, ::-1, :, ::-1, :]
+    phases = phases.transpose(2, 4, 0, 3, 5, 1).reshape(kk * kk * ci, s * s * co)
+    y = tensor._product(cols, 1, phases, b)
+    y = y.reshape(qh, n, qw, s, s, co).transpose(0, 3, 1, 2, 4, 5).reshape(qh * s, n, qw * s, co)
+    return y[crop:crop + oh, :, crop:crop + ow].transpose(1, 3, 0, 2)
+
+
+class TestPhaseRowProducts:
+    # a strided conv_transpose runs one product per phase row over the output
+    # rows it keeps, written into those rows of its output buffer. It equals
+    # the phases interleaved after one product over every phase row: to the
+    # byte at the segmenter's k4 s2 p1 shapes, and within rounding elsewhere,
+    # where OpenBLAS may round a product with s*co columns differently from
+    # one with s*s*co. A product written into a temporary would leave the
+    # buffer's uninitialised memory in the output
+    @pytest.mark.parametrize("x_shape, extent, bias", [
+        ((16, 16, 8, 8), (16, 16), True),  # up1 forward, 8 -> 16 px
+        ((16, 16, 16, 16), (32, 32), True),  # up2 forward, 16 -> 32 px
+        ((16, 16, 8, 8), (16, 16), False),  # down2's input gradient
+    ], ids=["up1", "up2", "down2-input-grad"])
+    def test_equals_interleaved_phases_at_the_segmenter_shapes(self, x_shape, extent, bias):
+        rng = np.random.default_rng(x_shape[2])
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(16, 8, 4, 4))
+        b = rng.normal(size=8) if bias else None
+        got = tensor.conv_transpose(x, w, b, 2, 1, extent)
+        want = conv_transpose_interleaved(x, w, b, 2, 1, extent)
+        assert got.shape == want.shape == (16, 8, *extent)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    # a forward spec's input gradient and its transposed twin run the same
+    # conv_transpose, so each (kernel, stride, padding) is checked once
+    STRIDED = sorted({(spec.kernel, spec.stride, spec.padding)
+                      for spec in DOWN_CANDIDATES + UP_CANDIDATES + (HALVE, DOUBLE)})
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["natural", "adjoint"])
+    @pytest.mark.parametrize("h, w", [(7, 7), (8, 8), (8, 4)])
+    @pytest.mark.parametrize("k, s, p", STRIDED, ids=lambda v: str(v))
+    def test_close_to_interleaved_phases(self, k, s, p, h, w, past):
+        # from an h x w input to the natural output extent, or to the
+        # adjoint's extent one row and one column past it, as the input
+        # gradient of a convolution from that extent runs it
+        rng = np.random.default_rng(100 * k + 10 * h + w + past)
+        x = rng.normal(size=(3, 4, h, w))
+        wt = rng.normal(size=(4, 5, k, k))
+        b = rng.normal(size=5)
+        extent = tuple((e - 1) * s - 2 * p + k + past for e in (h, w))
+        assert_close_to(tensor.conv_transpose(x, wt, b, s, p, extent),
+                        conv_transpose_interleaved(x, wt, b, s, p, extent))
+
+
 class TestOneByOneProducts:
     # a 1x1 stride-1 layer's product is one flat product over (H, N, W, C)
     # memory, also with a single input channel; each equals, to the byte, the
