@@ -24,10 +24,11 @@ evaluation runs inside it too. In both kinds of backward, a node's gradient is
 held by nothing but its rule and the rule's thunks, and a rule's thunks, with
 the arrays their closures hold (a transposed convolution's gathered gradient
 patches, say), are dropped as soon as the rule has run, before the next rule
-allocates its own. Training uses the cheaper forward-difference mixed
-Hessian-vector product (:func:`mixed_hvp_fd`, step from :func:`default_eps`),
-whose base gradient the caller may already hold; the exact double-backward
-product (:func:`mixed_hvp_exact`) is kept as its oracle.
+allocates its own. Training's mixed Hessian-vector products are finite
+differences with the step from :func:`default_eps`: stage III's u and d are
+one central difference (``engine.Trainer._seg_hvp_fd``), and w is the
+forward difference of :func:`mixed_hvp_fd`; the exact double-backward
+product (:func:`mixed_hvp_exact`) is their oracle.
 
 Three nodes make up the convolution family: a convolution, a transposed
 convolution and a kernel gradient, each an im2col gather (a width-unfolded
@@ -61,9 +62,12 @@ other's adjoint, so, like the convolution family, the pair is closed under
 differentiation; the weights' gradient sums over the parts' windows only,
 and rounds differently from the chain's sums over the whole embedding.
 Where each part sits is worked out once per layout (:func:`windows`), not
-per call. A bias gradient sums a convolution's (H, N, W, C) memory in its
-own order (:func:`genseg.tensor.channel_sums`), and :func:`concat`, the
-channel join, writes that memory too. So does the segmentation loss's
+per call, as regions: tuples of slices, numpy's own index. :func:`window`
+and its adjoint :func:`embed` are the tape's one index pair, with which a
+mixture's rules, :func:`concat`'s rule and the loss's gradient cut slices.
+A bias gradient sums a convolution's (H, N, W, C) memory in its own order
+(:func:`genseg.tensor.channel_sums`), and :func:`concat`, the channel
+join, writes that memory too. So does the segmentation loss's
 gradient, a channel join of its two class planes, so the segmenter head's
 bias gradient sums in memory order like every other layer's.
 
@@ -295,37 +299,30 @@ def concat(nodes: Sequence[Node]) -> Node:
         out[:, start:end] = node.value
 
     def vjp(_, g):
-        return tuple((lambda s=start, e=end: slice_axis(g, 1, s, e))
+        return tuple((lambda s=start, e=end: window(g, (slice(None), slice(s, e))))
                      for start, end in zip(offsets, offsets[1:]))
 
     return Node(out, tuple(nodes), vjp)
 
 
-def slice_axis(a: Node, axis: int, start: int, stop: int) -> Node:
-    idx = [slice(None)] * a.value.ndim
-    idx[axis] = slice(start, stop)
+def window(a: Node, region) -> Node:
+    """``a``'s value at ``region``, a tuple of slices over its leading axes."""
     shape = a.value.shape
-    return Node(a.value[tuple(idx)], (a,),
-                lambda _, g: (lambda: pad_insert(g, shape, axis, start),))
+    return Node(a.value[region], (a,), lambda _, g: (lambda: embed(g, shape, region),))
 
 
-def pad_insert(a: Node, shape, axis: int, start: int) -> Node:
-    """Embed ``a`` into zeros of ``shape`` along ``axis`` (adjoint of slice)."""
+def embed(a: Node, shape, region) -> Node:
+    """``a`` written into zeros of ``shape`` at ``region`` (adjoint of :func:`window`)."""
     out = np.zeros(shape, dtype=np.float64)
-    idx = [slice(None)] * len(shape)
-    stop = start + a.value.shape[axis]
-    idx[axis] = slice(start, stop)
-    out[tuple(idx)] = a.value
-    return Node(out, (a,), lambda _, g: (lambda: slice_axis(g, axis, start, stop),))
+    out[region] = a.value
+    return Node(out, (a,), lambda _, g: (lambda: window(g, region),))
 
 
 class Windows(NamedTuple):
     """Where each part of a :func:`mixture` sits in the whole, worked out once
     per layout by :func:`windows`."""
 
-    shape: tuple[int, ...]  # the whole's
     regions: tuple  # per part, the index of its window in the whole
-    narrowed: tuple  # per part, (axis, start, stop) of each axis its window narrows
     inner: tuple  # per part after the first, the index of the part before it within it
 
 
@@ -333,60 +330,42 @@ def windows(shape, starts, part_shapes) -> Windows:
     """The :class:`Windows` of parts of ``part_shapes`` whose first elements
     sit at ``starts`` in a whole of ``shape``. The parts must nest, as a
     searchable cell's kernels do: each part's window holds the one before
-    it, and the last part is the whole."""
-    shape = tuple(shape)
+    it, and the last part is the whole, at the origin."""
     regions = tuple(tuple(slice(s, s + n) for s, n in zip(start, part))
                     for start, part in zip(starts, part_shapes))
-    narrowed = tuple(tuple((axis, r.start, r.stop) for axis, r in enumerate(region)
-                           if r.stop - r.start != shape[axis]) for region in regions)
     pairs = list(zip(regions, regions[1:]))
-    if narrowed[-1] or any(a.start < b.start or a.stop > b.stop
-                           for inner, outer in pairs for a, b in zip(inner, outer)):
+    if tuple(part_shapes[-1]) != tuple(shape) or any(starts[-1]) or any(
+            a.start < b.start or a.stop > b.stop for i, o in pairs for a, b in zip(i, o)):
         raise ValueError(f"parts {tuple(part_shapes)} at {tuple(starts)} do not nest "
-                         f"in a whole of {shape}")
+                         f"in a whole of {tuple(shape)}")
     inner = tuple(tuple(slice(a.start - b.start, a.stop - b.start) for a, b in zip(i, o))
                   for i, o in pairs)
-    return Windows(shape, regions, narrowed, inner)
-
-
-def _window(a: Node, narrowed) -> Node:
-    """``a``'s window: a :func:`slice_axis` per ``(axis, start, stop)`` it narrows."""
-    for axis, start, stop in narrowed:
-        a = slice_axis(a, axis, start, stop)
-    return a
+    return Windows(regions, inner)
 
 
 def _weighted_window(a: Node, weights: Node, k: int, where: Windows) -> Node:
     """``a``'s window ``where.regions[k]`` times ``weights[k]``: one node for
-    ``mul(_window(a, where.narrowed[k]), slice_axis(weights, 0, k, k + 1))``,
-    the gradient :func:`mixture` sends part k, whose value it equals to the
-    bit. Its rule builds the gradients those ops' rules would, from the same
-    ops, so it can be differentiated again."""
-    narrowed = where.narrowed[k]
+    ``mul(window(a, region), window(weights, pick))``, the gradient
+    :func:`mixture` sends part k, whose value it equals to the bit. Its rule
+    builds the gradients those ops' rules would, from the same ops, so it
+    can be differentiated again."""
+    region, pick = where.regions[k], (slice(k, k + 1),)
 
     def vjp(_, g):
-        def d_a():
-            d = mul(g, slice_axis(weights, 0, k, k + 1))
-            shapes = [a.value.shape]  # the shape each slice of the window cuts
-            for axis, start, stop in narrowed[:-1]:
-                shapes.append(shapes[-1][:axis] + (stop - start,) + shapes[-1][axis + 1:])
-            for (axis, start, _), shape in zip(reversed(narrowed), reversed(shapes)):
-                d = pad_insert(d, shape, axis, start)
-            return d
+        return (lambda: embed(mul(g, window(weights, pick)), a.value.shape, region),
+                lambda: embed(_unbroadcast(mul(g, window(a, region)), (1,)),
+                              weights.value.shape, pick))
 
-        return (d_a, lambda: pad_insert(_unbroadcast(mul(g, _window(a, narrowed)), (1,)),
-                                        weights.value.shape, 0, k))
-
-    return Node(a.value[where.regions[k]] * weights.value[k:k + 1], (a, weights), vjp)
+    return Node(a.value[region] * weights.value[pick], (a, weights), vjp)
 
 
 def mixture(weights: Node, parts: Sequence[Node], where: Windows) -> Node:
     """Sum over k of ``weights[k]`` times ``parts[k]`` embedded into zeros of
-    ``where.shape`` in its window ``where.regions[k]``, added up in part
-    order.
+    the last part's shape in its window ``where.regions[k]``, added up in
+    part order.
 
-    One node for what would otherwise be, per part, a slice of ``weights``, a
-    :func:`pad_insert` per widened axis, a :func:`mul` and an :func:`add`.
+    One node for what would otherwise be, per part, a :func:`window` of
+    ``weights``, an :func:`embed`, a :func:`mul` and an :func:`add`.
     Its value and its gradients in the parts equal those ops' to the bit:
     a part's gradient is its window of the incoming gradient times its
     weight. The windows nest (:func:`windows`), so the value needs no zero

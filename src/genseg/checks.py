@@ -95,7 +95,8 @@ def check_op_grads(seed: int = 0) -> dict[str, float]:
         "reshape": lambda a: ad.reshape(a, (4, 3)),
         "transpose": lambda a: ad.transpose(a, (1, 0)),
         "concat": lambda a: ad.concat([ad.reshape(n, (1, 3, 2, 2)) for n in (a, other)]),
-        "slice": lambda a: ad.slice_axis(a, 1, 1, 3),
+        "window": lambda a: ad.window(a, (slice(1, 3), slice(1, 3))),
+        "embed": lambda a: ad.embed(a, (4, 5), (slice(1, 4), slice(0, 4))),
         "sum": lambda a: ad.sum_(a, axes=1, keepdims=True),
         "mean": ad.mean_,
         "broadcast": lambda a: ad.broadcast_to(ad.reshape(a, (3, 4, 1)), (3, 4, 5)),

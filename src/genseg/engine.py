@@ -238,7 +238,7 @@ def seg_cross_entropy(logits: Node, masks: np.ndarray) -> Node:
     per_pixel = 1.0 / terms.size
 
     def grad(g: Node) -> Node:
-        z0, z1 = ad.slice_axis(logits, 1, 0, 1), ad.slice_axis(logits, 1, 1, 2)
+        z0, z1 = [ad.window(logits, (slice(None), slice(c, c + 1))) for c in (0, 1)]
         top = constant(np.maximum(z0.value, z1.value))
         e0, e1 = ad.exp(ad.sub(z0, top)), ad.exp(ad.sub(z1, top))
         g_lse = ad.broadcast_to(ad.scale(g, per_pixel), z0.value.shape)

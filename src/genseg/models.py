@@ -98,7 +98,8 @@ class SearchableCell:
     """K candidate convolutions mixed by softmax weights over per-cell logits.
 
     All pool candidates share the stride and embed exactly into the largest
-    kernel (zero borders, offset = padding difference), so the mixture runs
+    kernel (zero borders, offset = padding difference; :func:`autodiff.windows`
+    refuses a pool whose kernels do not nest), so the mixture runs
     as a single convolution of the softmax-weighted kernel sum; this equals
     the weighted sum of per-candidate outputs because convolution is linear
     in its kernel. The weighted kernel sum is one :func:`autodiff.mixture`
@@ -110,8 +111,7 @@ class SearchableCell:
         self.candidates = UP_CANDIDATES if transposed else DOWN_CANDIDATES
         big = max(self.candidates, key=lambda c: c.kernel)
         for c in self.candidates:
-            if c.stride != big.stride or big.padding < c.padding \
-                    or c.kernel + big.padding - c.padding > big.kernel:
+            if c.stride != big.stride:
                 raise ValueError(f"candidate {c} does not embed into {big}")
         self.fused_spec = big
         # one layer-table row per candidate, as :func:`_layer_params` takes them

@@ -706,11 +706,8 @@ class TestWindowDots:
                 constant(rng.normal(size=len(self.STARTS))))
 
     def embed(self, part, start):
-        for axis, s in enumerate(start):
-            if part.value.shape[axis] != self.SHAPE[axis]:
-                part = ad.pad_insert(part, (*self.SHAPE[:axis + 1], *part.value.shape[axis + 1:]),
-                                     axis, s)
-        return part
+        return ad.embed(part, self.SHAPE,
+                        tuple(slice(s, s + n) for s, n in zip(start, part.value.shape)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_value_is_the_dot_with_each_embedded_part(self, seed):
@@ -776,7 +773,9 @@ class TestMixtureValue:
         (((0, 0, 1, 1), (0, 0, 0, 0)), ((2, 3, 2, 2), (2, 3, 3, 3))),
         # the whole first, then a part inside it
         (((0, 0, 0, 0), (0, 0, 1, 1)), ((2, 3, 4, 4), (2, 3, 2, 2))),
-    ], ids=["apart", "not_whole", "outside_in"])
+        # nested, and the last part has the whole's shape but not its origin
+        (((0, 0, 1, 1), (0, 0, 1, 1)), ((2, 3, 2, 2), (2, 3, 4, 4))),
+    ], ids=["apart", "not_whole", "outside_in", "whole_off_origin"])
     def test_a_layout_that_does_not_nest_is_refused(self, starts, part_shapes):
         with pytest.raises(ValueError, match="do not nest"):
             ad.windows((2, 3, 4, 4), starts, part_shapes)

@@ -158,8 +158,8 @@ def log(a: Node) -> Node:
 def reduced_seg_cross_entropy(logits, masks):
     """The segmentation loss with its log-sum-exp reduced along the class axis."""
     m = constant(np.asarray(masks, dtype=np.float64))
-    z0 = ad.slice_axis(logits, 1, 0, 1)
-    z1 = ad.slice_axis(logits, 1, 1, 2)
+    z0 = ad.window(logits, (slice(None), slice(0, 1)))
+    z1 = ad.window(logits, (slice(None), slice(1, 2)))
     zt = ad.add(ad.mul(m, z1), ad.mul(ad.shift(ad.neg(m), 1.0), z0))
     top = constant(np.max(logits.value, axis=1, keepdims=True))
     lse = ad.add(log(ad.sum_(ad.exp(ad.sub(logits, top)), axes=1, keepdims=True)), top)

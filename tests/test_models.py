@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genseg import autodiff as ad
+from genseg import models
 from genseg.autodiff import ParamGroup, bind, constant
 from genseg.models import (DiscriminatorNet, GeneratorNet, SearchableCell, SegNet,
                            _conv_params, derive_architecture, predict_mask)
@@ -87,11 +88,26 @@ class TestSearchableCell:
                               a.flatten(), h=1e-6)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
+    @pytest.mark.parametrize("pool, match", [
+        # a stride-1 kernel that would sit inside the 8x8 one
+        ((ConvSpec(4, 1, 1), ConvSpec(8, 2, 3)), "does not embed"),
+        # padded 4, more than the 8x8 kernel's 3: it would start at offset -1
+        ((ConvSpec(4, 2, 4), ConvSpec(8, 2, 3)), "do not nest"),
+        # padded 0: it would end at 3 + 6 = 9, past the 8x8 kernel
+        ((ConvSpec(6, 2, 0), ConvSpec(8, 2, 3)), "do not nest"),
+    ], ids=["stride", "before_the_start", "past_the_end"])
+    def test_a_pool_that_does_not_fit_its_largest_kernel_is_refused(self, monkeypatch, pool,
+                                                                     match):
+        monkeypatch.setattr(models, "DOWN_CANDIDATES", pool)
+        with pytest.raises(ValueError, match=match):
+            SearchableCell("enc1", 2, 3, transposed=False)
+
 
 def chain_forward(cell, params, logits, x):
     """The cell's forward with its mixture as separate ops: per candidate a
-    slice of the softmax, a pad_insert per widened kernel axis, a mul and an
-    add, for the kernel and for the bias (reference for the mixture node)."""
+    window of the softmax, an embed of a smaller kernel into the largest, a
+    mul and an add, for the kernel and for the bias (reference for the
+    mixture node)."""
     weights = ad.softmax(logits)
     big = cell.fused_spec
     w_eff = b_eff = None
@@ -100,10 +116,10 @@ def chain_forward(cell, params, logits, x):
         bk = params[f"{cell.name}.{spec.name}.b"]
         off = big.padding - spec.padding
         if spec.kernel != big.kernel:
-            channels = wk.value.shape[:2]
-            wk = ad.pad_insert(wk, (*channels, big.kernel, spec.kernel), 2, off)
-            wk = ad.pad_insert(wk, (*channels, big.kernel, big.kernel), 3, off)
-        alpha = ad.slice_axis(weights, 0, idx, idx + 1)
+            span = slice(off, off + spec.kernel)
+            wk = ad.embed(wk, (*wk.value.shape[:2], big.kernel, big.kernel),
+                          (slice(None), slice(None), span, span))
+        alpha = ad.window(weights, (slice(idx, idx + 1),))
         w_term, b_term = ad.mul(alpha, wk), ad.mul(alpha, bk)
         w_eff = w_term if w_eff is None else ad.add(w_eff, w_term)
         b_eff = b_term if b_eff is None else ad.add(b_eff, b_term)
